@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 
 #include "core/dispatch.hpp"
 #include "dsan/check.hpp"
+#include "lattice/io.hpp"
 #include "multidev/halo_kernels.hpp"
 #include "tune/candidates.hpp"
 #include "tune/explorer.hpp"
@@ -150,10 +150,10 @@ double message_scale(SpinorWire w, const SU3Vector<dcomplex>* src, const HaloMsg
 
 /// Submit one Dslash kernel range on a shard queue; returns the raw stats
 /// (stats.fault names an injected failure — no side effects in that case).
-gpusim::KernelStats submit_dslash_raw(minisycl::queue& q, const DslashArgs<dcomplex>& a,
-                                      std::int64_t src_elems, const RunRequest& req,
-                                      const VariantInfo& vi, int local_size,
-                                      const std::string& name) {
+gpusim::KernelStats submit_dslash(minisycl::queue& q, const DslashArgs<dcomplex>& a,
+                                  std::int64_t src_elems, const RunRequest& req,
+                                  const VariantInfo& vi, int local_size,
+                                  const std::string& name) {
   return with_dslash_kernel(a, req.strategy, req.order, vi.use_syclcplx,
                             [&](const auto& kernel) {
                               using K = std::decay_t<decltype(kernel)>;
@@ -169,15 +169,6 @@ gpusim::KernelStats submit_dslash_raw(minisycl::queue& q, const DslashArgs<dcomp
                             });
 }
 
-/// Submit one Dslash kernel range on a shard queue; returns duration +
-/// launch overhead (0 in functional mode).
-double submit_dslash(minisycl::queue& q, const DslashArgs<dcomplex>& a,
-                     std::int64_t src_elems, const RunRequest& req, const VariantInfo& vi,
-                     int local_size, const std::string& name) {
-  const gpusim::KernelStats st = submit_dslash_raw(q, a, src_elems, req, vi, local_size, name);
-  return st.duration_us + q.launch_overhead_us();
-}
-
 minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
                                const minisycl::KernelTraits& traits) {
   minisycl::LaunchSpec spec;
@@ -187,19 +178,6 @@ minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
   spec.num_phases = 1;
   spec.traits = traits;
   return spec;
-}
-
-/// FNV-1a over raw bytes — the per-message halo-payload checksum.  Not
-/// cryptographic; it only needs to catch the injector's bit flips, and a
-/// single flipped bit always perturbs the multiply-xor chain.
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Adapt the caller's request to a fallback rung (same policy as
@@ -221,9 +199,9 @@ RunRequest adapt_request(const RunRequest& base, Strategy s, std::int64_t sites)
   return r;
 }
 
-/// Discard a queue's buffered async errors (the hardened path classifies
-/// faults from stats.fault at the submission site; the buffered exceptions
-/// are the same information).
+/// Discard a queue's buffered async errors (the retry loops classify faults
+/// from stats.fault at the submission site; the buffered exceptions are the
+/// same information).
 void drain_errors(minisycl::queue& q) {
   try {
     q.wait_and_throw();
@@ -260,6 +238,86 @@ void hook_queues_for_dsan(dsan::Recorder* rec,
           rec->kernel(rank, name);
         });
   }
+}
+
+/// The ksan replay behind sanitize_halo and sanitize_exchange: every pack
+/// and unpack launch of one exchange under exact region declarations.  The
+/// hardened flow adds the receiver-side copy the unpack reads, and
+/// redelivers the first message of every shard once (a retransmission
+/// re-unpacked in a separate launch).
+std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
+                                                 const PartitionGrid& grid,
+                                                 int pack_local_size, const WireFormat& wire_fmt,
+                                                 bool hardened) {
+  const Partitioner part(problem.geom(), grid, problem.target_parity());
+  std::vector<ShardFields> fields;
+  fields.reserve(part.shards().size());
+  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
+
+  const SpinorWire sw = wire_fmt.spinor;
+  std::vector<ksan::SanitizerReport> reports;
+  for (const Shard& sh : part.shards()) {
+    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
+      const HaloMsg& msg = sh.halo[mi];
+      const Shard& peer_sh = part.shard(msg.peer);
+      ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
+      const std::string suffix = " r" + std::to_string(msg.peer) + "->r" +
+                                 std::to_string(sh.rank) + " dim" + std::to_string(msg.dim) +
+                                 (msg.side == 0 ? "-" : "+");
+      const double scale = message_scale(sw, peer.src.data(), msg);
+      std::vector<std::byte> wire(static_cast<std::size_t>(msg.wire_bytes(sw)));
+
+      with_wire_element(sw, [&](auto tag) {
+        using W = decltype(tag);
+        // Pack: reads must stay inside the sender's *owned* sources (reading
+        // a ghost slot would be an ordering bug), writes inside the wire.
+        // The fused convert-pack kernel is sanitized at the requested
+        // format, so its accesses are checked against the *encoded* buffer.
+        HaloPackKernelT<W> pack{.src = peer.src.data(),
+                                .slots = msg.send_slots.data(),
+                                .wire = reinterpret_cast<W*>(wire.data()),
+                                .count = msg.count(),
+                                .scale = scale};
+        ksan::SanitizeConfig pack_cfg;
+        pack_cfg.regions.push_back(
+            ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
+        pack_cfg.regions.push_back(
+            ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
+        pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
+        reports.push_back(
+            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
+                                  pack, std::move(pack_cfg), "halo-pack" + suffix));
+
+        // Unpack: reads inside the payload, writes *only* into this
+        // message's ghost span — declaring exactly that span turns any stray
+        // write (owned sites, another message's ghosts) into a reported OOB.
+        // Hardened: the delivery lands on a receiver-side copy (the sender
+        // buffer stays pristine for retransmission); a redelivery's repeated
+        // ghost writes are ordered by the launch boundary, hence clean.
+        std::vector<std::byte> rx;
+        const int deliveries = (hardened && mi == 0) ? 2 : 1;
+        for (int delivery = 0; delivery < deliveries; ++delivery) {
+          if (hardened) rx.assign(wire.begin(), wire.end());
+          const std::vector<std::byte>& payload = hardened ? rx : wire;
+          HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(payload.data()),
+                                      .field = f.src.data(),
+                                      .ghost_base = msg.ghost_base,
+                                      .count = msg.count(),
+                                      .inv_scale = 1.0 / scale};
+          ksan::SanitizeConfig unpack_cfg;
+          unpack_cfg.regions.push_back(ksan::region_of(payload.data(), payload.size()));
+          unpack_cfg.regions.push_back(ksan::region_of(
+              f.src.data() + msg.ghost_base, static_cast<std::size_t>(msg.count())));
+          reports.push_back(ksan::sanitize_launch(
+              halo_spec(msg.count(), pack_local_size, unpack.traits()), unpack,
+              std::move(unpack_cfg),
+              "halo-unpack" + suffix + (delivery > 0 ? " retry" : "")));
+        }
+      });
+    }
+  }
+  return reports;
 }
 
 }  // namespace
@@ -321,14 +379,6 @@ int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites)
   return tune::pick_local_size(s, o, preferred, sites);
 }
 
-MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
-                                      const MultiDevRequest& mreq) const {
-  // With no fault plan installed the pre-existing path runs untouched —
-  // same allocations, same submissions, bit-for-bit the fault-free timeline.
-  if (faultsim::Injector::current() == nullptr) return run_plain(problem, mreq);
-  return run_hardened(problem, mreq);
-}
-
 tune::TuneKey MultiDeviceRunner::tune_key(const DslashProblem& problem,
                                           const MultiDevRequest& mreq) const {
   tune::TuneKey key;
@@ -388,301 +438,6 @@ std::vector<ksan::SanitizerReport> MultiDeviceRunner::dsan_check(
   return dsan::check_all(sr.rec.trace(), mreq.grid.label());
 }
 
-MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
-                                            const MultiDevRequest& mreq) const {
-  const int ndev = mreq.grid.total();
-  if (ndev == 1) {
-    // Delegate so single-device numbers reproduce bench_fig6 exactly (the
-    // general path would be bit-identical in values but allocates shard
-    // copies at different addresses, and the run would carry pack/unpack
-    // launches a true single-device run does not have).
-    const DslashRunner single(machine_, cal_);
-    const RunResult rr = single.run(problem, mreq.req);
-    MultiDevResult res;
-    res.label = rr.label + " @ " + mreq.grid.label();
-    res.devices = 1;
-    res.per_iter_us = rr.per_iter_us;
-    res.gflops = rr.gflops;
-    DeviceTimeline t;
-    t.interior_sites = problem.sites();
-    t.interior_us = rr.kernel_us;
-    t.iter_us = rr.per_iter_us;
-    res.per_device.push_back(t);
-    res.final_grid = mreq.grid;
-    res.wire = mreq.wire;
-    return res;
-  }
-
-  const bool multi_node = mreq.topo.multi_node();
-  if (multi_node && mreq.topo.total_devices() != ndev) {
-    throw std::invalid_argument("MultiDeviceRunner: topology has " +
-                                std::to_string(mreq.topo.total_devices()) +
-                                " devices but the grid needs " + std::to_string(ndev));
-  }
-  const auto crosses_fabric = [&](int a, int b) {
-    return multi_node && !mreq.topo.same_node(a, b);
-  };
-
-  const VariantInfo& vi = variant_info(mreq.req.variant);
-  const Partitioner part(problem.geom(), mreq.grid, problem.target_parity());
-  const std::vector<Shard>& shards = part.shards();
-
-  std::vector<ShardFields> fields;
-  fields.reserve(shards.size());
-  for (const Shard& sh : shards) fields.push_back(build_fields(problem, sh));
-
-  std::vector<std::unique_ptr<minisycl::queue>> queues;
-  for (int d = 0; d < ndev; ++d) {
-    queues.push_back(std::make_unique<minisycl::queue>(minisycl::ExecMode::profiled,
-                                                       vi.queue_order, machine_, cal_));
-  }
-
-  dsan::Recorder* rec = dsan::Recorder::current();
-  if (rec != nullptr) {
-    rec->barrier("run @ " + mreq.grid.label());
-    hook_queues_for_dsan(rec, queues);
-  }
-
-  MultiDevResult res;
-  res.label = config_label(mreq.req.strategy, mreq.req.order, mreq.req.local_size) + " @ " +
-              mreq.grid.label();
-  res.devices = ndev;
-  res.per_device.resize(static_cast<std::size_t>(ndev));
-  for (int d = 0; d < ndev; ++d) res.per_device[static_cast<std::size_t>(d)].rank = d;
-
-  // --- Phase 1: every device packs its outbound faces. ------------------
-  // (msg.peer is the sender; iteration order is deterministic.)  Fabric-
-  // bound slabs pack first so their aggregates hit the slow pipe at
-  // fabric_pack_us while the NVLink slabs are still packing — the two-phase
-  // schedule.  Single-node runs have no pass-0 slabs: identical schedule.
-  // Wire buffers hold *encoded* bytes (msg.wire_bytes of the format): the
-  // pack kernels write the wire element type directly — no staging copy.
-  const SpinorWire sw = mreq.wire.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(static_cast<std::size_t>(ndev));
-  std::vector<std::vector<double>> scales(static_cast<std::size_t>(ndev));
-  for (const Shard& sh : shards) {
-    wires[static_cast<std::size_t>(sh.rank)].resize(sh.halo.size());
-    scales[static_cast<std::size_t>(sh.rank)].assign(sh.halo.size(), 1.0);
-  }
-  std::vector<gpusim::LinkMessage> messages;
-  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev), 0.0);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Shard& sh : shards) {
-      for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-        const HaloMsg& msg = sh.halo[mi];
-        if ((pass == 0) != crosses_fabric(msg.peer, sh.rank)) continue;
-        auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        wire.resize(static_cast<std::size_t>(msg.wire_bytes(sw)));
-        const double scale =
-            message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
-        scales[static_cast<std::size_t>(sh.rank)][mi] = scale;
-        minisycl::queue& q = *queues[static_cast<std::size_t>(msg.peer)];
-        with_wire_element(sw, [&](auto tag) {
-          using W = decltype(tag);
-          HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                                  .slots = msg.send_slots.data(),
-                                  .wire = reinterpret_cast<W*>(wire.data()),
-                                  .count = msg.count(),
-                                  .scale = scale};
-          minisycl::LaunchSpec pspec =
-              halo_spec(msg.count(), mreq.pack_local_size, HaloPackKernelT<W>::traits());
-          pspec.regions = pack_regions(
-              pack, shards[static_cast<std::size_t>(msg.peer)].extended_sources());
-          const gpusim::KernelStats st = q.submit(pspec, pack, "halo-pack");
-          pack_us[static_cast<std::size_t>(msg.peer)] +=
-              st.duration_us + q.launch_overhead_us();
-        });
-        if (rec != nullptr) {
-          rec->annotate(
-              msg.peer, pack_site(msg.peer, sh.rank),
-              {dsan::span_of(fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                             static_cast<std::size_t>(
-                                 shards[static_cast<std::size_t>(msg.peer)].sources())),
-               dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-              {dsan::span_of(wire.data(), wire.size())});
-        }
-      }
-    }
-    if (pass == 0) fabric_pack_us = pack_us;
-  }
-  // A device puts its messages on the wire once the packs feeding them are
-  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
-  // fabric-bound slabs depart at the end of the fabric pack pass.
-  std::vector<std::uint64_t> tx_ids;
-  for (const Shard& sh : shards) {
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const bool fabric = crosses_fabric(msg.peer, sh.rank);
-      messages.push_back({.src = msg.peer,
-                          .dst = sh.rank,
-                          .bytes = msg.wire_bytes(sw),
-                          .depart_us = fabric
-                                           ? fabric_pack_us[static_cast<std::size_t>(msg.peer)]
-                                           : pack_us[static_cast<std::size_t>(msg.peer)],
-                          .site = exchange_site(msg.peer, sh.rank)});
-      if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        tx_ids.push_back(rec->send(msg.peer, sh.rank, exchange_site(msg.peer, sh.rank),
-                                   /*round=*/1, dsan::span_of(wire.data(), wire.size()),
-                                   /*dropped=*/false, fabric,
-                                   multi_node ? mreq.topo.node_of(msg.peer) : 0,
-                                   multi_node ? mreq.topo.node_of(sh.rank) : 0));
-      }
-    }
-  }
-
-  // --- Phase 2: interior compute, concurrent with the exchange. ---------
-  // Host execution order (interior before unpack) also proves the interior
-  // range reads no ghost slot: ghosts are still NaN poison here.
-  std::vector<double> interior_us(static_cast<std::size_t>(ndev), 0.0);
-  for (const Shard& sh : shards) {
-    if (sh.n_interior == 0) continue;
-    const DslashArgs<dcomplex> a =
-        range_args(fields[static_cast<std::size_t>(sh.rank)], sh, 0, sh.n_interior);
-    const int ls =
-        pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_interior);
-    interior_us[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)], a, sh.extended_sources(),
-                      mreq.req, vi, ls, "dslash-interior");
-    if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-      rec->annotate(sh.rank, "dslash-interior r" + std::to_string(sh.rank),
-                    {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
-                    {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
-    }
-  }
-
-  std::vector<double> arrival_us(static_cast<std::size_t>(ndev), 0.0);
-  if (multi_node) {
-    const gpusim::FabricExchangeReport frep =
-        gpusim::simulate_topology_exchange(mreq.topo, messages);
-    arrival_us = frep.arrival_us;
-    res.nodes = mreq.topo.nodes;
-    res.intra_node_bytes = frep.intra_bytes;
-    res.inter_node_bytes = frep.inter_bytes;
-    res.fabric_messages = frep.inter_messages;
-    res.intra_wire_us = frep.intra_wire_us;
-    res.inter_wire_us = frep.inter_wire_us;
-  } else {
-    const gpusim::ExchangeReport xrep = simulate_exchange(mreq.link, messages, ndev);
-    arrival_us = xrep.arrival_us;
-  }
-  if (rec != nullptr) {
-    std::size_t k = 0;
-    for (const Shard& sh : shards) {
-      for (std::size_t mi = 0; mi < sh.halo.size(); ++mi, ++k) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        rec->recv(tx_ids[k], /*delivered=*/true,
-                  {dsan::span_of(wire.data(), wire.size())});
-      }
-    }
-  }
-
-  // --- Phase 3: unpack ghosts, then boundary compute. -------------------
-  std::vector<double> unpack_us(static_cast<std::size_t>(ndev), 0.0);
-  std::size_t msg_seq = 0;
-  for (const Shard& sh : shards) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
-      const double scale = scales[static_cast<std::size_t>(sh.rank)][mi];
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloUnpackKernelT<W> unpack{
-            .wire = reinterpret_cast<const W*>(
-                wires[static_cast<std::size_t>(sh.rank)][mi].data()),
-            .field = f.src.data(),
-            .ghost_base = msg.ghost_base,
-            .count = msg.count(),
-            .inv_scale = 1.0 / scale};
-        minisycl::LaunchSpec uspec =
-            halo_spec(msg.count(), mreq.pack_local_size, HaloUnpackKernelT<W>::traits());
-        uspec.regions = unpack_regions(unpack, sh.extended_sources());
-        const gpusim::KernelStats st = q.submit(uspec, unpack, "halo-unpack");
-        unpack_us[static_cast<std::size_t>(sh.rank)] +=
-            st.duration_us + q.launch_overhead_us();
-      });
-      if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
-                      {dsan::span_of(wire.data(), wire.size())},
-                      {dsan::span_of(f.src.data() + msg.ghost_base,
-                                     static_cast<std::size_t>(msg.count()))},
-                      tx_ids[msg_seq]);
-      }
-      ++msg_seq;
-    }
-  }
-
-  std::vector<double> boundary_us(static_cast<std::size_t>(ndev), 0.0);
-  for (const Shard& sh : shards) {
-    if (sh.n_boundary == 0) continue;
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    const DslashArgs<dcomplex> a = range_args(f, sh, sh.n_interior, sh.n_boundary);
-    const int ls =
-        pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_boundary);
-    boundary_us[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)], a, sh.extended_sources(),
-                      mreq.req, vi, ls, "dslash-boundary");
-    if (rec != nullptr) {
-      rec->annotate(
-          sh.rank, "dslash-boundary r" + std::to_string(sh.rank),
-          {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
-          {dsan::span_of(f.dst.data() + sh.n_interior,
-                         static_cast<std::size_t>(sh.n_boundary))});
-    }
-  }
-
-  // --- Gather output and assemble the overlap timeline. -----------------
-  for (const Shard& sh : shards) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
-
-  double comm_window = 0.0;
-  double hidden = 0.0;
-  double comm_frac_sum = 0.0;
-  std::int64_t boundary_total = 0;
-  for (int d = 0; d < ndev; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    const Shard& sh = shards[di];
-    DeviceTimeline& t = res.per_device[di];
-    t.interior_sites = sh.n_interior;
-    t.boundary_sites = sh.n_boundary;
-    t.halo_bytes_in = sh.halo_wire_bytes(sw);
-    t.pack_us = pack_us[di];
-    t.interior_us = interior_us[di];
-    t.arrival_us = arrival_us[di];
-    t.unpack_us = unpack_us[di];
-    t.boundary_us = boundary_us[di];
-    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
-    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
-    res.per_iter_us = std::max(res.per_iter_us, t.iter_us);
-    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
-    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
-    res.halo_bytes += t.halo_bytes_in;
-    boundary_total += sh.n_boundary;
-  }
-  for (int d = 0; d < ndev; ++d) {
-    const DeviceTimeline& t = res.per_device[static_cast<std::size_t>(d)];
-    comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res.per_iter_us;
-  }
-  res.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
-  res.comm_fraction = comm_frac_sum / ndev;
-  res.surface_fraction =
-      static_cast<double>(boundary_total) / static_cast<double>(problem.sites());
-  res.gflops = problem.flops() / (res.per_iter_us * 1e-6) / 1e9;
-  res.final_grid = mreq.grid;
-  res.wire = mreq.wire;
-  if (!multi_node) res.intra_node_bytes = res.halo_bytes;
-  return res;
-}
-
 std::int64_t shard_slab_bytes(const Partitioner& part, int rank) {
   return shard_slab_bytes(part, rank, WireFormat{});
 }
@@ -708,8 +463,8 @@ struct RejoinTarget {
 };
 
 /// Priced, checksummed, retransmitting wire transfer of one shard's slabs
-/// onto a spare or rejoining device.  Mirrors the hardened halo path: one
-/// injector consult per round, dsan send/recv/checksum per transmission,
+/// onto a spare or rejoining device.  Mirrors the hardened halo exchange:
+/// one injector consult per round, dsan send/recv/checksum per transmission,
 /// exponential backoff between rounds, every microsecond charged to the
 /// elastic accounting on `res`.  Returns the dsan uid of the verified
 /// delivery (0 without a recorder), or nothing when the round budget is
@@ -753,13 +508,74 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
   return verified;
 }
 
+/// One shard adoption: rank `rank` of the adopting grid receives its slabs
+/// from survivor `src`; `note` is the dsan rejoin note.
+struct Adoption {
+  int src = 0;
+  int rank = 0;
+  std::string note;
+};
+
+/// Re-replicate shard state onto a hot spare, a standby node or the ranks
+/// of a rejoined grid: one transfer_slab per adoption over `topo`, each
+/// verified transfer followed by the dsan rejoin -> resync handshake.  Stops
+/// at the first transfer that spends its round budget and returns false —
+/// the caller then shrinks the grid instead.
+bool adopt_shards(faultsim::Injector* inj, const gpusim::NodeTopology& topo,
+                  const Partitioner& part, const std::vector<Adoption>& adoptions,
+                  const std::string& resync_note, const MultiDevRequest& mreq,
+                  MultiDevResult& res) {
+  dsan::Recorder* rec = dsan::Recorder::current();
+  for (const Adoption& a : adoptions) {
+    const std::optional<std::uint64_t> msg = transfer_slab(
+        inj, topo, a.src, a.rank,
+        "rereplicate r" + std::to_string(a.rank) + " @ " + part.grid().label(),
+        shard_slab_bytes(part, a.rank, mreq.wire), mreq.xcfg, res);
+    if (!msg.has_value()) return false;
+    if (rec != nullptr) {
+      rec->rejoin(a.rank, a.note);
+      rec->resync(a.rank, *msg, resync_note);
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
-                                               const MultiDevRequest& mreq) const {
+MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
+                                      const MultiDevRequest& mreq) const {
   faultsim::Injector* inj = faultsim::Injector::current();
-  const std::size_t log_mark = inj->log().size();
+  if (inj == nullptr && mreq.mode == minisycl::ExecMode::profiled && mreq.grid.total() == 1) {
+    // Delegate so single-device numbers reproduce bench_fig6 exactly (the
+    // pipeline would be bit-identical in values but launches on gathered
+    // shard copies, which the profiler prices as a different layout).
+    const DslashRunner single(machine_, cal_);
+    const RunResult rr = single.run(problem, mreq.req);
+    MultiDevResult res;
+    res.label = rr.label + " @ " + mreq.grid.label();
+    res.devices = 1;
+    res.per_iter_us = rr.per_iter_us;
+    res.gflops = rr.gflops;
+    DeviceTimeline t;
+    t.interior_sites = problem.sites();
+    t.interior_us = rr.kernel_us;
+    t.iter_us = rr.per_iter_us;
+    res.per_device.push_back(t);
+    res.final_grid = mreq.grid;
+    res.wire = mreq.wire;
+    return res;
+  }
+  // A profiled run prices the requested placement, so the topology must fit
+  // the grid.  (Functional and recovering runs adopt effective_topology.)
+  if (mreq.mode == minisycl::ExecMode::profiled && mreq.topo.multi_node() &&
+      mreq.topo.total_devices() != mreq.grid.total()) {
+    throw std::invalid_argument("MultiDeviceRunner: topology has " +
+                                std::to_string(mreq.topo.total_devices()) +
+                                " devices but the grid needs " +
+                                std::to_string(mreq.grid.total()));
+  }
 
+  const std::size_t log_mark = inj != nullptr ? inj->log().size() : 0;
   MultiDevResult res;
   PartitionGrid grid = mreq.grid;
   // Hot-spare pool (elastic recovery): device spares per node group of the
@@ -773,160 +589,125 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
   if (mreq.rejoin_grid.total() > grid.total() && !mreq.rejoin_what.empty()) {
     rejoinable.push_back(RejoinTarget{mreq.rejoin_grid, mreq.rejoin_what});
   }
+  // Shrink onto `next`; a sticky resource loss (`lost` non-empty) stays
+  // rejoinable should the fault plan heal it.
+  const auto shrink = [&](const PartitionGrid& next, std::string reason, int attempt,
+                          std::string lost) {
+    res.failovers.push_back(FailoverEvent{grid, next, std::move(reason), attempt});
+    if (dsan::Recorder* rec = dsan::Recorder::current()) {
+      rec->failover(res.failovers.back().reason);
+    }
+    if (!lost.empty()) rejoinable.push_back(RejoinTarget{grid, std::move(lost)});
+    grid = next;
+  };
+
   for (int attempt = 0;; ++attempt) {
-    const int ndev = grid.total();
-    const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
+    // With no injector nothing can fail: the first pipeline pass is the run.
+    if (inj != nullptr) {
+      const int ndev = grid.total();
+      const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
 
-    // Live rejoin: when capacity was shrunk away, ask the heal stream
-    // whether the stickily-lost resource returned to service; if so,
-    // re-replicate shard state onto the re-admitted ranks (priced over the
-    // wire, checksummed) and continue on the larger grid.  The rejoined
-    // ranks compute nothing before their resync — the RejoinBeforeResync
-    // protocol check enforces exactly that window.
-    if (!rejoinable.empty() &&
-        inj->on_heal_check("heal/" + rejoinable.back().what + " @ " + grid.label())) {
-      const RejoinTarget tgt = rejoinable.back();
-      const gpusim::NodeTopology big_topo = effective_topology(mreq.topo, tgt.grid.total());
-      const Partitioner part(problem.geom(), tgt.grid, problem.target_parity());
-      dsan::Recorder* rec = dsan::Recorder::current();
-      bool resynced = true;
-      for (int r = ndev; r < tgt.grid.total(); ++r) {
-        const int src = r % ndev;  // a survivor re-sends the slabs it holds
-        const std::string site =
-            "rereplicate r" + std::to_string(r) + " @ " + tgt.grid.label();
-        const std::optional<std::uint64_t> msg =
-            transfer_slab(inj, big_topo, src, r, site,
-                          shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res);
-        if (!msg.has_value()) {
-          resynced = false;  // transfer budget spent: stay on the small grid
-          break;
+      // Live rejoin: when capacity was shrunk away, ask the heal stream
+      // whether the stickily-lost resource returned to service; if so,
+      // re-replicate shard state onto the re-admitted ranks (priced over the
+      // wire, checksummed) and continue on the larger grid.  The rejoined
+      // ranks compute nothing before their resync — the RejoinBeforeResync
+      // protocol check enforces exactly that window.
+      if (!rejoinable.empty() &&
+          inj->on_heal_check("heal/" + rejoinable.back().what + " @ " + grid.label())) {
+        const RejoinTarget tgt = rejoinable.back();
+        std::vector<Adoption> adoptions;
+        for (int r = ndev; r < tgt.grid.total(); ++r) {
+          // A survivor re-sends the slabs it holds.
+          adoptions.push_back(
+              {r % ndev, r, tgt.what + " healed; rank r" + std::to_string(r) + " re-admitted"});
         }
-        if (rec != nullptr) {
-          rec->rejoin(r, tgt.what + " healed; rank r" + std::to_string(r) + " re-admitted");
-          rec->resync(r, *msg, "replica verified on " + tgt.grid.label());
-        }
-      }
-      if (resynced) {
-        ++res.rejoins;
-        res.capacity_restored += tgt.grid.total() - ndev;
-        res.failovers.push_back(FailoverEvent{
-            grid, tgt.grid, tgt.what + " healed; rejoined " + tgt.grid.label(), attempt});
-        rejoinable.pop_back();
-        grid = tgt.grid;
-        continue;
-      }
-    }
-
-    // Node health: one consult per node group per attempt, before the
-    // per-device checks — losing a node loses all its devices at once, so
-    // the grid must shrink below the survivor count in one failover.
-    int lost_node = -1;
-    if (topo.multi_node()) {
-      for (int n = 0; n < topo.nodes; ++n) {
-        if (inj->on_node_check("node n" + std::to_string(n) + " @ " + grid.label())) {
-          lost_node = n;
-          break;
-        }
-      }
-    }
-    if (lost_node >= 0) {
-      // A standby node adopts every lost shard over the fabric instead of
-      // shrinking below the survivor count.
-      if (node_spares > 0) {
-        const Partitioner part(problem.geom(), grid, problem.target_parity());
-        dsan::Recorder* rec = dsan::Recorder::current();
-        bool adopted = true;
-        for (int d = 0; d < topo.devices_per_node; ++d) {
-          const int r = lost_node * topo.devices_per_node + d;
-          const int src = (r + topo.devices_per_node) % ndev;  // surviving node peer
-          const std::string site =
-              "rereplicate r" + std::to_string(r) + " @ " + grid.label();
-          const std::optional<std::uint64_t> msg =
-              transfer_slab(inj, topo, src, r, site,
-                            shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res);
-          if (!msg.has_value()) {
-            adopted = false;
-            break;
-          }
-          if (rec != nullptr) {
-            rec->rejoin(r, "standby node adopts rank r" + std::to_string(r));
-            rec->resync(r, *msg, "replica verified on standby node");
-          }
-        }
-        if (adopted) {
-          --node_spares;
-          ++res.spares_consumed;
+        if (adopt_shards(inj, effective_topology(mreq.topo, tgt.grid.total()),
+                         Partitioner(problem.geom(), tgt.grid, problem.target_parity()),
+                         adoptions, "replica verified on " + tgt.grid.label(), mreq, res)) {
+          ++res.rejoins;
+          res.capacity_restored += tgt.grid.total() - ndev;
           res.failovers.push_back(FailoverEvent{
-              grid, grid,
-              "node n" + std::to_string(lost_node) +
-                  " lost; re-replicated onto standby node",
-              attempt});
+              grid, tgt.grid, tgt.what + " healed; rejoined " + tgt.grid.label(), attempt});
+          rejoinable.pop_back();
+          grid = tgt.grid;
           continue;
         }
+        // Transfer budget spent: stay on the small grid.
       }
-      const int survivors = ndev - topo.devices_per_node;
-      PartitionGrid next = grid;
-      while (next.total() > survivors && next.total() > 1) next = fallback_grid(next);
-      res.failovers.push_back(FailoverEvent{
-          grid, next,
-          "node n" + std::to_string(lost_node) + " lost (" +
-              std::to_string(topo.devices_per_node) + " devices)",
-          attempt});
-      if (dsan::Recorder* rec = dsan::Recorder::current()) {
-        rec->failover(res.failovers.back().reason);
-      }
-      rejoinable.push_back(RejoinTarget{grid, "node n" + std::to_string(lost_node)});
-      grid = next;
-      continue;
-    }
 
-    // Device health: one consult per device per attempt.  A lost device has
-    // no spare on a 1x1x1x1 grid, so single-device runs skip the consult
-    // (ResilientRunner is the single-device recovery story).
-    int lost = -1;
-    if (ndev > 1) {
-      for (int d = 0; d < ndev; ++d) {
-        if (inj->on_device_check("device r" + std::to_string(d) + " @ " + grid.label())) {
-          lost = d;
-          break;
+      // Node health: one consult per node group per attempt, before the
+      // per-device checks — losing a node loses all its devices at once, so
+      // the grid must shrink below the survivor count in one failover.
+      int lost_node = -1;
+      if (topo.multi_node()) {
+        for (int n = 0; n < topo.nodes; ++n) {
+          if (inj->on_node_check("node n" + std::to_string(n) + " @ " + grid.label())) {
+            lost_node = n;
+            break;
+          }
         }
       }
-    }
-    if (lost >= 0) {
-      // A hot spare on the island adopts the lost shard and the grid keeps
-      // its full width; only when no spare (or no transfer budget) is left
-      // does the shrink failover below run.
-      if (device_spares > 0) {
-        const Partitioner part(problem.geom(), grid, problem.target_parity());
-        const int src = (lost + 1) % ndev;
-        const std::string site =
-            "rereplicate r" + std::to_string(lost) + " @ " + grid.label();
-        const std::optional<std::uint64_t> msg =
-            transfer_slab(inj, topo, src, lost, site,
-                          shard_slab_bytes(part, lost, mreq.wire), mreq.xcfg, res);
-        if (msg.has_value()) {
+      if (lost_node >= 0) {
+        const std::string node = "node n" + std::to_string(lost_node);
+        // A standby node adopts every lost shard over the fabric instead of
+        // shrinking below the survivor count.
+        if (node_spares > 0) {
+          std::vector<Adoption> adoptions;
+          for (int d = 0; d < topo.devices_per_node; ++d) {
+            const int r = lost_node * topo.devices_per_node + d;
+            adoptions.push_back({(r + topo.devices_per_node) % ndev,  // surviving node peer
+                                 r, "standby node adopts rank r" + std::to_string(r)});
+          }
+          if (adopt_shards(inj, topo, Partitioner(problem.geom(), grid, problem.target_parity()),
+                           adoptions, "replica verified on standby node", mreq, res)) {
+            --node_spares;
+            ++res.spares_consumed;
+            res.failovers.push_back(FailoverEvent{
+                grid, grid, node + " lost; re-replicated onto standby node", attempt});
+            continue;
+          }
+        }
+        const int survivors = ndev - topo.devices_per_node;
+        PartitionGrid next = grid;
+        while (next.total() > survivors && next.total() > 1) next = fallback_grid(next);
+        shrink(next,
+               node + " lost (" + std::to_string(topo.devices_per_node) + " devices)",
+               attempt, node);
+        continue;
+      }
+
+      // Device health: one consult per device per attempt.  A lost device
+      // has no spare on a 1x1x1x1 grid, so single-device runs skip the
+      // consult (ResilientRunner is the single-device recovery story).
+      int lost = -1;
+      if (ndev > 1) {
+        for (int d = 0; d < ndev; ++d) {
+          if (inj->on_device_check("device r" + std::to_string(d) + " @ " + grid.label())) {
+            lost = d;
+            break;
+          }
+        }
+      }
+      if (lost >= 0) {
+        const std::string device = "device r" + std::to_string(lost);
+        // A hot spare on the island adopts the lost shard and the grid keeps
+        // its full width; only when no spare (or no transfer budget) is left
+        // does the shrink failover run.
+        if (device_spares > 0 &&
+            adopt_shards(inj, topo, Partitioner(problem.geom(), grid, problem.target_parity()),
+                         {{(lost + 1) % ndev, lost, "hot spare adopts rank r" +
+                                                        std::to_string(lost)}},
+                         "replica verified on spare", mreq, res)) {
           --device_spares;
           ++res.spares_consumed;
           res.failovers.push_back(FailoverEvent{
-              grid, grid,
-              "device r" + std::to_string(lost) + " lost; shard re-replicated onto hot spare",
-              attempt});
-          if (dsan::Recorder* rec = dsan::Recorder::current()) {
-            rec->rejoin(lost, "hot spare adopts rank r" + std::to_string(lost));
-            rec->resync(lost, *msg, "replica verified on spare");
-          }
+              grid, grid, device + " lost; shard re-replicated onto hot spare", attempt});
           continue;
         }
+        shrink(fallback_grid(grid), device + " lost", attempt, device);
+        continue;
       }
-      const PartitionGrid next = fallback_grid(grid);
-      res.failovers.push_back(FailoverEvent{
-          grid, next, "device r" + std::to_string(lost) + " lost", attempt});
-      if (dsan::Recorder* rec = dsan::Recorder::current()) {
-        rec->failover(res.failovers.back().reason);
-      }
-      rejoinable.push_back(RejoinTarget{grid, "device r" + std::to_string(lost)});
-      grid = next;
-      continue;
     }
 
     // One Dslash application is stateless (inputs b/cfg are never mutated),
@@ -934,7 +715,7 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
     // on the surviving grid; the sharded CG solver layers checkpointed
     // *solver* state on top of this.
     std::string reason;
-    if (run_attempt(problem, mreq, grid, res, reason)) break;
+    if (run_pipeline(problem, mreq, grid, res, reason)) break;
     if (grid.total() == 1) {
       // Nothing left to shrink to: recovery exhausted.
       res.recovered = false;
@@ -942,27 +723,29 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
                                             attempt});
       break;
     }
-    const PartitionGrid next = fallback_grid(grid);
-    res.failovers.push_back(FailoverEvent{grid, next, reason, attempt});
-    if (dsan::Recorder* rec = dsan::Recorder::current()) {
-      rec->failover(res.failovers.back().reason);
-    }
-    grid = next;
+    shrink(fallback_grid(grid), std::move(reason), attempt, {});
   }
 
   res.final_grid = grid;
   res.wire = mreq.wire;
   res.devices = grid.total();
   res.nodes = effective_topology(mreq.topo, grid.total()).nodes;
-  res.faults = inj->log_since(log_mark);
+  if (inj != nullptr) res.faults = inj->log_since(log_mark);
   return res;
 }
 
-bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevRequest& mreq,
-                                    const PartitionGrid& grid, MultiDevResult& res,
-                                    std::string& fail_reason) const {
+bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
+                                     const PartitionGrid& grid, MultiDevResult& res,
+                                     std::string& fail_reason) const {
+  // The fault policy: an installed injector adds payload checksums, the
+  // receiver-side copies they verify, and retransmit rounds.  Without one,
+  // every retry loop below runs exactly once and the first round delivers.
+  const bool hardened = faultsim::Injector::current() != nullptr;
   const int ndev = grid.total();
   const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
+  const bool multi_node = topo.multi_node();
+  const auto crosses_fabric = [&](int a, int b) { return multi_node && !topo.same_node(a, b); };
+  const auto node_of = [&](int r) { return multi_node ? topo.node_of(r) : 0; };
   const VariantInfo& vi = variant_info(mreq.req.variant);
   const ExchangeConfig& xc = mreq.xcfg;
   const Partitioner part(problem.geom(), grid, problem.target_parity());
@@ -993,9 +776,9 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   res.halo_bytes = 0;
 
   // Bounded-retry submission of one halo (pack/unpack) kernel.
-  auto submit_halo_resilient = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
-                                   const auto& kernel, const std::string& name, int rank,
-                                   double& us_acc) -> bool {
+  auto submit_halo = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
+                         const auto& kernel, const std::string& name, int rank,
+                         double& us_acc) -> bool {
     for (int a = 0; a < xc.max_kernel_attempts; ++a) {
       const gpusim::KernelStats st = q.submit(spec, kernel, name);
       if (st.fault.empty()) {
@@ -1014,21 +797,22 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
 
   // Bounded retry + strategy-fallback ladder for one Dslash range (the
   // per-shard analogue of ResilientRunner's rung loop).
-  auto submit_dslash_resilient = [&](minisycl::queue& q, ShardFields& f, const Shard& sh,
-                                     std::int64_t first, std::int64_t count,
-                                     const std::string& name, double& us_acc) -> bool {
+  auto submit_range = [&](const Shard& sh, std::int64_t first, std::int64_t count,
+                          const std::string& name, double& us_acc) -> bool {
+    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
     std::vector<Strategy> rungs{mreq.req.strategy};
     for (Strategy s : xc.ladder) {
       if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
     }
-    const DslashArgs<dcomplex> args = range_args(f, sh, first, count);
+    const DslashArgs<dcomplex> args =
+        range_args(fields[static_cast<std::size_t>(sh.rank)], sh, first, count);
     for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
       const RunRequest r = adapt_request(mreq.req, rungs[rung], count);
       const VariantInfo& rvi = variant_info(r.variant);
       const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
       for (int a = 0; a < xc.max_kernel_attempts; ++a) {
         const gpusim::KernelStats st =
-            submit_dslash_raw(q, args, sh.extended_sources(), r, rvi, ls, name);
+            submit_dslash(q, args, sh.extended_sources(), r, rvi, ls, name);
         if (st.fault.empty()) {
           us_acc += st.duration_us + q.launch_overhead_us();
           return true;
@@ -1048,73 +832,89 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     return false;
   };
 
-  // --- Phase 1: packs (bounded retry) + payload checksums. ----------------
-  struct MsgRef {
+  // One halo message, in (receiver, message) order — the order every phase
+  // below walks, and the order the injector is consulted in.
+  struct Slab {
+    const HaloMsg* msg = nullptr;
     int dst = 0;
-    std::size_t mi = 0;
+    std::vector<std::byte> wire{};  ///< sender's pack buffer, never modified after packing
+    std::vector<std::byte> rx{};    ///< receiver-side copy (hardened only)
+    double scale = 1.0;
+    double depart_us = 0.0;
+    std::uint64_t checksum = 0;
+    std::uint64_t tx = 0;  ///< dsan uid of the accepted delivery
+    bool delivered = false;
   };
-  // Wire buffers hold *encoded* payload bytes in the request's wire format.
-  // Checksums, corruption, retransmission and pricing below all operate on
-  // these encoded bytes — never on a decoded staging copy.
-  const SpinorWire sw = mreq.wire.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(static_cast<std::size_t>(ndev));
-  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<MsgRef> order;
-  std::vector<std::uint64_t> checksums;
-  std::vector<double> msg_scales;
+  std::vector<Slab> slabs;
   for (const Shard& sh : shards) {
-    auto& shard_wires = wires[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      shard_wires.emplace_back(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const double scale =
-          message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
-      const std::string name = "halo-pack r" + std::to_string(msg.peer) + "->r" +
-                               std::to_string(sh.rank);
+    for (const HaloMsg& msg : sh.halo) slabs.push_back(Slab{.msg = &msg, .dst = sh.rank});
+  }
+
+  // --- Phase 1: every device packs its outbound faces. --------------------
+  // Fabric-bound slabs pack first (pass 0) so their aggregates hit the slow
+  // pipe at fabric_pack_us while the NVLink slabs are still packing — the
+  // two-phase schedule.  Single-node runs have no pass-0 slabs.  Wire
+  // buffers hold *encoded* bytes of the request's wire format: the pack
+  // kernels write the wire element type directly, and checksums,
+  // corruption, retransmission and pricing all operate on those bytes.
+  const SpinorWire sw = mreq.wire.spinor;
+  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
+  std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev), 0.0);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Slab& s : slabs) {
+      const HaloMsg& msg = *s.msg;
+      if ((pass == 0) != crosses_fabric(msg.peer, s.dst)) continue;
+      const auto src = static_cast<std::size_t>(msg.peer);
+      s.wire.resize(static_cast<std::size_t>(msg.wire_bytes(sw)));
+      s.scale = message_scale(sw, fields[src].src.data(), msg);
+      const std::string name = pack_site(msg.peer, s.dst);
       bool ok = true;
       with_wire_element(sw, [&](auto tag) {
         using W = decltype(tag);
-        HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
+        HaloPackKernelT<W> pack{.src = fields[src].src.data(),
                                 .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(shard_wires.back().data()),
+                                .wire = reinterpret_cast<W*>(s.wire.data()),
                                 .count = msg.count(),
-                                .scale = scale};
+                                .scale = s.scale};
         minisycl::LaunchSpec pspec =
             halo_spec(msg.count(), mreq.pack_local_size, HaloPackKernelT<W>::traits());
-        pspec.regions = pack_regions(
-            pack, shards[static_cast<std::size_t>(msg.peer)].extended_sources());
-        ok = submit_halo_resilient(*queues[static_cast<std::size_t>(msg.peer)], pspec, pack,
-                                   name, msg.peer,
-                                   pack_us[static_cast<std::size_t>(msg.peer)]);
+        pspec.regions = pack_regions(pack, shards[src].extended_sources());
+        ok = submit_halo(*queues[src], pspec, pack, name, msg.peer, pack_us[src]);
       });
       if (!ok) {
         fail_reason = "pack kernel '" + name + "' exhausted its retries";
         return false;
       }
       if (rec != nullptr) {
-        rec->annotate(
-            msg.peer, name,
-            {dsan::span_of(fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                           static_cast<std::size_t>(
-                               shards[static_cast<std::size_t>(msg.peer)].sources())),
-             dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(shard_wires.back().data(), shard_wires.back().size())});
+        rec->annotate(msg.peer, name,
+                      {dsan::span_of(fields[src].src.data(),
+                                     static_cast<std::size_t>(shards[src].sources())),
+                       dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
+                      {dsan::span_of(s.wire.data(), s.wire.size())});
       }
-      order.push_back(MsgRef{sh.rank, mi});
-      msg_scales.push_back(scale);
-      checksums.push_back(fnv1a(shard_wires.back().data(), shard_wires.back().size()));
+      // FNV-1a is not cryptographic: it only has to catch the injector's bit
+      // flips, and one flipped bit always perturbs the multiply-xor chain.
+      if (hardened) s.checksum = io::fnv1a(s.wire.data(), s.wire.size());
     }
+    if (pass == 0) fabric_pack_us = pack_us;
+  }
+  // A device puts its messages on the wire once the packs feeding them are
+  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
+  // fabric-bound slabs depart at the end of the fabric pack pass.
+  for (Slab& s : slabs) {
+    const auto src = static_cast<std::size_t>(s.msg->peer);
+    s.depart_us = crosses_fabric(s.msg->peer, s.dst) ? fabric_pack_us[src] : pack_us[src];
   }
 
-  // --- Phase 2: interior compute (retry + ladder), overlapped. ------------
+  // --- Phase 2: interior compute, concurrent with the exchange. -----------
+  // Host execution order (interior before unpack) also proves the interior
+  // range reads no ghost slot: ghosts are still NaN poison here.
   std::vector<double> interior_us(static_cast<std::size_t>(ndev), 0.0);
   for (const Shard& sh : shards) {
     if (sh.n_interior == 0) continue;
     const std::string name = "dslash-interior r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(*queues[static_cast<std::size_t>(sh.rank)],
-                                 fields[static_cast<std::size_t>(sh.rank)], sh, 0,
-                                 sh.n_interior, name,
-                                 interior_us[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_range(sh, 0, sh.n_interior, name,
+                      interior_us[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "interior kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
@@ -1127,17 +927,16 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   }
 
   // --- Exchange rounds: deliver -> verify checksum -> retransmit. ---------
-  // The sender's pack buffer stays pristine; every delivery lands on a
-  // receiver-side copy, so corruption never destroys the retransmission
-  // source and a verified payload is unpacked exactly once.
-  ExchangeReport& xr = res.exchange;
-  xr.messages += static_cast<int>(order.size());
-  std::vector<std::vector<std::byte>> rx(order.size());
-  std::vector<char> delivered(order.size(), 0);
-  std::vector<std::uint64_t> last_tx(order.size(), 0);
+  // Hardened deliveries land on a receiver-side copy, so corruption never
+  // destroys the retransmission source and a verified payload is unpacked
+  // exactly once.  A fault-free run has one round and unpacks the sender's
+  // buffer directly; its report stays at the defaults.
+  ExchangeReport unreported;
+  ExchangeReport& xr = hardened ? res.exchange : unreported;
+  xr.messages += static_cast<int>(slabs.size());
   std::vector<double> arrival(static_cast<std::size_t>(ndev), 0.0);
   double wire_clock = 0.0;
-  std::size_t remaining = order.size();
+  std::size_t remaining = slabs.size();
   for (int round = 1; remaining > 0; ++round) {
     if (round > xc.max_rounds) {
       xr.succeeded = false;
@@ -1146,29 +945,27 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
       return false;
     }
     ++xr.rounds;
-    std::vector<std::size_t> pend;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (delivered[i] == 0) pend.push_back(i);
+    std::vector<Slab*> pend;
+    for (Slab& s : slabs) {
+      if (!s.delivered) pend.push_back(&s);
     }
     if (round > 1) xr.retransmissions += static_cast<int>(pend.size());
 
     std::vector<gpusim::LinkMessage> msgs;
     msgs.reserve(pend.size());
-    for (const std::size_t i : pend) {
-      const HaloMsg& hm = shards[static_cast<std::size_t>(order[i].dst)].halo[order[i].mi];
-      msgs.push_back({.src = hm.peer,
-                      .dst = order[i].dst,
-                      .bytes = hm.wire_bytes(sw),
-                      .depart_us =
-                          std::max(pack_us[static_cast<std::size_t>(hm.peer)], wire_clock),
-                      .site = exchange_site(hm.peer, order[i].dst)});
+    for (const Slab* s : pend) {
+      msgs.push_back({.src = s->msg->peer,
+                      .dst = s->dst,
+                      .bytes = s->msg->wire_bytes(sw),
+                      .depart_us = std::max(s->depart_us, wire_clock),
+                      .site = exchange_site(s->msg->peer, s->dst)});
     }
     // Over a multi-node topology the round's messages ride the two-level
     // exchange: intra-node ones keep their per-message fault sites, inter-
     // node ones are aggregated per neighbour and consulted per aggregate.
     // Retransmissions re-enter here round after round, so a pending frame
     // joins the next round's (smaller) aggregate — retransmit-over-fabric.
-    if (topo.multi_node()) {
+    if (multi_node) {
       const gpusim::FabricExchangeReport frep =
           gpusim::simulate_topology_exchange(topo, msgs);
       res.intra_node_bytes += frep.intra_bytes;
@@ -1177,7 +974,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
       res.intra_wire_us += frep.intra_wire_us;
       res.inter_wire_us += frep.inter_wire_us;
     } else {
-      simulate_exchange(mreq.link, msgs, ndev);
+      res.intra_node_bytes += simulate_exchange(mreq.link, msgs, ndev).total_bytes;
     }
 
     // Transmissions enter the trace after the wire simulation so the drop
@@ -1186,21 +983,18 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     if (rec != nullptr) {
       for (std::size_t j = 0; j < msgs.size(); ++j) {
         const gpusim::LinkMessage& lm = msgs[j];
-        const auto& wire =
-            wires[static_cast<std::size_t>(lm.dst)][order[pend[j]].mi];
-        round_tx[j] = rec->send(
-            lm.src, lm.dst, lm.site, round, dsan::span_of(wire.data(), wire.size()),
-            lm.dropped, topo.multi_node() && !topo.same_node(lm.src, lm.dst),
-            topo.multi_node() ? topo.node_of(lm.src) : 0,
-            topo.multi_node() ? topo.node_of(lm.dst) : 0);
+        const std::vector<std::byte>& wire = pend[j]->wire;
+        round_tx[j] = rec->send(lm.src, lm.dst, lm.site, round,
+                                dsan::span_of(wire.data(), wire.size()), lm.dropped,
+                                crosses_fabric(lm.src, lm.dst), node_of(lm.src),
+                                node_of(lm.dst));
       }
     }
 
     double round_end = wire_clock;
     for (std::size_t j = 0; j < msgs.size(); ++j) {
-      const std::size_t i = pend[j];
+      Slab& s = *pend[j];
       const gpusim::LinkMessage& lm = msgs[j];
-      const HaloMsg& hm = shards[static_cast<std::size_t>(lm.dst)].halo[order[i].mi];
       round_end = std::max(round_end, lm.done_us);
       ExchangeEvent ev;
       ev.round = round;
@@ -1214,26 +1008,26 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
       xr.corruptions += lm.corrupted ? 1 : 0;
       xr.delays += lm.delayed ? 1 : 0;
       if (!lm.dropped) {
-        rx[i] = wires[static_cast<std::size_t>(lm.dst)][order[i].mi];
-        if (lm.corrupted) {
-          // The bit flip lands in the *encoded* wire bytes — on a reduced
-          // format that is the compressed payload, so the checksum below
-          // (also over encoded bytes) catches it before any decode runs.
-          faultsim::flip_bit(rx[i].data(),
-                             static_cast<std::size_t>(hm.wire_bytes(sw)),
-                             lm.corrupt_key);
+        std::vector<dsan::MemSpan> rx_span;
+        if (hardened) {
+          s.rx = s.wire;
+          if (lm.corrupted) {
+            // The bit flip lands in the *encoded* wire bytes — on a reduced
+            // format that is the compressed payload, so the checksum below
+            // (also over encoded bytes) catches it before any decode runs.
+            faultsim::flip_bit(s.rx.data(), s.rx.size(), lm.corrupt_key);
+          }
+          ev.checksum_ok = io::fnv1a(s.rx.data(), s.rx.size()) == s.checksum;
+          rx_span.push_back(dsan::span_of(s.rx.data(), s.rx.size()));
         }
-        ev.checksum_ok = fnv1a(rx[i].data(), rx[i].size()) == checksums[i];
         if (rec != nullptr) {
-          const auto& wire = wires[static_cast<std::size_t>(lm.dst)][order[i].mi];
-          rec->recv(round_tx[j], ev.checksum_ok,
-                    {dsan::span_of(wire.data(), wire.size())},
-                    {dsan::span_of(rx[i].data(), rx[i].size())});
-          rec->checksum(round_tx[j], ev.checksum_ok);
-          if (ev.checksum_ok) last_tx[i] = round_tx[j];
+          rec->recv(round_tx[j], ev.checksum_ok, {dsan::span_of(s.wire.data(), s.wire.size())},
+                    std::move(rx_span));
+          if (hardened) rec->checksum(round_tx[j], ev.checksum_ok);
+          if (ev.checksum_ok) s.tx = round_tx[j];
         }
         if (ev.checksum_ok) {
-          delivered[i] = 1;
+          s.delivered = true;
           --remaining;
           ev.delivered = true;
           arrival[static_cast<std::size_t>(lm.dst)] =
@@ -1261,39 +1055,35 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   }
   xr.succeeded = true;
 
-  // --- Phase 3: unpack from the verified receiver copies, then boundary. --
+  // --- Phase 3: unpack the verified payloads, then boundary compute. ------
   std::vector<double> unpack_us(static_cast<std::size_t>(ndev), 0.0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const int rank = order[i].dst;
-    const Shard& sh = shards[static_cast<std::size_t>(rank)];
-    const HaloMsg& msg = sh.halo[order[i].mi];
-    const std::string name = "halo-unpack r" + std::to_string(msg.peer) + "->r" +
-                             std::to_string(rank);
+  for (const Slab& s : slabs) {
+    const HaloMsg& msg = *s.msg;
+    const auto dst = static_cast<std::size_t>(s.dst);
+    const std::vector<std::byte>& payload = hardened ? s.rx : s.wire;
+    const std::string name = unpack_site(msg.peer, s.dst);
     bool ok = true;
     with_wire_element(sw, [&](auto tag) {
       using W = decltype(tag);
-      HaloUnpackKernelT<W> unpack{
-          .wire = reinterpret_cast<const W*>(rx[i].data()),
-          .field = fields[static_cast<std::size_t>(rank)].src.data(),
-          .ghost_base = msg.ghost_base,
-          .count = msg.count(),
-          .inv_scale = 1.0 / msg_scales[i]};
+      HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(payload.data()),
+                                  .field = fields[dst].src.data(),
+                                  .ghost_base = msg.ghost_base,
+                                  .count = msg.count(),
+                                  .inv_scale = 1.0 / s.scale};
       minisycl::LaunchSpec uspec =
           halo_spec(msg.count(), mreq.pack_local_size, HaloUnpackKernelT<W>::traits());
-      uspec.regions = unpack_regions(unpack, sh.extended_sources());
-      ok = submit_halo_resilient(*queues[static_cast<std::size_t>(rank)], uspec, unpack,
-                                 name, rank, unpack_us[static_cast<std::size_t>(rank)]);
+      uspec.regions = unpack_regions(unpack, shards[dst].extended_sources());
+      ok = submit_halo(*queues[dst], uspec, unpack, name, s.dst, unpack_us[dst]);
     });
     if (!ok) {
       fail_reason = "unpack kernel '" + name + "' exhausted its retries";
       return false;
     }
     if (rec != nullptr) {
-      rec->annotate(rank, name, {dsan::span_of(rx[i].data(), rx[i].size())},
-                    {dsan::span_of(fields[static_cast<std::size_t>(rank)].src.data() +
-                                       msg.ghost_base,
+      rec->annotate(s.dst, name, {dsan::span_of(payload.data(), payload.size())},
+                    {dsan::span_of(fields[dst].src.data() + msg.ghost_base,
                                    static_cast<std::size_t>(msg.count()))},
-                    last_tx[i]);
+                    s.tx);
     }
   }
 
@@ -1301,10 +1091,8 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   for (const Shard& sh : shards) {
     if (sh.n_boundary == 0) continue;
     const std::string name = "dslash-boundary r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(*queues[static_cast<std::size_t>(sh.rank)],
-                                 fields[static_cast<std::size_t>(sh.rank)], sh, sh.n_interior,
-                                 sh.n_boundary, name,
-                                 boundary_us[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_range(sh, sh.n_interior, sh.n_boundary, name,
+                      boundary_us[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "boundary kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
@@ -1369,130 +1157,13 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
 
 void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGrid& grid,
                                        Strategy s, IndexOrder o, int preferred_local_size,
-                                       const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
-                    cal_);
-  constexpr int kPackLocal = 96;
-
-  dsan::Recorder* rec = dsan::Recorder::current();
-  if (rec != nullptr) {
-    rec->barrier("apply @ " + grid.label());
-    // One functional queue serves every logical shard; annotate() re-assigns
-    // each launch to its acting rank right after submission.
-    q.set_kernel_hook([rec](const std::string& name, const gpusim::KernelStats&) {
-      rec->kernel(dsan::kHostActor, name);
-    });
-  }
-
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
-
-  // pack -> (wire) -> interior (ghosts still poisoned) -> unpack -> boundary
-  const SpinorWire sw = wire_fmt.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(part.shards().size());
-  std::vector<std::vector<double>> scales(part.shards().size());
-  std::vector<std::vector<std::uint64_t>> tx(part.shards().size());
-  for (const Shard& sh : part.shards()) {
-    auto& shard_wires = wires[static_cast<std::size_t>(sh.rank)];
-    auto& shard_scales = scales[static_cast<std::size_t>(sh.rank)];
-    for (const HaloMsg& msg : sh.halo) {
-      shard_wires.emplace_back(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const double scale =
-          message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
-      shard_scales.push_back(scale);
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(shard_wires.back().data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        q.submit(halo_spec(msg.count(), kPackLocal, HaloPackKernelT<W>::traits()), pack);
-      });
-      if (rec != nullptr) {
-        rec->annotate(
-            msg.peer, pack_site(msg.peer, sh.rank),
-            {dsan::span_of(
-                 fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                 static_cast<std::size_t>(
-                     part.shards()[static_cast<std::size_t>(msg.peer)].sources())),
-             dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(shard_wires.back().data(), shard_wires.back().size())});
-        tx[static_cast<std::size_t>(sh.rank)].push_back(rec->send(
-            msg.peer, sh.rank, exchange_site(msg.peer, sh.rank), /*round=*/1,
-            dsan::span_of(shard_wires.back().data(), shard_wires.back().size()),
-            /*dropped=*/false, /*aggregated=*/false));
-      }
-    }
-  }
-
-  const RunRequest req{.strategy = s, .order = o, .local_size = preferred_local_size};
-  const VariantInfo& vi = variant_info(Variant::SYCL);
-  for (const Shard& sh : part.shards()) {
-    if (sh.n_interior == 0) continue;
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    const int ls = pick_local_size(s, o, preferred_local_size, sh.n_interior);
-    submit_dslash(q, range_args(f, sh, 0, sh.n_interior), sh.extended_sources(), req, vi, ls,
-                  "dslash-interior");
-    if (rec != nullptr) {
-      rec->annotate(sh.rank, "dslash-interior r" + std::to_string(sh.rank),
-                    {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
-                    {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
-    }
-  }
-
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        rec->recv(tx[static_cast<std::size_t>(sh.rank)][mi], /*delivered=*/true,
-                  {dsan::span_of(wire.data(), wire.size())});
-      }
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloUnpackKernelT<W> unpack{
-            .wire = reinterpret_cast<const W*>(
-                wires[static_cast<std::size_t>(sh.rank)][mi].data()),
-            .field = f.src.data(),
-            .ghost_base = msg.ghost_base,
-            .count = msg.count(),
-            .inv_scale = 1.0 / scales[static_cast<std::size_t>(sh.rank)][mi]};
-        q.submit(halo_spec(msg.count(), kPackLocal, HaloUnpackKernelT<W>::traits()), unpack);
-      });
-      if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
-                      {dsan::span_of(wire.data(), wire.size())},
-                      {dsan::span_of(f.src.data() + msg.ghost_base,
-                                     static_cast<std::size_t>(msg.count()))},
-                      tx[static_cast<std::size_t>(sh.rank)][mi]);
-      }
-    }
-    if (sh.n_boundary > 0) {
-      const int ls = pick_local_size(s, o, preferred_local_size, sh.n_boundary);
-      submit_dslash(q, range_args(f, sh, sh.n_interior, sh.n_boundary), sh.extended_sources(),
-                    req, vi, ls, "dslash-boundary");
-      if (rec != nullptr) {
-        rec->annotate(
-            sh.rank, "dslash-boundary r" + std::to_string(sh.rank),
-            {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
-            {dsan::span_of(f.dst.data() + sh.n_interior,
-                           static_cast<std::size_t>(sh.n_boundary))});
-      }
-    }
-  }
-
-  for (const Shard& sh : part.shards()) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
+                                       const WireFormat& wire) const {
+  MultiDevRequest mreq;
+  mreq.grid = grid;
+  mreq.req = RunRequest{.strategy = s, .order = o, .local_size = preferred_local_size};
+  mreq.wire = wire;
+  mreq.mode = minisycl::ExecMode::functional;
+  (void)run(problem, mreq);
 }
 
 void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGrid& grid,
@@ -1547,134 +1218,13 @@ void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGri
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_halo(
     DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
     const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
-
-  const SpinorWire sw = wire_fmt.spinor;
-  std::vector<ksan::SanitizerReport> reports;
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (const HaloMsg& msg : sh.halo) {
-      std::vector<std::byte> wire(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const Shard& peer_sh = part.shard(msg.peer);
-      ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
-      const std::string suffix = " r" + std::to_string(msg.peer) + "->r" +
-                                 std::to_string(sh.rank) + " dim" + std::to_string(msg.dim) +
-                                 (msg.side == 0 ? "-" : "+");
-      const double scale = message_scale(sw, peer.src.data(), msg);
-
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        // Pack: reads must stay inside the sender's *owned* sources (reading
-        // a ghost slot would be an ordering bug), writes inside the wire.
-        // The fused convert-pack kernel is sanitized at the requested
-        // format, so its accesses are checked against the *encoded* buffer.
-        HaloPackKernelT<W> pack{.src = peer.src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(wire.data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        ksan::SanitizeConfig pack_cfg;
-        pack_cfg.regions.push_back(
-            ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
-        pack_cfg.regions.push_back(
-            ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
-        pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
-                                  pack, std::move(pack_cfg), "halo-pack" + suffix));
-
-        // Unpack: reads inside the wire, writes *only* into this message's
-        // ghost span — declaring exactly that span turns any stray write
-        // (owned sites, another message's ghosts) into a reported OOB.
-        HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(wire.data()),
-                                    .field = f.src.data(),
-                                    .ghost_base = msg.ghost_base,
-                                    .count = msg.count(),
-                                    .inv_scale = 1.0 / scale};
-        ksan::SanitizeConfig unpack_cfg;
-        unpack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        unpack_cfg.regions.push_back(ksan::region_of(f.src.data() + msg.ghost_base,
-                                                     static_cast<std::size_t>(msg.count())));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, unpack.traits()),
-                                  unpack, std::move(unpack_cfg), "halo-unpack" + suffix));
-      });
-    }
-  }
-  return reports;
+  return sanitize_flow(problem, grid, pack_local_size, wire_fmt, /*hardened=*/false);
 }
 
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_exchange(
     DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
     const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
-
-  const SpinorWire sw = wire_fmt.spinor;
-  std::vector<ksan::SanitizerReport> reports;
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const Shard& peer_sh = part.shard(msg.peer);
-      ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
-      const std::string suffix = " r" + std::to_string(msg.peer) + "->r" +
-                                 std::to_string(sh.rank) + " dim" + std::to_string(msg.dim) +
-                                 (msg.side == 0 ? "-" : "+");
-      const double scale = message_scale(sw, peer.src.data(), msg);
-
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        // Pack into the sender-side wire buffer (same contract as
-        // sanitize_halo), in the requested wire format.
-        std::vector<std::byte> wire(static_cast<std::size_t>(msg.wire_bytes(sw)));
-        HaloPackKernelT<W> pack{.src = peer.src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(wire.data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        ksan::SanitizeConfig pack_cfg;
-        pack_cfg.regions.push_back(
-            ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
-        pack_cfg.regions.push_back(
-            ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
-        pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
-                                  pack, std::move(pack_cfg), "halo-pack" + suffix));
-
-        // Hardened data flow: the delivery lands on a receiver-side copy (the
-        // sender buffer stays pristine for retransmission) and the unpack
-        // reads the copy.  The first message of each shard is redelivered and
-        // re-unpacked in a *separate* launch — a retransmission whose repeated
-        // ghost writes are ordered by the launch boundary, hence clean.
-        std::vector<std::byte> rx = wire;
-        const int deliveries = (mi == 0) ? 2 : 1;
-        for (int delivery = 0; delivery < deliveries; ++delivery) {
-          rx.assign(wire.begin(), wire.end());
-          HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(rx.data()),
-                                      .field = f.src.data(),
-                                      .ghost_base = msg.ghost_base,
-                                      .count = msg.count(),
-                                      .inv_scale = 1.0 / scale};
-          ksan::SanitizeConfig unpack_cfg;
-          unpack_cfg.regions.push_back(ksan::region_of(rx.data(), rx.size()));
-          unpack_cfg.regions.push_back(ksan::region_of(
-              f.src.data() + msg.ghost_base, static_cast<std::size_t>(msg.count())));
-          reports.push_back(ksan::sanitize_launch(
-              halo_spec(msg.count(), pack_local_size, unpack.traits()), unpack,
-              std::move(unpack_cfg),
-              "halo-unpack" + suffix + (delivery > 0 ? " retry" : "")));
-        }
-      });
-    }
-  }
-  return reports;
+  return sanitize_flow(problem, grid, pack_local_size, wire_fmt, /*hardened=*/true);
 }
 
 }  // namespace milc::multidev

@@ -22,19 +22,24 @@
 // global arrays (ghosts included), with the identical kernel arithmetic —
 // so the multi-device output equals the single-device output of the same
 // strategy bit for bit, for any partition grid.  Tests assert == 0.0.
-// Fault tolerance (docs/RESILIENCE.md "distributed failure model"): when a
-// faultsim plan is installed, run() switches to a hardened path — halo
-// payloads carry checksums, failed/corrupted messages are retransmitted with
-// exponential backoff on the simulated clock under a per-exchange watchdog,
-// per-shard kernel faults ride the retry + strategy-fallback ladder, and an
-// unrecoverable device loss triggers failover onto a smaller partition grid.
+//
+// One pipeline serves every mode: run() is a loop around a single private
+// pack -> exchange -> interior -> unpack -> boundary pass whose queue mode is
+// MultiDevRequest::mode and whose fault policy is the installed injector.
+// Fault tolerance (docs/RESILIENCE.md "distributed failure model"): with a
+// faultsim plan installed, halo payloads carry checksums, failed/corrupted
+// messages are retransmitted with exponential backoff on the simulated
+// clock under a per-exchange watchdog, per-shard kernel faults ride the
+// retry + strategy-fallback ladder, and an unrecoverable device loss
+// triggers failover onto a smaller partition grid.
 // Elastic recovery (docs/RESILIENCE.md "Recovery taxonomy") layers on top:
 // when the topology declares hot spares, a lost shard is re-replicated onto
 // a spare over the priced interconnect instead of shrinking, and when the
 // fault plan heals a stickily-lost resource the abandoned grid is rejoined
 // live — both paths checksummed, retransmitting and charged simulated wire
-// time.  With no plan installed the pre-existing code path runs untouched,
-// so the fault-free timeline and output stay bit-for-bit identical.
+// time.  With no plan installed the same pass runs one delivery round with
+// no checksums, receiver-side copies or retries; a plan that injects nothing
+// reproduces that timeline and output bit for bit.
 #pragma once
 
 #include <string>
@@ -94,9 +99,9 @@ struct MultiDevRequest {
   /// pre-failover grid through here so capacity returns mid-solve.
   PartitionGrid rejoin_grid{};
   std::string rejoin_what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
-  /// Execution mode of the hardened path's queues; the sharded CG solver
-  /// runs functional applies through the same recovery machinery.  The
-  /// fault-free path ignores this (profiled by definition of run()).
+  /// Execution mode of the pipeline's per-device queues: profiled runs
+  /// price the overlap timeline; functional runs (run_functional, the
+  /// sharded CG's applies) execute the same pipeline with unpriced kernels.
   minisycl::ExecMode mode = minisycl::ExecMode::profiled;
 };
 
@@ -230,11 +235,12 @@ class MultiDeviceRunner {
 
   [[nodiscard]] const gpusim::MachineModel& machine() const { return machine_; }
 
-  /// Profiled run.  The kernels execute for real (the output field is
-  /// gathered into problem.c()), and the overlap timeline above is priced
-  /// from per-launch gpusim stats plus the link model.  A 1x1x1x1 grid
-  /// delegates to DslashRunner::run so single-device numbers reproduce the
-  /// existing benches exactly.
+  /// Run the halo pipeline in mreq.mode, hardened and failing over when a
+  /// fault plan is installed.  The kernels execute for real (the output
+  /// field is gathered into problem.c()); a profiled run prices the overlap
+  /// timeline above from per-launch gpusim stats plus the link model.  A
+  /// profiled, fault-free 1x1x1x1 grid delegates to DslashRunner::run so
+  /// single-device numbers reproduce the existing benches exactly.
   [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq) const;
 
   /// Autotuned profiled run: sweeps the paper pool of preferred local sizes
@@ -250,8 +256,9 @@ class MultiDeviceRunner {
   [[nodiscard]] tune::TuneKey tune_key(const DslashProblem& problem,
                                        const MultiDevRequest& mreq) const;
 
-  /// Functional run of the full halo protocol (pack -> exchange -> unpack ->
-  /// interior + boundary kernels); output lands in problem.c().  On the
+  /// run() with mode = functional on the default single-node link: the full
+  /// halo protocol (pack -> exchange -> interior -> unpack -> boundary
+  /// kernels); output lands in problem.c().  On the
   /// default fp64 wire the output is bit-for-bit the single-device result;
   /// a reduced wire rounds ghost values only (docs/WIRE.md §5).
   void run_functional(DslashProblem& problem, const PartitionGrid& grid, Strategy s,
@@ -289,13 +296,12 @@ class MultiDeviceRunner {
       DslashProblem& problem, const MultiDevRequest& mreq) const;
 
  private:
-  [[nodiscard]] MultiDevResult run_plain(DslashProblem& problem,
-                                         const MultiDevRequest& mreq) const;
-  [[nodiscard]] MultiDevResult run_hardened(DslashProblem& problem,
-                                            const MultiDevRequest& mreq) const;
-  bool run_attempt(DslashProblem& problem, const MultiDevRequest& mreq,
-                   const PartitionGrid& grid, MultiDevResult& res,
-                   std::string& fail_reason) const;
+  /// One pass of the halo pipeline (pack -> exchange -> interior -> unpack
+  /// -> boundary) on `grid`, its fault policy set by the installed injector.
+  /// False with `fail_reason` set when a fault exhausted its recovery budget.
+  bool run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
+                    const PartitionGrid& grid, MultiDevResult& res,
+                    std::string& fail_reason) const;
 
   gpusim::MachineModel machine_;
   gpusim::Calibration cal_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "core/dslash_ref.hpp"
@@ -94,6 +95,94 @@ TEST(MultidevChaos, EmptyPlanHardenedRunIsExactAndClean) {
   EXPECT_TRUE(res.faults.empty());
   EXPECT_EQ(res.recovery_us, 0.0);
 }
+
+/// One placement the empty-plan identity is checked on.
+struct EmptyPlanCase {
+  const char* name;
+  PartitionGrid grid;
+  gpusim::NodeTopology topo;
+  WireFormat wire;
+};
+
+void PrintTo(const EmptyPlanCase& c, std::ostream* os) { *os << c.name; }
+
+class MultidevEmptyPlan : public ::testing::TestWithParam<EmptyPlanCase> {};
+
+TEST_P(MultidevEmptyPlan, InstalledPlanThatInjectsNothingChangesNothing) {
+  // The fault policy comes from the injector, not from a second pipeline:
+  // a plan that injects nothing adds checksums and receiver-side copies,
+  // never time or traffic.  Every timeline and accounting field of the
+  // profiled run, and the output field, must equal the no-plan run bit for
+  // bit — including the fabric-first two-phase pack schedule and the
+  // intra-node byte count.
+  const EmptyPlanCase& c = GetParam();
+  const MultiDeviceRunner runner;
+  MultiDevRequest mreq;
+  mreq.grid = c.grid;
+  mreq.req = kReq;
+  mreq.topo = c.topo;
+  mreq.wire = c.wire;
+
+  DslashProblem bare(kL, /*seed=*/13);
+  const MultiDevResult plain = runner.run(bare, mreq);
+  DslashProblem planned(kL, /*seed=*/13);
+  MultiDevResult hard;
+  {
+    ScopedFaultInjection fi(FaultPlan{});
+    hard = runner.run(planned, mreq);
+  }
+
+  EXPECT_TRUE(hard.exchange.succeeded) << "the hardened policy must have run";
+  EXPECT_TRUE(hard.exchange.clean()) << hard.exchange.summary();
+  EXPECT_EQ(max_abs_diff(bare.c(), planned.c()), 0.0);
+  EXPECT_EQ(hard.label, plain.label);
+  EXPECT_EQ(hard.devices, plain.devices);
+  EXPECT_EQ(hard.per_iter_us, plain.per_iter_us);
+  EXPECT_EQ(hard.gflops, plain.gflops);
+  EXPECT_EQ(hard.overlap_efficiency, plain.overlap_efficiency);
+  EXPECT_EQ(hard.comm_fraction, plain.comm_fraction);
+  EXPECT_EQ(hard.surface_fraction, plain.surface_fraction);
+  EXPECT_EQ(hard.halo_bytes, plain.halo_bytes);
+  EXPECT_EQ(hard.nodes, plain.nodes);
+  EXPECT_EQ(hard.intra_node_bytes, plain.intra_node_bytes);
+  EXPECT_EQ(hard.inter_node_bytes, plain.inter_node_bytes);
+  EXPECT_EQ(hard.fabric_messages, plain.fabric_messages);
+  EXPECT_EQ(hard.intra_wire_us, plain.intra_wire_us);
+  EXPECT_EQ(hard.inter_wire_us, plain.inter_wire_us);
+  EXPECT_EQ(hard.recovery_us, plain.recovery_us);
+  ASSERT_EQ(hard.per_device.size(), plain.per_device.size());
+  for (std::size_t d = 0; d < plain.per_device.size(); ++d) {
+    SCOPED_TRACE("rank " + std::to_string(d));
+    const DeviceTimeline& a = plain.per_device[d];
+    const DeviceTimeline& b = hard.per_device[d];
+    EXPECT_EQ(b.rank, a.rank);
+    EXPECT_EQ(b.interior_sites, a.interior_sites);
+    EXPECT_EQ(b.boundary_sites, a.boundary_sites);
+    EXPECT_EQ(b.halo_bytes_in, a.halo_bytes_in);
+    EXPECT_EQ(b.pack_us, a.pack_us);
+    EXPECT_EQ(b.interior_us, a.interior_us);
+    EXPECT_EQ(b.arrival_us, a.arrival_us);
+    EXPECT_EQ(b.unpack_us, a.unpack_us);
+    EXPECT_EQ(b.boundary_us, a.boundary_us);
+    EXPECT_EQ(b.exposed_us, a.exposed_us);
+    EXPECT_EQ(b.iter_us, a.iter_us);
+  }
+}
+
+std::string empty_plan_case_name(const ::testing::TestParamInfo<EmptyPlanCase>& p) {
+  return p.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, MultidevEmptyPlan,
+    ::testing::Values(
+        EmptyPlanCase{"OneNode1x1x1x2", PartitionGrid{.devices = {1, 1, 1, 2}}, {}, {}},
+        EmptyPlanCase{"Cluster2x2", PartitionGrid{.devices = {1, 1, 2, 2}},
+                      gpusim::cluster(2, 2), {}},
+        EmptyPlanCase{"Cluster2x2Fp16R9", PartitionGrid{.devices = {1, 1, 2, 2}},
+                      gpusim::cluster(2, 2),
+                      WireFormat{.spinor = SpinorWire::fp16, .gauge = Reconstruct::k9}}),
+    empty_plan_case_name);
 
 TEST(MultidevChaos, ScheduledDropIsRetransmittedBitForBit) {
   const ColorField expected = clean_output(/*seed=*/7);

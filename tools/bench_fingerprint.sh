@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# bench_fingerprint.sh — sha256 fingerprints of the deterministic bench
+# documents: bench_scaling JSON under seven flag sets, the bench_serve
+# SloReport JSON (clean and seeded chaos), and the bench_scaling --sanitize
+# report.  Every one of them depends only on its seeds, so two runs of one
+# build must print identical lines (ARCHITECTURE.md invariant 3), and a
+# refactor that claims "same behaviour" must print the lines of its parent.
+#
+# Usage: tools/bench_fingerprint.sh <build-dir>
+# Prints one "<sha256>  <document>" line per document; exits non-zero when a
+# bench fails.  Takes a few minutes (the two bench_serve runs dominate).
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <build-dir>" >&2
+  exit 2
+fi
+bench_dir="$(cd "$1" && pwd)/bench"
+for exe in bench_scaling bench_serve; do
+  if [[ ! -x "$bench_dir/$exe" ]]; then
+    echo "$0: $bench_dir/$exe not built" >&2
+    exit 2
+  fi
+done
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+
+scaling() {
+  local name="$1"
+  shift
+  "$bench_dir/bench_scaling" --L 12 --max-devices 4 "$@" --json "$out/$name.json" >/dev/null
+}
+
+scaling scaling-default
+scaling scaling-nodes2 --nodes 2
+scaling scaling-faults --faults 2024
+scaling scaling-nodes2-faults --nodes 2 --faults 2024
+scaling scaling-elastic --faults 2024 --spares 1 --nodes 2
+scaling scaling-wire-fp32r12 --nodes 2 --wire fp32+r12
+scaling scaling-wire-fp16r9 --nodes 2 --wire fp16+r9
+"$bench_dir/bench_serve" --json "$out/serve.json" >/dev/null
+"$bench_dir/bench_serve" --chaos 20260807 --json "$out/serve-chaos.json" >/dev/null
+"$bench_dir/bench_scaling" --sanitize --L 12 --max-devices 4 >"$out/scaling-sanitize.txt"
+
+cd "$out"
+sha256sum -- *.json *.txt
