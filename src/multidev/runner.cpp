@@ -21,41 +21,41 @@ namespace milc::multidev {
 
 namespace {
 
-/// Device-resident data of one shard: gathered links in the kernels'
-/// column-major layout, the extended source field (owned slots followed by
-/// ghost slots) and the per-target output.
+/// Complex values of one site's links in one family: kNdim column-major
+/// SU(3) matrices, contiguous in DeviceGaugeLayout and in ShardLinks.
+constexpr std::int64_t kSiteLinkElems = kNdim * kColors * kColors;
+
+/// One shard's links, copied block by block out of the problem's
+/// DeviceGaugeLayout at each target's global eo index — bit-exact, which is
+/// what makes multi-device output identical to single-device.
+ShardLinks gather_links(const DslashProblem& p, const Shard& sh) {
+  ShardLinks links;
+  for (int l = 0; l < kNlinks; ++l) {
+    const dcomplex* fam = p.device_gauge().family(l);
+    auto& out = links[static_cast<std::size_t>(l)];
+    out.resize(static_cast<std::size_t>(sh.targets() * kSiteLinkElems));
+    for (std::int64_t t = 0; t < sh.targets(); ++t) {
+      std::copy_n(fam + sh.target_eo[static_cast<std::size_t>(t)] * kSiteLinkElems,
+                  kSiteLinkElems, out.begin() + t * kSiteLinkElems);
+    }
+  }
+  return links;
+}
+
+/// Per-apply device data of one shard: the extended source field (owned
+/// slots followed by ghost slots) and the per-target output.
 struct ShardFields {
-  std::array<std::vector<dcomplex>, kNlinks> links;
   std::vector<SU3Vector<dcomplex>> src;
   std::vector<SU3Vector<dcomplex>> dst;
 };
 
-/// Gather one shard's fields from the global problem.  Link values are
-/// copied element-by-element with the same [t][k][j][i] formula
-/// DeviceGaugeLayout uses, and source values are plain copies — bit-exact,
-/// which is what makes multi-device output identical to single-device.
-/// Ghost slots start out as NaN poison: if the interior classification or
-/// the unpack protocol were wrong, the poison would propagate into the
-/// output and the bit-for-bit tests would fail loudly.
-ShardFields build_fields(DslashProblem& p, const Shard& sh) {
+/// Gather one shard's sources from the global problem (plain copies, so
+/// bit-exact) and zero its output.  Ghost slots start every apply as NaN
+/// poison: if the interior classification or the unpack protocol were
+/// wrong, the poison would propagate into the output and the bit-for-bit
+/// tests would fail loudly.
+ShardFields build_fields(const DslashProblem& p, const Shard& sh) {
   ShardFields f;
-  const GaugeView& view = p.view();
-  for (int l = 0; l < kNlinks; ++l) {
-    auto& fam = f.links[static_cast<std::size_t>(l)];
-    fam.resize(static_cast<std::size_t>(sh.targets() * kNdim * kColors * kColors));
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      const std::int64_t g = sh.target_eo[static_cast<std::size_t>(t)];
-      for (int k = 0; k < kNdim; ++k) {
-        const SU3Matrix<dcomplex>& m = view.link(l, g, k);
-        for (int j = 0; j < kColors; ++j) {
-          for (int i = 0; i < kColors; ++i) {
-            fam[static_cast<std::size_t>(((t * kNdim + k) * kColors + j) * kColors + i)] =
-                m.e[i][j];
-          }
-        }
-      }
-    }
-  }
   const double nan = std::numeric_limits<double>::quiet_NaN();
   f.src.resize(static_cast<std::size_t>(sh.extended_sources()),
                SU3Vector<dcomplex>{{{nan, nan}, {nan, nan}, {nan, nan}}});
@@ -69,12 +69,11 @@ ShardFields build_fields(DslashProblem& p, const Shard& sh) {
 /// Argument block for a contiguous target range [first, first + count) of a
 /// shard — the interior-first renumbering makes both kernel ranges plain
 /// base-pointer offsets.
-DslashArgs<dcomplex> range_args(ShardFields& f, const Shard& sh, std::int64_t first,
-                                std::int64_t count) {
+DslashArgs<dcomplex> range_args(const ShardLinks& links, ShardFields& f, const Shard& sh,
+                                std::int64_t first, std::int64_t count) {
   DslashArgs<dcomplex> a;
   for (int l = 0; l < kNlinks; ++l) {
-    a.links[l] =
-        f.links[static_cast<std::size_t>(l)].data() + first * kNdim * kColors * kColors;
+    a.links[l] = links[static_cast<std::size_t>(l)].data() + first * kSiteLinkElems;
   }
   a.b = f.src.data();
   a.c_out = f.dst.data() + first;
@@ -92,8 +91,8 @@ std::vector<minisycl::AddressRegion> shard_regions(const DslashArgs<dcomplex>& a
                                                    std::int64_t src_elems) {
   std::vector<minisycl::AddressRegion> regions;
   for (int l = 0; l < kNlinks; ++l) {
-    regions.push_back({a.links[l], a.sites * kNdim * kColors * kColors *
-                                       static_cast<std::int64_t>(sizeof(dcomplex))});
+    regions.push_back(
+        {a.links[l], a.sites * kSiteLinkElems * static_cast<std::int64_t>(sizeof(dcomplex))});
   }
   regions.push_back({a.b, src_elems * static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>))});
   regions.push_back(
@@ -322,6 +321,25 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
 
 }  // namespace
 
+ShardLayout::ShardLayout(const DslashProblem& problem, const PartitionGrid& grid)
+    : part(problem.geom(), grid, problem.target_parity()) {
+  links.reserve(part.shards().size());
+  for (const Shard& sh : part.shards()) links.push_back(gather_links(problem, sh));
+}
+
+const ShardLayout& ShardLayouts::get(const DslashProblem& problem, const PartitionGrid& grid) {
+  if (!layouts_.empty()) {
+    const Partitioner& any = layouts_.begin()->second.part;
+    if (any.geom().dims() != problem.geom().dims() ||
+        any.target() != problem.target_parity()) {
+      throw std::invalid_argument("ShardLayouts: cached layouts belong to another problem");
+    }
+  }
+  auto it = layouts_.find(grid.devices);
+  if (it == layouts_.end()) it = layouts_.try_emplace(grid.devices, problem, grid).first;
+  return it->second;
+}
+
 std::string ExchangeReport::summary() const {
   std::string out;
   char buf[256];
@@ -544,6 +562,12 @@ bool adopt_shards(faultsim::Injector* inj, const gpusim::NodeTopology& topo,
 
 MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
                                       const MultiDevRequest& mreq) const {
+  ShardLayouts layouts;
+  return run(problem, mreq, layouts);
+}
+
+MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequest& mreq,
+                                      ShardLayouts& layouts) const {
   faultsim::Injector* inj = faultsim::Injector::current();
   if (inj == nullptr && mreq.mode == minisycl::ExecMode::profiled && mreq.grid.total() == 1) {
     // Delegate so single-device numbers reproduce bench_fig6 exactly (the
@@ -623,8 +647,8 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
               {r % ndev, r, tgt.what + " healed; rank r" + std::to_string(r) + " re-admitted"});
         }
         if (adopt_shards(inj, effective_topology(mreq.topo, tgt.grid.total()),
-                         Partitioner(problem.geom(), tgt.grid, problem.target_parity()),
-                         adoptions, "replica verified on " + tgt.grid.label(), mreq, res)) {
+                         layouts.get(problem, tgt.grid).part, adoptions,
+                         "replica verified on " + tgt.grid.label(), mreq, res)) {
           ++res.rejoins;
           res.capacity_restored += tgt.grid.total() - ndev;
           res.failovers.push_back(FailoverEvent{
@@ -659,8 +683,8 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
             adoptions.push_back({(r + topo.devices_per_node) % ndev,  // surviving node peer
                                  r, "standby node adopts rank r" + std::to_string(r)});
           }
-          if (adopt_shards(inj, topo, Partitioner(problem.geom(), grid, problem.target_parity()),
-                           adoptions, "replica verified on standby node", mreq, res)) {
+          if (adopt_shards(inj, topo, layouts.get(problem, grid).part, adoptions,
+                           "replica verified on standby node", mreq, res)) {
             --node_spares;
             ++res.spares_consumed;
             res.failovers.push_back(FailoverEvent{
@@ -695,7 +719,7 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
         // its full width; only when no spare (or no transfer budget) is left
         // does the shrink failover run.
         if (device_spares > 0 &&
-            adopt_shards(inj, topo, Partitioner(problem.geom(), grid, problem.target_parity()),
+            adopt_shards(inj, topo, layouts.get(problem, grid).part,
                          {{(lost + 1) % ndev, lost, "hot spare adopts rank r" +
                                                         std::to_string(lost)}},
                          "replica verified on spare", mreq, res)) {
@@ -715,7 +739,7 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
     // on the surviving grid; the sharded CG solver layers checkpointed
     // *solver* state on top of this.
     std::string reason;
-    if (run_pipeline(problem, mreq, grid, res, reason)) break;
+    if (run_pipeline(problem, mreq, layouts.get(problem, grid), res, reason)) break;
     if (grid.total() == 1) {
       // Nothing left to shrink to: recovery exhausted.
       res.recovered = false;
@@ -735,12 +759,13 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
 }
 
 bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
-                                     const PartitionGrid& grid, MultiDevResult& res,
+                                     const ShardLayout& layout, MultiDevResult& res,
                                      std::string& fail_reason) const {
   // The fault policy: an installed injector adds payload checksums, the
   // receiver-side copies they verify, and retransmit rounds.  Without one,
   // every retry loop below runs exactly once and the first round delivers.
   const bool hardened = faultsim::Injector::current() != nullptr;
+  const PartitionGrid& grid = layout.part.grid();
   const int ndev = grid.total();
   const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
   const bool multi_node = topo.multi_node();
@@ -748,8 +773,7 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
   const auto node_of = [&](int r) { return multi_node ? topo.node_of(r) : 0; };
   const VariantInfo& vi = variant_info(mreq.req.variant);
   const ExchangeConfig& xc = mreq.xcfg;
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  const std::vector<Shard>& shards = part.shards();
+  const std::vector<Shard>& shards = layout.part.shards();
 
   std::vector<ShardFields> fields;
   fields.reserve(shards.size());
@@ -804,8 +828,9 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
     for (Strategy s : xc.ladder) {
       if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
     }
+    const auto rank = static_cast<std::size_t>(sh.rank);
     const DslashArgs<dcomplex> args =
-        range_args(fields[static_cast<std::size_t>(sh.rank)], sh, first, count);
+        range_args(layout.links[rank], fields[rank], sh, first, count);
     for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
       const RunRequest r = adapt_request(mreq.req, rungs[rung], count);
       const VariantInfo& rvi = variant_info(r.variant);
@@ -1168,13 +1193,14 @@ void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGr
 
 void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGrid& grid,
                                       ColorField& out) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
+  const ShardLayout layout(problem, grid);
+  const std::vector<Shard>& shards = layout.part.shards();
   std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
+  fields.reserve(shards.size());
+  for (const Shard& sh : shards) fields.push_back(build_fields(problem, sh));
 
   // Serial exchange: copy every wire site straight from owner to ghost slot.
-  for (const Shard& sh : part.shards()) {
+  for (const Shard& sh : shards) {
     ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
     for (const HaloMsg& msg : sh.halo) {
       const ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
@@ -1188,24 +1214,20 @@ void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGri
   // Per-shard evaluation in dslash_reference's exact loop order (k outer,
   // l inner, matvec + signed accumulate) over the gathered shard data —
   // the same values in the same operations, so bit-for-bit equal.
-  for (const Shard& sh : part.shards()) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+  for (const Shard& sh : shards) {
+    const auto rank = static_cast<std::size_t>(sh.rank);
+    const DslashArgs<dcomplex> a =
+        range_args(layout.links[rank], fields[rank], sh, 0, sh.targets());
     for (std::int64_t t = 0; t < sh.targets(); ++t) {
       SU3Vector<dcomplex> acc;
       for (int k = 0; k < kNdim; ++k) {
         for (int l = 0; l < kNlinks; ++l) {
           SU3Matrix<dcomplex> m;
-          const auto& fam = f.links[static_cast<std::size_t>(l)];
           for (int j = 0; j < kColors; ++j) {
-            for (int i = 0; i < kColors; ++i) {
-              m.e[i][j] = fam[static_cast<std::size_t>(((t * kNdim + k) * kColors + j) *
-                                                           kColors +
-                                                       i)];
-            }
+            for (int i = 0; i < kColors; ++i) m.e[i][j] = *a.link_elem(l, t, k, i, j);
           }
-          const std::int32_t n =
-              sh.neighbors[static_cast<std::size_t>(t * kNeighbors + k * kNlinks + l)];
-          const SU3Vector<dcomplex> v = matvec(m, f.src[static_cast<std::size_t>(n)]);
+          const std::int32_t n = a.neighbors[t * kNeighbors + k * kNlinks + l];
+          const SU3Vector<dcomplex> v = matvec(m, a.b[n]);
           const double sign = kStencilSigns[static_cast<std::size_t>(l)];
           acc += sign * v;
         }

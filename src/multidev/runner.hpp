@@ -42,6 +42,8 @@
 // reproduces that timeline and output bit for bit.
 #pragma once
 
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -218,6 +220,42 @@ struct MultiDevResult {
   std::vector<faultsim::FaultEvent> faults;
 };
 
+/// One shard's gauge links: per family, the 36 complex values of every
+/// target in the kernels' [target][k][j][i] order — DeviceGaugeLayout's
+/// per-site blocks, gathered over the shard's targets.
+using ShardLinks = std::array<std::vector<dcomplex>, kNlinks>;
+
+/// The halo pipeline's state for one (problem, grid): the partition and
+/// every shard's gauge links.  Both depend only on the gauge field and the
+/// grid — never on the source or the wire format — so one layout serves
+/// every apply on its grid, as a production rank keeps its gauge slab
+/// resident for a whole solve.  Holds values only: nothing points into the
+/// problem it was gathered from.
+struct ShardLayout {
+  ShardLayout(const DslashProblem& problem, const PartitionGrid& grid);
+
+  Partitioner part;
+  std::vector<ShardLinks> links;  ///< indexed by rank
+};
+
+/// Grid-keyed cache of one problem's ShardLayouts, each built on first use.
+/// It belongs with whatever owns the problem across applies (ShardedCgSolver
+/// holds one per parity problem), so cached layouts live and die with the
+/// problem they were gathered from; copying the owner copies a valid cache.
+class ShardLayouts {
+ public:
+  /// The layout of `grid`, built from `problem` on first use.  Every call
+  /// must pass the cache's own problem: one of another geometry or target
+  /// parity throws std::invalid_argument.
+  const ShardLayout& get(const DslashProblem& problem, const PartitionGrid& grid);
+
+  /// Layouts built so far: one per grid visited.
+  [[nodiscard]] std::size_t size() const { return layouts_.size(); }
+
+ private:
+  std::map<Coords, ShardLayout> layouts_;  ///< node-based: references stay valid
+};
+
 /// Result of a tuned multi-device run (run_tuned): the winning execution
 /// plus the tuning-cache entry it produced or replayed.
 struct MultiDevTunedResult {
@@ -241,7 +279,18 @@ class MultiDeviceRunner {
   /// timeline above from per-launch gpusim stats plus the link model.  A
   /// profiled, fault-free 1x1x1x1 grid delegates to DslashRunner::run so
   /// single-device numbers reproduce the existing benches exactly.
+  /// Each call builds its partitions and gathers its links into a fresh
+  /// ShardLayouts that dies with the call.
   [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq) const;
+
+  /// run() over the caller's layout cache: every grid the run visits — the
+  /// requested one, a failover's smaller grid, a spare adoption's or a
+  /// rejoin's — takes its partition and links from `layouts`, built there on
+  /// first use.  Callers that apply one problem many times (the sharded CG)
+  /// pass the same cache to every call, so each apply only gathers its
+  /// sources, re-poisons its ghost slots and runs the pipeline.
+  [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq,
+                                   ShardLayouts& layouts) const;
 
   /// Autotuned profiled run: sweeps the paper pool of preferred local sizes
   /// for mreq.req's strategy/order on mreq's grid (each shard still coerces
@@ -297,10 +346,11 @@ class MultiDeviceRunner {
 
  private:
   /// One pass of the halo pipeline (pack -> exchange -> interior -> unpack
-  /// -> boundary) on `grid`, its fault policy set by the installed injector.
-  /// False with `fail_reason` set when a fault exhausted its recovery budget.
+  /// -> boundary) on the layout's grid, its fault policy set by the installed
+  /// injector.  False with `fail_reason` set when a fault exhausted its
+  /// recovery budget.
   bool run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
-                    const PartitionGrid& grid, MultiDevResult& res,
+                    const ShardLayout& layout, MultiDevResult& res,
                     std::string& fail_reason) const;
 
   gpusim::MachineModel machine_;
@@ -321,8 +371,8 @@ class MultiDeviceRunner {
                                                      int devices);
 
 /// Bytes a spare or rejoining device must receive to adopt rank `rank` of
-/// the partitioner's grid: the gathered gauge slab plus the extended source
-/// spinor (owned + ghost slots) — the state build_fields materialises.
+/// the partitioner's grid: the gathered gauge slab (ShardLayout::links) plus
+/// the extended source spinor (owned + ghost slots).
 /// The fp64/recon-18 overload is the historical exact count; the wire-format
 /// overload prices the gauge slab at the recon scheme's encoded link size
 /// and the spinor at the spinor format's site size (docs/WIRE.md §3).

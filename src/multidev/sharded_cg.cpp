@@ -108,8 +108,8 @@ ShardedCgSolver::ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass,
                                  PartitionGrid grid, ShardedCgConfig cfg)
     : ShardedCgSolver(Coords{L, L, L, L}, gauge_seed, mass, grid, std::move(cfg)) {}
 
-bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardedCgResult* res,
-                                 const WireFormat& wire) {
+bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
+                                 ShardedCgResult* res, const WireFormat& wire) {
   // One functional pipeline pass; the installed injector (if any) decides
   // whether it runs hardened and may fail over.
   MultiDevRequest mreq;
@@ -124,7 +124,7 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardedCgResult* res,
   mreq.mode = minisycl::ExecMode::functional;
   mreq.rejoin_grid = rejoin_grid_;
   mreq.rejoin_what = rejoin_what_;
-  const MultiDevResult mres = runner_.run(problem, mreq);
+  const MultiDevResult mres = runner_.run(problem, mreq, layouts);
   if (res != nullptr) {
     res->recovery_us += mres.recovery_us;
     res->spares_consumed += mres.spares_consumed;
@@ -171,9 +171,9 @@ bool ShardedCgSolver::apply_raw(const ColorField& in, ColorField& out, ShardedCg
                                 const WireFormat& wire) {
   // out = m^2 in - D_eo D_oe in, both hops through the sharded halo protocol.
   problem_o_.b() = in;
-  if (!run_dslash(problem_o_, res, wire)) return false;
+  if (!run_dslash(problem_o_, layouts_o_, res, wire)) return false;
   problem_e_.b() = problem_o_.c();
-  if (!run_dslash(problem_e_, res, wire)) return false;
+  if (!run_dslash(problem_e_, layouts_e_, res, wire)) return false;
   out = in;
   scale(mass_ * mass_, out);
   axpy(-1.0, problem_e_.c(), out);

@@ -192,10 +192,11 @@ class ShardedCgSolver {
 
  private:
   /// Run one Dslash (problem.c() = D problem.b()) through the sharded path
-  /// on the given halo wire format; returns false when the hardened runner
-  /// exhausted recovery.  Adopts the post-failover grid and flags
-  /// `failover_seen_`.
-  bool run_dslash(DslashProblem& problem, ShardedCgResult* res, const WireFormat& wire);
+  /// on the given halo wire format, over the problem's layout cache; returns
+  /// false when the hardened runner exhausted recovery.  Adopts the
+  /// post-failover grid and flags `failover_seen_`.
+  bool run_dslash(DslashProblem& problem, ShardLayouts& layouts, ShardedCgResult* res,
+                  const WireFormat& wire);
   bool apply_raw(const ColorField& in, ColorField& out, ShardedCgResult* res,
                  const WireFormat& wire);
 
@@ -204,6 +205,11 @@ class ShardedCgSolver {
   ShardedCgConfig cfg_;
   DslashProblem problem_o_;  ///< target Odd:  c = D_oe b (b even)
   DslashProblem problem_e_;  ///< target Even: c = D_eo b (b odd)
+  /// Each problem's partitions and gathered links, one per grid visited:
+  /// built by the first apply on a grid, reused by every later one on any
+  /// wire format (docs/MULTIDEV.md §2).
+  ShardLayouts layouts_o_;
+  ShardLayouts layouts_e_;
   MultiDeviceRunner runner_;
   bool failover_seen_ = false;
   /// Live-rejoin target threaded into every hardened apply: the grid the

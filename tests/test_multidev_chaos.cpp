@@ -14,7 +14,9 @@
 
 #include <cmath>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/dslash_ref.hpp"
 #include "multidev/runner.hpp"
@@ -692,6 +694,69 @@ TEST(MultidevChaos, ElasticRecoveryReplaysBitForBitFromItsSeed) {
   EXPECT_EQ(r1.rereplication_us, r2.rereplication_us);
   EXPECT_EQ(r1.recovery_us, r2.recovery_us);
   ASSERT_EQ(r1.faults.size(), r2.faults.size());
+}
+
+TEST(MultidevChaos, OneLayoutCacheServesEverySourceAndEveryGridVisited) {
+  // One layout cache threaded through consecutive applies, as the sharded CG
+  // does: the first apply builds the grid's partition and links and later
+  // sources reuse them; a loss with no spare builds the shrunk grid's layout
+  // once, and the heal rejoins on the layout already cached.
+  DslashProblem problem(Coords{4, 4, 12, 12}, /*seed=*/23);
+  const PartitionGrid full{.devices = {1, 1, 2, 2}};
+  const MultiDeviceRunner runner;
+  MultiDevRequest mreq;
+  mreq.grid = full;
+  mreq.req = kReq;
+  mreq.topo = gpusim::cluster(2, 2);
+  mreq.mode = minisycl::ExecMode::functional;
+  ShardLayouts layouts;
+
+  // The oracle per source is the single-device output of the same kernel,
+  // whose summation order the shard kernels share (dslash_reference's
+  // differs in the last bits).
+  const DslashRunner single;
+  std::vector<ColorField> expected;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    problem.b().fill_random(seed);
+    single.run_functional(problem, kReq.strategy, kReq.order, kReq.local_size);
+    expected.push_back(problem.c());
+  }
+  const auto apply = [&](std::uint64_t seed) {
+    problem.b().fill_random(seed);
+    problem.c().zero();
+    MultiDevResult res = runner.run(problem, mreq, layouts);
+    EXPECT_EQ(max_abs_diff(expected[seed - 1], problem.c()), 0.0) << "source seed " << seed;
+    return res;
+  };
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) apply(seed);
+  ASSERT_EQ(layouts.size(), 1u);
+  const ShardLayout* full_layout = &layouts.get(problem, full);
+
+  FaultPlan plan;
+  plan.seed = 6;
+  plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 0, 1, "device r1 @ 1x1x2x2"});
+  // The shrinking run consults the heal stream once; the heal fires on the
+  // next apply's consult, so one apply runs on the shrunk grid.
+  plan.schedule.push_back(ScheduledFault{FaultKind::heal, 1, 1, "heal/device r1"});
+  ScopedFaultInjection fi(plan);
+
+  const MultiDevResult shrunk = apply(4);
+  ASSERT_EQ(shrunk.final_grid.label(), "1x1x1x2");
+  EXPECT_EQ(layouts.size(), 2u) << "the shrunk grid's layout is built once";
+
+  mreq.grid = shrunk.final_grid;
+  mreq.rejoin_grid = full;
+  mreq.rejoin_what = "device r1";
+  const MultiDevResult rejoined = apply(5);
+  EXPECT_EQ(rejoined.rejoins, 1);
+  EXPECT_EQ(rejoined.final_grid.label(), "1x1x2x2");
+  EXPECT_EQ(layouts.size(), 2u) << "the rejoin must not build a layout";
+  EXPECT_EQ(&layouts.get(problem, full), full_layout) << "the rejoin reuses the cached layout";
+
+  const DslashProblem odd(Coords{4, 4, 12, 12}, /*seed=*/23, Parity::Odd);
+  EXPECT_THROW((void)layouts.get(odd, full), std::invalid_argument)
+      << "a cache serves only its own problem";
 }
 
 TEST(MultidevChaos, FallbackGridHalvesTheLowestSplitDimension) {

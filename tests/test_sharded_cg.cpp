@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "core/solver.hpp"
 #include "multidev/sharded_cg.hpp"
@@ -400,6 +402,33 @@ TEST(ShardedCg, AsyncCheckpointDeviceLossRestoresBitForBit) {
       << "the restore must have had an audited snapshot to land on";
   EXPECT_EQ(res.final_grid.total(), 1);
   EXPECT_EQ(max_abs_diff(x, x_clean), 0.0);
+}
+
+TEST(ShardedCg, CopyOfASolvedSolverOutlivesTheOriginal) {
+  // A solve leaves the solver's layout caches warm.  They hold values only,
+  // so a copy stays valid once the original is gone and solves exactly like
+  // a fresh solver: same iterations, residuals and solution bytes.
+  auto original = std::make_unique<ShardedCgSolver>(
+      kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), quick_config());
+  const ColorField b = make_source(original->geom());
+  ColorField x0(original->geom(), Parity::Even);
+  ASSERT_TRUE(original->solve(b, x0).cg.converged);
+  ShardedCgSolver copy = *original;
+  original.reset();
+
+  ColorField x(copy.geom(), Parity::Even);
+  const ShardedCgResult res = copy.solve(b, x);
+
+  ShardedCgSolver fresh(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), quick_config());
+  ColorField x_fresh(fresh.geom(), Parity::Even);
+  const ShardedCgResult fresh_res = fresh.solve(b, x_fresh);
+
+  ASSERT_TRUE(res.cg.converged) << res.summary();
+  EXPECT_EQ(res.cg.iterations, fresh_res.cg.iterations);
+  EXPECT_EQ(res.cg.relative_residual, fresh_res.cg.relative_residual);
+  EXPECT_EQ(res.cg.true_relative_residual, fresh_res.cg.true_relative_residual);
+  ASSERT_EQ(x.bytes(), x_fresh.bytes());
+  EXPECT_EQ(std::memcmp(x.data(), x_fresh.data(), x.bytes()), 0);
 }
 
 TEST(ShardedCg, ZeroSourceShortCircuits) {
