@@ -5,6 +5,18 @@
 
 namespace milc {
 
+bool cg_step(const ColorField& Ap, ColorField& x, ColorField& r, ColorField& p, double& rr) {
+  const double pAp = dot(p, Ap).re;
+  if (!(pAp > 0.0)) return false;  // not HPD or numerical breakdown
+  const double alpha = rr / pAp;
+  axpy(alpha, p, x);
+  axpy(-alpha, Ap, r);
+  const double rr_new = norm2(r);
+  xpay(r, rr_new / rr, p);  // p = r + beta p
+  rr = rr_new;
+  return true;
+}
+
 CgResult cg_solve(const std::function<void(const ColorField&, ColorField&)>& apply,
                   const ColorField& b, ColorField& x, const LatticeGeom& geom,
                   const CgOptions& opts) {
@@ -30,14 +42,7 @@ CgResult cg_solve(const std::function<void(const ColorField&, ColorField&)>& app
   int it = 0;
   for (; it < opts.max_iterations && rr > target; ++it) {
     apply(pvec, Ap);
-    const double pAp = dot(pvec, Ap).re;
-    if (!(pAp > 0.0)) break;  // not HPD or numerical breakdown
-    const double alpha = rr / pAp;
-    axpy(alpha, pvec, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, pvec);  // p = r + beta p
-    rr = rr_new;
+    if (!cg_step(Ap, x, r, pvec, rr)) break;
     if (opts.log_every > 0 && it % opts.log_every == 0) {
       std::printf("cg: iter %5d  rel res %.3e\n", it, std::sqrt(rr / b2));
     }

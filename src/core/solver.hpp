@@ -24,6 +24,13 @@ struct CgResult {
   double true_relative_residual = 0.0;
 };
 
+/// One CG update from Ap = A p: alpha = rr / <p, Ap>, x += alpha p,
+/// r -= alpha Ap, then p = r + (rr_new / rr) p and rr = ||r||^2.  Returns
+/// false, leaving every argument untouched, when <p, Ap> is not positive
+/// (A not HPD, or corrupted recursion state).
+[[nodiscard]] bool cg_step(const ColorField& Ap, ColorField& x, ColorField& r, ColorField& p,
+                           double& rr);
+
 /// Solve A x = b by CG for any Hermitian-positive-definite `apply`.
 /// `x` is used as the initial guess and holds the solution on return.
 CgResult cg_solve(const std::function<void(const ColorField&, ColorField&)>& apply,

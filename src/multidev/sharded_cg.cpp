@@ -48,6 +48,18 @@ struct Snapshot {
   }
 };
 
+/// ABFT: the seed of the fixed check vector; the acceptance tolerance
+/// |<r,y> - <z,x>| <= tol * scale, scale grown with the contracted norms
+/// (1e-8 rides above kernel-vs-reference summation roundoff while catching
+/// any injected bit flip of the fields); recomputes per apply after the
+/// first attempt.
+constexpr std::uint64_t kAbftSeed = 0x5eed;
+constexpr double kAbftRelTol = 1e-8;
+constexpr int kMaxRecomputes = 2;
+/// Reduced wire: iterations between forced exact-wire residual
+/// replacements (docs/WIRE.md §5).
+constexpr int kReliableInterval = 25;
+
 faultsim::MemRegion region_of(const ColorField& f) {
   return {reinterpret_cast<std::uint64_t>(f.data()), f.bytes()};
 }
@@ -109,7 +121,7 @@ ShardedCgSolver::ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass,
     : ShardedCgSolver(Coords{L, L, L, L}, gauge_seed, mass, grid, std::move(cfg)) {}
 
 bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
-                                 ShardedCgResult* res, const WireFormat& wire) {
+                                 ShardedCgResult* res, const WireFormat& wire, int iteration) {
   // One functional pipeline pass; the installed injector (if any) decides
   // whether it runs hardened and may fail over.
   MultiDevRequest mreq;
@@ -117,10 +129,8 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
   mreq.req.strategy = cfg_.strategy;
   mreq.req.order = cfg_.order;
   mreq.req.local_size = cfg_.local_size;
-  mreq.link = cfg_.link;
   mreq.topo = cfg_.topo;
   mreq.wire = wire;
-  mreq.xcfg = cfg_.xcfg;
   mreq.mode = minisycl::ExecMode::functional;
   mreq.rejoin_grid = rejoin_grid_;
   mreq.rejoin_what = rejoin_what_;
@@ -135,8 +145,8 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
     if (!mres.failovers.empty()) {
       res->failovers_observed += static_cast<int>(mres.failovers.size());
       for (const FailoverEvent& f : mres.failovers) {
-        res->events.push_back({0, "failover", f.from.label() + " -> " + f.to.label() +
-                                                  " (" + f.reason + ")"});
+        res->events.push_back({iteration, "failover", f.from.label() + " -> " +
+                                                          f.to.label() + " (" + f.reason + ")"});
       }
     }
   }
@@ -168,12 +178,12 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
 }
 
 bool ShardedCgSolver::apply_raw(const ColorField& in, ColorField& out, ShardedCgResult* res,
-                                const WireFormat& wire) {
+                                const WireFormat& wire, int iteration) {
   // out = m^2 in - D_eo D_oe in, both hops through the sharded halo protocol.
   problem_o_.b() = in;
-  if (!run_dslash(problem_o_, layouts_o_, res, wire)) return false;
+  if (!run_dslash(problem_o_, layouts_o_, res, wire, iteration)) return false;
   problem_e_.b() = problem_o_.c();
-  if (!run_dslash(problem_e_, layouts_e_, res, wire)) return false;
+  if (!run_dslash(problem_e_, layouts_e_, res, wire, iteration)) return false;
   out = in;
   scale(mass_ * mass_, out);
   axpy(-1.0, problem_e_.c(), out);
@@ -181,7 +191,7 @@ bool ShardedCgSolver::apply_raw(const ColorField& in, ColorField& out, ShardedCg
 }
 
 void ShardedCgSolver::apply_normal(const ColorField& in, ColorField& out) {
-  (void)apply_raw(in, out, nullptr, cfg_.wire);
+  (void)apply_raw(in, out, nullptr, cfg_.wire, 0);
 }
 
 void ShardedCgSolver::apply_reference(const ColorField& in, ColorField& out) const {
@@ -196,6 +206,13 @@ void ShardedCgSolver::apply_reference(const ColorField& in, ColorField& out) con
 
 ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   ShardedCgResult res;
+  const double b2 = norm2(b);
+  if (b2 == 0.0) {
+    x.zero();
+    res.cg.converged = true;
+    res.final_grid = grid_;
+    return res;
+  }
   const LatticeGeom& g = geom();
   faultsim::Injector* inj = faultsim::Injector::current();
   dsan::Recorder* rec = dsan::Recorder::current();
@@ -204,6 +221,8 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
 
   ColorField r(g, Parity::Even), Ap(g, Parity::Even);
   ColorField pvec(g, Parity::Even);
+  double rr = 0.0;
+  int it = 0;
 
   // Silent-corruption surface: the live solver vectors plus the staging
   // fields the applies stream through.  Snapshots and the ABFT anchors stay
@@ -218,16 +237,11 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   // ABFT anchor: z = A_ref r_abft via the serial reference, computed once.
   // A is Hermitian, so every accepted apply y = A v must satisfy
   // <r_abft, y> == <z, v> up to summation roundoff.
-  ColorField r_abft, z_abft;
-  double abft_norm_r = 0.0, abft_norm_z = 0.0;
-  if (cfg_.abft) {
-    r_abft = ColorField(g, Parity::Even);
-    r_abft.fill_random(cfg_.abft_seed);
-    z_abft = ColorField(g, Parity::Even);
-    apply_reference(r_abft, z_abft);
-    abft_norm_r = norm2(r_abft);
-    abft_norm_z = norm2(z_abft);
-  }
+  ColorField r_abft(g, Parity::Even), z_abft;
+  r_abft.fill_random(kAbftSeed);
+  apply_reference(r_abft, z_abft);
+  const double abft_norm_r = norm2(r_abft);
+  const double abft_norm_z = norm2(z_abft);
 
   // One guarded operator application: recompute (bounded) until the ABFT
   // identity holds.  Returns false on an unrecoverable apply or a persistent
@@ -238,11 +252,10 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   auto apply_checked = [&](const ColorField& in, ColorField& out,
                            bool exact = false) -> bool {
     const WireFormat wire = exact ? WireFormat{} : cfg_.wire;
-    const double rel_tol = std::max(cfg_.abft_rel_tol, wire_abft_floor(wire.spinor));
+    const double rel_tol = std::max(kAbftRelTol, wire_abft_floor(wire.spinor));
     for (int attempt = 0;; ++attempt) {
-      if (!apply_raw(in, out, &res, wire)) return false;
+      if (!apply_raw(in, out, &res, wire, it)) return false;
       ++res.applies;
-      if (!cfg_.abft) return true;
       const dcomplex lhs = dot(r_abft, out);
       const dcomplex rhs = dot(z_abft, in);
       const double err = std::hypot(lhs.re - rhs.re, lhs.im - rhs.im);
@@ -250,11 +263,11 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
       const double scale_zx = std::sqrt(abft_norm_z * norm2(in));
       const double tol = rel_tol * (1.0 + scale_lr + scale_zx);
       if (err <= tol) return true;
-      if (attempt >= cfg_.max_recomputes) return false;
+      if (attempt >= kMaxRecomputes) return false;
       ++res.recomputes;
       char detail[128];
       std::snprintf(detail, sizeof detail, "abft |<r,y>-<z,x>| = %.3e > %.3e", err, tol);
-      res.events.push_back({0, "recompute", detail});
+      res.events.push_back({it, "recompute", detail});
     }
   };
 
@@ -267,17 +280,6 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
     return norm2(tr);
   };
 
-  const double b2 = norm2(b);
-  if (b2 == 0.0) {
-    x.zero();
-    res.cg.converged = true;
-    res.final_grid = grid_;
-    if (inj != nullptr) {
-      res.faults = inj->log_since(log_mark);
-      inj->set_corruption_targets({});
-    }
-    return res;
-  }
   const double target = cfg_.cg.rel_tol * cfg_.cg.rel_tol * b2;
   // Checkpoint-audit slack: on a reduced wire the recursion residual and a
   // recomputed residual legitimately drift apart by the wire's rounding
@@ -287,19 +289,12 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   const double audit_slack =
       (cfg_.cg.rel_tol + wire_abft_floor(cfg_.wire.spinor)) * std::sqrt(b2);
 
-  Snapshot snap;
-  // Async checkpointing: states staged off the critical path, promoted into
-  // `snap` (the durable slot restores use) only after the deferred
-  // true-residual audit passes.  Restores discard any unaudited staging.
-  Snapshot staged;
-  double rr = 0.0;
-  int it = 0;
+  // `snap` is the durable snapshot restores land on.  Async checkpointing
+  // stages states off the critical path in `staged` and promotes one into
+  // `snap` only after its deferred audit passes.
+  Snapshot snap, staged;
   bool fatal = false;
-  // Iteration the last audit failure restored to.  A second audit failure
-  // against the same snapshot means the snapshot itself captured corrupted
-  // recursion state (the flip was below the audit threshold when it was
-  // taken) — restoring it again can never help, so the solver escalates to
-  // residual replacement instead.
+  // Iteration the last audit failure restored to (see `audit`).
   int last_audit_restore_iter = -1;
 
   // (Re)initialise the recursion from the current x: r = b - A x, p = r.
@@ -316,17 +311,62 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
     return true;
   };
 
+  // The one restart budget: every snapshot restore and every rebuild of the
+  // recursion draws on it.  Running out — or failing the apply a rebuild
+  // needs — is fatal: the solve ends with recovered_all = false.
+  auto restart = [&]() -> bool {
+    if (res.restarts >= cfg_.max_restarts) {
+      fatal = true;
+      return false;
+    }
+    ++res.restarts;
+    return true;
+  };
+
+  // Residual replacement (after `restart`): rebuild the recursion from the
+  // iterate in x.  The rebuilt state is consistent by construction, so a
+  // finite corruption burst costs at most some lost progress.
+  auto rebuild = [&](const std::string& detail) -> bool {
+    res.events.push_back({it, "rebuild", detail});
+    if (!init_state()) fatal = true;
+    return !fatal;
+  };
+
+  // Every restore: replay from the durable snapshot.  With the snapshot
+  // missing or torn, restart the recursion from the current x instead (the
+  // CG iterate is still a valid initial guess even if perturbed).
+  auto recover = [&](const std::string& why) {
+    if (!restart()) return;
+    staged.valid = false;  // an unaudited staging never survives a restore
+    if (snap.intact()) {
+      x = snap.x;
+      r = snap.r;
+      pvec = snap.p;
+      rr = snap.rr;
+      it = snap.iter;
+      res.events.push_back({it, "restore", why + " -> snapshot @ iter " + std::to_string(it)});
+      if (rec != nullptr) rec->restore(it, why);
+      return;
+    }
+    res.events.push_back({it, "restore", why + " -> reinit (no snapshot)"});
+    if (rec != nullptr) rec->restore(it, why + " (reinit)");
+    if (!init_state()) fatal = true;
+  };
+
   // Reliable update (reduced wire only): replace the recursion residual by
   // the exact-wire true residual and restart the search direction.  The
   // reduced wire only ever perturbs *ghost* values of the inner applies, by
   // a relative epsilon of the data on the wire — so between replacements the
   // true residual tracks the recursion residual to O(eps_wire), and each
   // replacement resets the accumulated drift.  Convergence is declared only
-  // on an exact residual.
+  // on an exact residual.  A failed replacement restores a snapshot.
   const bool reduced = cfg_.wire.reduced();
   int last_reliable = 0;
   auto reliable_update = [&](const char* why) -> bool {
-    if (!init_state()) return false;
+    if (!init_state()) {
+      recover("reliable update failed");
+      return false;
+    }
     last_reliable = it;
     ++res.reliable_updates;
     char detail[128];
@@ -336,32 +376,55 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
     return true;
   };
 
-  auto restore = [&](const char* why) -> bool {
-    if (res.restarts >= cfg_.max_restarts) return false;
-    ++res.restarts;
-    staged.valid = false;  // an unaudited staging never survives a restore
-    if (snap.intact()) {
-      x = snap.x;
-      r = snap.r;
-      pvec = snap.p;
-      rr = snap.rr;
-      it = snap.iter;
-      res.events.push_back({it, "restore", std::string(why) + " -> snapshot @ iter " +
-                                               std::to_string(snap.iter)});
-      if (rec != nullptr) rec->restore(snap.iter, why);
+  // The checkpoint audit, one for both modes: the audited iterate's true
+  // residual may exceed its recursion residual by at most the audit factor
+  // (plus the wire slack).  Synchronous mode audits the live state on the
+  // critical path.  Async mode audits the staged state one iteration after
+  // the staging: the apply runs inside that iteration's operator-application
+  // window on the simulated clock, so its cost is accounted off the critical
+  // path (hidden_applies).  On drift the solve restores the durable
+  // snapshot.  A second drift against the same snapshot means the snapshot
+  // itself captured corrupted recursion state (the flip was below the audit
+  // threshold when it was taken) — restoring it again can never help, so
+  // the solve keeps its iterate and rebuilds the recursion from it instead.
+  // Returns true when the audited state may become durable.
+  const bool async = cfg_.async_checkpoint;
+  auto audit = [&](const ColorField& ax, double arr, int at) -> bool {
+    const int audit_mark = res.applies;
+    const std::optional<double> tr2 = true_residual2(ax);
+    res.checkpoint_applies += res.applies - audit_mark;
+    if (async) res.hidden_applies += res.applies - audit_mark;
+    if (!tr2.has_value()) {
+      recover(async ? "async audit apply failed" : "audit apply failed");
+      return false;
+    }
+    if (!(std::sqrt(*tr2) > cfg_.residual_audit_factor * std::sqrt(arr) + audit_slack)) {
       return true;
     }
-    // Snapshot missing or torn: restart the recursion from the current x
-    // (the CG iterate is still a valid initial guess even if perturbed).
-    res.events.push_back({it, "restore", std::string(why) + " -> reinit (no snapshot)"});
-    if (rec != nullptr) rec->restore(it, std::string(why) + " (reinit)");
-    return init_state();
+    char detail[128];
+    std::snprintf(detail, sizeof detail, "%strue res %.3e vs recursion %.3e",
+                  async ? "staged " : "", std::sqrt(*tr2 / b2), std::sqrt(arr / b2));
+    res.events.push_back({at, async ? "audit-discard" : "audit-restore", detail});
+    if (!snap.intact() || snap.iter != last_audit_restore_iter) {
+      recover(async ? "async residual audit failed" : "residual audit failed");
+      last_audit_restore_iter = it;
+    } else if (restart()) {
+      x = snap.x;
+      it = snap.iter;
+      staged.valid = false;
+      if (rebuild("residual replacement @ iter " + std::to_string(it))) {
+        snap.take(x, r, pvec, rr, it);
+        if (rec != nullptr) rec->checkpoint(it, "post-rebuild");
+        last_audit_restore_iter = -1;
+      }
+    }
+    return false;
   };
 
   if (!init_state()) {
     // Even the initial residual could not be computed cleanly; one restore
     // pass (post-failover replay) is the only option left.
-    if (!restore("init failed")) fatal = true;
+    recover("init failed");
   }
   if (!fatal) {
     snap.take(x, r, pvec, rr, it);
@@ -379,14 +442,7 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
       // drifted from the truth by the accumulated wire rounding.  Replace it
       // through the exact fp64 wire and exit only when *that* residual
       // clears the target (docs/WIRE.md §5).
-      if (!reliable_update("convergence gate")) {
-        if (!restore("reliable update failed")) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
-      if (rr <= target) break;
+      if (reliable_update("convergence gate") && rr <= target) break;
       continue;
     }
     // Deadline/cancellation gate, at iteration granularity: a scheduler's
@@ -407,48 +463,16 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
 
     // Periodic reliable update: bound the residual drift a reduced wire can
     // accumulate between replacements (never fires on the exact wire).
-    if (reduced && cfg_.reliable_interval > 0 &&
-        it - last_reliable >= cfg_.reliable_interval) {
-      if (!reliable_update("periodic")) {
-        if (!restore("reliable update failed")) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
+    if (reduced && it - last_reliable >= kReliableInterval && !reliable_update("periodic")) {
+      continue;
     }
 
-    // Deferred audit of a staged snapshot (async mode), one iteration after
-    // the staging: the true-residual apply runs inside this iteration's
-    // operator-application window on the simulated clock, so its cost is
-    // accounted off the critical path (hidden_applies) — at equal cadence
-    // the async mode pays no per-checkpoint apply latency.  Only an audited
-    // staged state is promoted into the durable slot restores use.
-    if (cfg_.async_checkpoint && staged.valid && staged.iter != it) {
-      const int audit_mark = res.applies;
-      const std::optional<double> tr2 = true_residual2(staged.x);
-      res.checkpoint_applies += res.applies - audit_mark;
-      res.hidden_applies += res.applies - audit_mark;
-      if (!tr2.has_value()) {
-        if (!restore("async audit apply failed")) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
-      if (std::sqrt(*tr2) > cfg_.residual_audit_factor * std::sqrt(staged.rr) + audit_slack) {
-        char detail[128];
-        std::snprintf(detail, sizeof detail, "staged true res %.3e vs recursion %.3e",
-                      std::sqrt(*tr2 / b2), std::sqrt(staged.rr / b2));
-        res.events.push_back({staged.iter, "audit-discard", detail});
-        // The staging is a copy of the live recursion, so the live state is
-        // suspect too: fall back to the last durable snapshot and replay.
-        if (!restore("async residual audit failed")) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
+    // Checkpoint hook.  Async mode first audits the state it staged at an
+    // earlier iteration and promotes it durable; at the cadence it then only
+    // stages a host-side copy.  Synchronous mode audits the live state at
+    // the cadence and snapshots it.
+    if (async && staged.valid && staged.iter != it) {
+      if (!audit(staged.x, staged.rr, staged.iter)) continue;
       snap = staged;
       staged.valid = false;
       last_audit_restore_iter = -1;
@@ -460,85 +484,26 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
         rec->snapshot_promote(snap.iter, "staged -> durable");
       }
     }
-
-    // Checkpoint cadence.  Synchronous mode audits the recursion against the
-    // true residual on the critical path, then snapshots the audited state;
-    // async mode only stages a host-side copy here — its audit runs above,
-    // during the next iteration's apply window.
     if (cfg_.checkpoint_interval > 0 && it > 0 && it % cfg_.checkpoint_interval == 0 &&
-        snap.iter != it && cfg_.async_checkpoint) {
-      if (!staged.valid || staged.iter != it) {
+        snap.iter != it) {
+      const std::string rel = "rel res " + std::to_string(std::sqrt(rr / b2));
+      if (!async) {
+        if (!audit(x, rr, it)) continue;
+        snap.take(x, r, pvec, rr, it);
+        last_audit_restore_iter = -1;
+        ++res.checkpoints_taken;
+        res.events.push_back({it, "checkpoint", rel});
+        if (rec != nullptr) rec->checkpoint(it, rel);
+      } else if (!staged.valid || staged.iter != it) {
         staged.take(x, r, pvec, rr, it);
         ++res.snapshots_staged;
-        res.events.push_back({it, "checkpoint-staged",
-                              "rel res " + std::to_string(std::sqrt(rr / b2))});
-        if (rec != nullptr) {
-          rec->checkpoint(it, "staged (async) rel res " +
-                                  std::to_string(std::sqrt(rr / b2)));
-        }
-      }
-    } else if (cfg_.checkpoint_interval > 0 && it > 0 &&
-               it % cfg_.checkpoint_interval == 0 && snap.iter != it) {
-      const int audit_mark = res.applies;
-      const std::optional<double> tr2 = true_residual2(x);
-      res.checkpoint_applies += res.applies - audit_mark;
-      if (!tr2.has_value()) {
-        if (!restore("audit apply failed")) {
-          fatal = true;
-          break;
-        }
-        continue;
-      }
-      if (std::sqrt(*tr2) > cfg_.residual_audit_factor * std::sqrt(rr) + audit_slack) {
-        char detail[128];
-        std::snprintf(detail, sizeof detail, "true res %.3e vs recursion %.3e",
-                      std::sqrt(*tr2 / b2), std::sqrt(rr / b2));
-        res.events.push_back({it, "audit-restore", detail});
-        if (snap.intact() && snap.iter == last_audit_restore_iter) {
-          // The snapshot is provably unable to clear this audit: keep its
-          // iterate but rebuild the recursion from scratch (r = b - A x,
-          // p = r).  The rebuilt state is consistent by construction, so a
-          // finite corruption burst costs at most some lost progress.
-          if (res.restarts >= cfg_.max_restarts) {
-            fatal = true;
-            break;
-          }
-          ++res.restarts;
-          x = snap.x;
-          it = snap.iter;
-          res.events.push_back({it, "rebuild", "residual replacement @ iter " +
-                                                   std::to_string(it)});
-          if (!init_state()) {
-            fatal = true;
-            break;
-          }
-          snap.take(x, r, pvec, rr, it);
-          if (rec != nullptr) rec->checkpoint(it, "post-rebuild");
-          last_audit_restore_iter = -1;
-          continue;
-        }
-        if (!restore("residual audit failed")) {
-          fatal = true;
-          break;
-        }
-        last_audit_restore_iter = it;
-        continue;
-      }
-      snap.take(x, r, pvec, rr, it);
-      last_audit_restore_iter = -1;
-      ++res.checkpoints_taken;
-      res.events.push_back({it, "checkpoint",
-                            "rel res " + std::to_string(std::sqrt(rr / b2))});
-      if (rec != nullptr) {
-        rec->checkpoint(it, "rel res " + std::to_string(std::sqrt(rr / b2)));
+        res.events.push_back({it, "checkpoint-staged", rel});
+        if (rec != nullptr) rec->checkpoint(it, "staged (async) " + rel);
       }
     }
 
     if (!apply_checked(pvec, Ap)) {
-      if (!restore("apply unrecoverable")) {
-        fatal = true;
-        break;
-      }
+      recover("apply unrecoverable");
       continue;
     }
     if (failover_seen_) {
@@ -547,33 +512,17 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
       // trajectory is the pure post-failover one (bit-reproducible from the
       // seed thanks to the sharded Dslash's grid-independent exactness).
       failover_seen_ = false;
-      if (!restore("device-loss failover")) {
-        fatal = true;
-        break;
-      }
+      recover("device-loss failover");
       continue;
     }
 
-    const double pAp = dot(pvec, Ap).re;
-    if (!(pAp > 0.0)) {
+    if (!cg_step(Ap, x, r, pvec, rr)) {
       // A negative curvature direction on an HPD operator means corrupted
       // recursion state, not a property of the system: rebuild via residual
       // replacement while the restart budget lasts.
-      if (res.restarts >= cfg_.max_restarts) break;
-      ++res.restarts;
-      res.events.push_back({it, "rebuild", "pAp breakdown; residual replacement"});
-      if (!init_state()) {
-        fatal = true;
-        break;
-      }
+      if (restart()) rebuild("pAp breakdown; residual replacement");
       continue;
     }
-    const double alpha = rr / pAp;
-    axpy(alpha, pvec, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, pvec);
-    rr = rr_new;
     ++it;
     if (cfg_.cg.log_every > 0 && it % cfg_.cg.log_every == 0) {
       std::printf("sharded-cg: iter %5d  rel res %.3e\n", it, std::sqrt(rr / b2));

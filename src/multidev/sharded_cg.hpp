@@ -41,26 +41,22 @@ struct ShardedCgConfig {
   Strategy strategy = Strategy::LP3_1;
   IndexOrder order = IndexOrder::kMajor;
   int local_size = 768;
-  gpusim::LinkModel link = gpusim::dgx_a100_links();
   /// Two-level interconnect; nodes == 1 (default) keeps the single-node
-  /// path on `link`.  Multi-node solves exchange halos over the fabric tier
-  /// and recover from node loss exactly like device loss (the hardened
-  /// runner shrinks the grid below the survivor count in one failover).
+  /// path on the DGX-A100 NVLink model.  Multi-node solves exchange halos
+  /// over the fabric tier and recover from node loss exactly like device
+  /// loss (the hardened runner shrinks the grid below the survivor count in
+  /// one failover).
   gpusim::NodeTopology topo{};
-  ExchangeConfig xcfg{};
 
   /// Halo wire format of the *inner* CG applies (docs/WIRE.md).  The exact
   /// fp64 default leaves the solve bit-for-bit unchanged.  A reduced format
   /// shrinks every halo payload; exactness is then preserved by the
   /// reliable-update outer loop: the recursion runs on the reduced wire,
-  /// the residual is periodically replaced by r = b - A x through the exact
-  /// fp64 wire (with a p-restart), and convergence is only declared when an
-  /// exact-wire true residual clears the tolerance (docs/WIRE.md §5).
+  /// the residual is replaced by r = b - A x through the exact fp64 wire
+  /// (with a p-restart) every 25 iterations and at the convergence gate,
+  /// and convergence is only declared when an exact-wire true residual
+  /// clears the tolerance (docs/WIRE.md §5).
   WireFormat wire{};
-  /// Iterations between forced exact-wire residual replacements on a
-  /// reduced wire (0 disables the periodic trigger; the convergence-gate
-  /// replacement always runs).  Ignored on the exact wire.
-  int reliable_interval = 25;
 
   /// Iterations between solver-state snapshots (0 disables checkpointing;
   /// the initial state is always snapshotted).  Each checkpoint pays one
@@ -74,17 +70,14 @@ struct ShardedCgConfig {
   /// critical path, ShardedCgResult::hidden_applies), and only an audited
   /// staged state is promoted to the durable snapshot restores use —
   /// restores therefore stay bit-for-bit exact, they just may reach one
-  /// cadence further back.  Default off: the synchronous path is untouched.
+  /// cadence further back.  The deferred audit is the synchronous one and
+  /// escalates the same way.  Default off: the synchronous path is untouched.
   bool async_checkpoint = false;
 
-  bool abft = true;
-  std::uint64_t abft_seed = 0x5eed;
-  /// |<r,y> - <z,x>| <= tol * scale accepts an apply, scale grown with the
-  /// contracted norms; 1e-8 rides above kernel-vs-reference summation
-  /// roundoff while catching any injected bit flip of the fields.
-  double abft_rel_tol = 1e-8;
-  int max_recomputes = 2;  ///< ABFT-mismatch recomputes per apply (after the first)
-  int max_restarts = 8;    ///< checkpoint restores per solve
+  /// Restarts per solve: every snapshot restore and every rebuild of the
+  /// recursion draws on this one budget; running out ends the solve with
+  /// `recovered_all = false`.
+  int max_restarts = 8;
   /// Checkpoint audit: the true residual may exceed the recursion residual
   /// by at most this factor before the state is declared corrupted.
   double residual_audit_factor = 1e3;
@@ -106,7 +99,9 @@ struct ShardedCgConfig {
 /// One solver-level recovery decision.
 struct SolverEvent {
   int iteration = 0;
-  std::string kind;  ///< checkpoint | audit-restore | recompute | restore | rebuild | failover
+  /// checkpoint | checkpoint-staged | audit-restore | audit-discard |
+  /// recompute | restore | rebuild | failover | reliable-update | cancelled
+  std::string kind;
   std::string detail;
 };
 
@@ -116,7 +111,7 @@ struct ShardedCgResult {
   bool cancelled = false;     ///< solve stopped by max_applies or the cancel hook
   int applies = 0;            ///< sharded operator applications (incl. recomputes)
   int checkpoints_taken = 0;
-  int restarts = 0;    ///< checkpoint restores (ABFT, audit or failover)
+  int restarts = 0;    ///< snapshot restores and recursion rebuilds (one budget)
   int recomputes = 0;  ///< applies discarded by the ABFT check
   int reliable_updates = 0;  ///< exact-wire residual replacements (reduced wire)
   /// The reliable-update certificate: the final true residual, computed
@@ -194,11 +189,12 @@ class ShardedCgSolver {
   /// Run one Dslash (problem.c() = D problem.b()) through the sharded path
   /// on the given halo wire format, over the problem's layout cache; returns
   /// false when the hardened runner exhausted recovery.  Adopts the
-  /// post-failover grid and flags `failover_seen_`.
+  /// post-failover grid and flags `failover_seen_`; failover events land in
+  /// `res` stamped with the solver `iteration`.
   bool run_dslash(DslashProblem& problem, ShardLayouts& layouts, ShardedCgResult* res,
-                  const WireFormat& wire);
+                  const WireFormat& wire, int iteration);
   bool apply_raw(const ColorField& in, ColorField& out, ShardedCgResult* res,
-                 const WireFormat& wire);
+                 const WireFormat& wire, int iteration);
 
   double mass_;
   PartitionGrid grid_;

@@ -29,15 +29,13 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes) {
 namespace {
 
 ShardedCgConfig solver_config(const ProblemSpec& sp, Strategy strategy,
-                              const gpusim::NodeTopology& topo,
-                              bool async_checkpoint = false) {
+                              const gpusim::NodeTopology& topo) {
   ShardedCgConfig c;
   c.cg.rel_tol = sp.rel_tol;
   c.cg.max_iterations = sp.max_iterations;
   c.checkpoint_interval = sp.checkpoint_interval;
   c.strategy = strategy;
   c.topo = topo;
-  c.async_checkpoint = async_checkpoint;
   return c;
 }
 
@@ -615,7 +613,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
   const gpusim::NodeTopology etopo = multidev::effective_topology(topo_, placement.devices);
 
   int applies_total = 0;
-  ShardedCgConfig scfg = solver_config(sp, strat, etopo, cfg_.async_checkpoint);
+  ShardedCgConfig scfg = solver_config(sp, strat, etopo);
   if (apply_budget > 0) {
     scfg.cancel = [&applies_total, apply_budget](int, int applies) {
       return applies_total + applies >= apply_budget;
@@ -650,10 +648,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
     const ShardedCgResult sres = solver.solve(b, x);
 
     applies_total += sres.applies;
-    // Hidden applies (async checkpoint audits) overlap the next iteration's
-    // apply window: they cost devices nothing on the critical path.
-    solve_us += (sres.applies - sres.hidden_applies) * 2.0 * placement.per_iter_us +
-                sres.recovery_us;
+    solve_us += sres.applies * 2.0 * placement.per_iter_us + sres.recovery_us;
     f.outcome.iterations += sres.cg.iterations;
     f.outcome.applies += sres.applies;
     f.outcome.restarts += sres.restarts;

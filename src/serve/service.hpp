@@ -66,10 +66,6 @@ struct ServiceConfig {
   /// the hardened runner re-replicates a lost shard onto a standby instead
   /// of shrinking the grid, so placement capacity survives device loss.
   gpusim::SpareInventory spares{};
-  /// Run dispatched solves with asynchronous checkpointing (staging off the
-  /// critical path, audit overlapped with the next apply).  Solve time then
-  /// charges only `applies - hidden_applies` operator applications.
-  bool async_checkpoint = false;
 
   double dispatch_overhead_us = 25.0;  ///< control-plane cost per dispatch
   double retry_backoff_us = 500.0;     ///< requeue backoff = base * factor^(attempt-1)

@@ -167,6 +167,37 @@ TEST(DsanClean, CheckpointedShardedCgSolveChecksClean) {
       << "the solve must actually snapshot for CheckpointInWindow coverage";
 }
 
+TEST(DsanClean, ShardedCgRestoreAfterDeviceLossChecksClean) {
+  // A device lost mid-solve: the runner fails over to the survivor and the
+  // solver restores its last checkpoint, then replays on the smaller grid.
+  // The recorded trace holds that restore, and it must check clean.
+  ShardedCgConfig cfg;
+  cfg.cg.max_iterations = 400;
+  cfg.checkpoint_interval = 8;
+  cfg.residual_audit_factor = 100.0;
+  ShardedCgSolver solver(Coords{4, 4, 4, 12}, /*gauge_seed=*/31, /*mass=*/0.5,
+                         PartitionGrid::along(3, 2), cfg);
+  ColorField b(solver.geom(), Parity::Even);
+  b.fill_random(/*seed=*/77);
+  ColorField x(solver.geom(), Parity::Even);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 40, 1, "device r"});
+
+  dsan::ScopedRecorder sr;
+  ShardedCgResult result;
+  {
+    ScopedFaultInjection fi(plan);
+    result = solver.solve(b, x);
+  }
+  ASSERT_TRUE(result.cg.converged) << result.summary();
+  const dsan::Trace& trace = sr.rec.trace();
+  const std::size_t restore = find_event(
+      trace, [](const dsan::Event& e) { return e.kind == dsan::EventKind::Restore; });
+  EXPECT_LT(restore, trace.events.size()) << "the failover must restore a checkpoint";
+  expect_all_clean(dsan::check_all(trace, "sharded-cg restore"));
+}
+
 // ------------------------------------------------------------------ bug zoo
 
 TEST(DsanBugZoo, ErasedDeliveriesAreACrossDeviceRace) {

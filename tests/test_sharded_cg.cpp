@@ -10,6 +10,7 @@
 // mid-solve failover onto a smaller grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -402,6 +403,84 @@ TEST(ShardedCg, AsyncCheckpointDeviceLossRestoresBitForBit) {
       << "the restore must have had an audited snapshot to land on";
   EXPECT_EQ(res.final_grid.total(), 1);
   EXPECT_EQ(max_abs_diff(x, x_clean), 0.0);
+}
+
+TEST(ShardedCg, AsyncCheckpointBitFlipBurstStillConverges) {
+  // The flip burst of BitFlipCorruptionIsCaughtAndTheSolveStillConverges,
+  // with async checkpoints.  A flip below the audit threshold gets promoted
+  // inside a snapshot, so every replay from that snapshot fails the next
+  // audit again.  The async audit must escalate like the sync one: the
+  // second drift against one snapshot rebuilds the recursion from its
+  // iterate instead of restoring it until the restart budget runs out.
+  ShardedCgConfig acfg = quick_config();
+  acfg.async_checkpoint = true;
+  ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), acfg);
+  const ColorField b = make_source(solver.geom());
+  ColorField x(solver.geom(), Parity::Even);
+  FaultPlan plan;
+  plan.seed = 12;
+  plan.schedule.push_back(ScheduledFault{FaultKind::bit_flip, 120, 6, ""});
+  ScopedFaultInjection fi(plan);
+  const ShardedCgResult res = solver.solve(b, x);
+
+  ASSERT_TRUE(res.cg.converged) << res.summary();
+  EXPECT_TRUE(res.recovered_all);
+  bool rebuilt = false;
+  for (const SolverEvent& ev : res.events) {
+    if (ev.kind == "rebuild") rebuilt = true;
+  }
+  EXPECT_TRUE(rebuilt) << "a second drift against one snapshot must rebuild";
+
+  ColorField Ax(solver.geom(), Parity::Even);
+  solver.apply_reference(x, Ax);
+  ColorField r = b;
+  axpy(-1.0, Ax, r);
+  EXPECT_LT(std::sqrt(norm2(r) / norm2(b)), 1e3 * quick_config().cg.rel_tol);
+}
+
+TEST(ShardedCg, FailoverAndRecomputeEventsCarryTheirIteration) {
+  // A failover is stamped with the iteration whose apply lost the device,
+  // so it reads before (at or after the snapshot of) the restore it causes.
+  {
+    ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2),
+                           quick_config());
+    const ColorField b = make_source(solver.geom());
+    ColorField x(solver.geom(), Parity::Even);
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 40, 1, "device r"});
+    ScopedFaultInjection fi(plan);
+    const ShardedCgResult res = solver.solve(b, x);
+
+    auto of_kind = [](const char* kind) {
+      return [kind](const SolverEvent& ev) { return ev.kind == kind; };
+    };
+    const auto failover = std::find_if(res.events.begin(), res.events.end(), of_kind("failover"));
+    ASSERT_NE(failover, res.events.end()) << res.summary();
+    EXPECT_GT(failover->iteration, 0);
+    const auto restore = std::find_if(failover, res.events.end(), of_kind("restore"));
+    ASSERT_NE(restore, res.events.end()) << "the failover must be followed by a restore";
+    EXPECT_GE(failover->iteration, restore->iteration);
+  }
+  {
+    ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2),
+                           quick_config());
+    const ColorField b = make_source(solver.geom());
+    ColorField x(solver.geom(), Parity::Even);
+    FaultPlan plan;
+    plan.seed = 12;
+    plan.schedule.push_back(ScheduledFault{FaultKind::bit_flip, 120, 6, ""});
+    ScopedFaultInjection fi(plan);
+    const ShardedCgResult res = solver.solve(b, x);
+
+    bool recomputed = false;
+    for (const SolverEvent& ev : res.events) {
+      if (ev.kind != "recompute") continue;
+      recomputed = true;
+      EXPECT_GT(ev.iteration, 0) << ev.detail;
+    }
+    EXPECT_TRUE(recomputed) << "the flip burst must trip the ABFT check";
+  }
 }
 
 TEST(ShardedCg, CopyOfASolvedSolverOutlivesTheOriginal) {
