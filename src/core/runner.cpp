@@ -1,5 +1,6 @@
 #include "core/runner.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <type_traits>
@@ -80,6 +81,28 @@ void declare_dslash_regions(const DslashArgs<dcomplex>& a, ksan::SanitizeConfig&
   cfg.regions.push_back(ksan::region_of(a.b, n));
   cfg.regions.push_back(ksan::region_of(a.c_out, n));
   cfg.regions.push_back(ksan::region_of(a.neighbors, n * kNeighbors));
+}
+
+std::vector<RunRequest> fallback_requests(const RunRequest& req, std::int64_t sites) {
+  std::vector<RunRequest> rungs;
+  rungs.reserve(1 + kFallbackLadder.size());
+  rungs.push_back(req);
+  for (const Strategy s : kFallbackLadder) {
+    if (s == req.strategy) continue;
+    RunRequest r = req;
+    r.strategy = s;
+    r.variant = Variant::SYCL;
+    const std::vector<IndexOrder> orders = orders_of(s);
+    if (std::find(orders.begin(), orders.end(), r.order) == orders.end()) {
+      r.order = orders.front();
+    }
+    if (!is_valid_local_size(s, r.order, r.local_size, sites)) {
+      const std::vector<int> sizes = paper_local_sizes(s, r.order, sites);
+      if (!sizes.empty()) r.local_size = sizes.front();
+    }
+    rungs.push_back(r);
+  }
+  return rungs;
 }
 
 RunResult DslashRunner::run(DslashProblem& problem, const RunRequest& req) const {

@@ -9,7 +9,9 @@
 // in-order from out-of-order builds across the 100-iteration loop.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/problem.hpp"
 #include "core/strategy.hpp"
@@ -35,6 +37,13 @@ struct RunRequest {
   Variant variant = Variant::SYCL;
   int iterations = 100;  ///< kernel iterations per run (paper: 100)
 };
+
+/// The requests a recovery path tries in order: `req` itself, then every
+/// other rung of kFallbackLadder adapted to it — plain SYCL variant, and the
+/// first paper-valid (order, local size) on `sites` target sites when the
+/// caller's choice does not exist for that strategy.
+[[nodiscard]] std::vector<RunRequest> fallback_requests(const RunRequest& req,
+                                                        std::int64_t sites);
 
 struct RunResult {
   std::string label;

@@ -2,6 +2,7 @@
 // strategies (§III) and work-item index orders.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,6 +49,11 @@ enum class IndexOrder { kMajor, iMajor, lMajor };
 /// when replaying persisted tuning-cache entries, which store the order by
 /// its printed name.
 [[nodiscard]] bool parse_index_order(const std::string& name, IndexOrder& out);
+
+/// The recovery paths' strategy fallback ladder (docs/RESILIENCE.md): a
+/// strategy that keeps faulting is abandoned for the next, simpler shape.
+inline constexpr std::array<Strategy, 3> kFallbackLadder = {Strategy::LP3_1, Strategy::LP2,
+                                                            Strategy::LP1};
 
 /// All strategies in the paper's presentation order.
 [[nodiscard]] const std::vector<Strategy>& all_strategies();

@@ -1,5 +1,6 @@
 #include "faultsim/faultsim.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -17,6 +18,9 @@ std::unique_ptr<Injector>& slot() {
 }
 Injector* g_current = nullptr;
 std::mutex g_mu;  // guards all Injector mutable state and install/uninstall
+
+/// The site every allocation consult logs and schedule filters match.
+const std::string kAllocSite = "malloc_device";
 
 /// splitmix64 — the standard 64-bit finaliser; full avalanche, so consecutive
 /// counters give independent-looking draws.
@@ -95,23 +99,37 @@ Injector::SiteState& Injector::site_state(const std::string& name) {
   return sites_.back().second;
 }
 
+const ScheduledFault* Injector::scheduled(std::initializer_list<FaultKind> kinds,
+                                          const std::string& site,
+                                          std::uint64_t occurrence) const {
+  for (const ScheduledFault& s : plan_.schedule) {
+    if (std::find(kinds.begin(), kinds.end(), s.kind) == kinds.end()) continue;
+    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
+    if (occurrence >= s.index && occurrence < s.index + s.repeat) return &s;
+  }
+  return nullptr;
+}
+
+bool Injector::consult(FaultKind kind, double p, std::uint64_t& stream, const std::string& site,
+                       const char* what) {
+  std::lock_guard<std::mutex> lock(g_mu);
+  const std::uint64_t occ = site_state(site).launches++;  // per-site consult occurrence
+  const std::uint64_t chk = stream++;
+  const bool hit = scheduled({kind}, site, occ) != nullptr || (p > 0.0 && draw(kind, chk) < p);
+  if (hit) record(kind, site, occ, std::string(what) + " " + std::to_string(occ));
+  return hit;
+}
+
 bool Injector::should_fail_alloc(std::size_t bytes) {
   std::lock_guard<std::mutex> lock(g_mu);
   const std::uint64_t occ = alloc_counter_++;
-  bool fail = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind == FaultKind::alloc_fail && occ >= s.index && occ < s.index + s.repeat) {
-      fail = true;
-      break;
-    }
-  }
-  if (!fail && plan_.p_alloc_fail > 0.0) {
-    fail = draw(FaultKind::alloc_fail, occ) < plan_.p_alloc_fail;
-  }
+  const bool fail = scheduled({FaultKind::alloc_fail}, kAllocSite, occ) != nullptr ||
+                    (plan_.p_alloc_fail > 0.0 &&
+                     draw(FaultKind::alloc_fail, occ) < plan_.p_alloc_fail);
   if (fail) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "allocation of %zu B refused", bytes);
-    record(FaultKind::alloc_fail, "malloc_device", occ, buf);
+    record(FaultKind::alloc_fail, kAllocSite, occ, buf);
   }
   return fail;
 }
@@ -123,20 +141,12 @@ LaunchVerdict Injector::on_kernel_launch(const std::string& name) {
   const std::uint64_t attempt = launch_counter_++;
 
   LaunchVerdict v;
-  bool scheduled = false;
   // Explicit schedule wins over probability.
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::launch_fail && s.kind != FaultKind::sticky_fault &&
-        s.kind != FaultKind::hang) {
-      continue;
-    }
-    if (!s.site_filter.empty() && name.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      v.faulted = true;
-      v.kind = s.kind;
-      scheduled = true;
-      break;
-    }
+  const ScheduledFault* s =
+      scheduled({FaultKind::launch_fail, FaultKind::sticky_fault, FaultKind::hang}, name, occ);
+  if (s != nullptr) {
+    v.faulted = true;
+    v.kind = s->kind;
   }
   if (!v.faulted && plan_.p_launch_fail > 0.0 &&
       draw(FaultKind::launch_fail, attempt) < plan_.p_launch_fail) {
@@ -156,8 +166,8 @@ LaunchVerdict Injector::on_kernel_launch(const std::string& name) {
   // Sticky faults are transient by definition: after `sticky_burst`
   // consecutive failures of one site the fault clears, so bounded retry
   // always gets past it.  (A *scheduled* sticky fault honours its own
-  // `repeat` instead — it fired through the schedule branch above.)
-  if (v.faulted && v.kind == FaultKind::sticky_fault && !scheduled) {
+  // `repeat` instead — it fired through the schedule above.)
+  if (v.faulted && v.kind == FaultKind::sticky_fault && s == nullptr) {
     if (st.consecutive_sticky >= plan_.sticky_burst) {
       v.faulted = false;
       st.consecutive_sticky = 0;
@@ -188,7 +198,8 @@ LaunchVerdict Injector::on_kernel_complete(const std::string& name, double durat
     char buf[96];
     std::snprintf(buf, sizeof(buf), "simulated duration %.1f us exceeds watchdog %.1f us",
                   duration_us, plan_.watchdog_timeout_us);
-    record(FaultKind::hang, name, site_state(name).launches, buf);
+    // on_kernel_launch already advanced the site's counter past this launch.
+    record(FaultKind::hang, name, site_state(name).launches - 1, buf);
   }
   return v;
 }
@@ -198,18 +209,8 @@ bool Injector::maybe_corrupt(const std::string& name) {
   const std::uint64_t occ = complete_counter_++;
   if (targets_.empty()) return false;
 
-  bool flip = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::bit_flip) continue;
-    if (!s.site_filter.empty() && name.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      flip = true;
-      break;
-    }
-  }
-  if (!flip && plan_.p_bit_flip > 0.0) {
-    flip = draw(FaultKind::bit_flip, occ) < plan_.p_bit_flip;
-  }
+  const bool flip = scheduled({FaultKind::bit_flip}, name, occ) != nullptr ||
+                    (plan_.p_bit_flip > 0.0 && draw(FaultKind::bit_flip, occ) < plan_.p_bit_flip);
   if (!flip) return false;
 
   // Pick region, byte and bit from the same deterministic stream.
@@ -245,19 +246,11 @@ LinkVerdict Injector::on_message(const std::string& site, std::uint64_t bytes) {
   const std::uint64_t msg = message_counter_++;
 
   LinkVerdict v;
-  // Explicit schedule wins over probability; entries compose (a message can
+  // Explicit schedule wins over probability; kinds compose (a message can
   // be scheduled both delayed and corrupted).
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::msg_drop && s.kind != FaultKind::msg_corrupt &&
-        s.kind != FaultKind::msg_delay) {
-      continue;
-    }
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ < s.index || occ >= s.index + s.repeat) continue;
-    if (s.kind == FaultKind::msg_drop) v.dropped = true;
-    if (s.kind == FaultKind::msg_corrupt) v.corrupted = true;
-    if (s.kind == FaultKind::msg_delay) v.delayed = true;
-  }
+  v.dropped = scheduled({FaultKind::msg_drop}, site, occ) != nullptr;
+  v.corrupted = scheduled({FaultKind::msg_corrupt}, site, occ) != nullptr;
+  v.delayed = scheduled({FaultKind::msg_delay}, site, occ) != nullptr;
   if (!v.dropped && plan_.p_msg_drop > 0.0 &&
       draw(FaultKind::msg_drop, msg) < plan_.p_msg_drop) {
     v.dropped = true;
@@ -295,142 +288,26 @@ LinkVerdict Injector::on_message(const std::string& site, std::uint64_t bytes) {
 }
 
 bool Injector::on_device_check(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  SiteState& st = site_state(site);
-  const std::uint64_t occ = st.launches++;  // per-site consult occurrence
-  const std::uint64_t chk = device_counter_++;
-
-  bool lost = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::device_loss) continue;
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      lost = true;
-      break;
-    }
-  }
-  if (!lost && plan_.p_device_loss > 0.0 &&
-      draw(FaultKind::device_loss, chk) < plan_.p_device_loss) {
-    lost = true;
-  }
-  if (lost) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "health check %llu",
-                  static_cast<unsigned long long>(occ));
-    record(FaultKind::device_loss, site, occ, buf);
-  }
-  return lost;
+  return consult(FaultKind::device_loss, plan_.p_device_loss, device_counter_, site,
+                 "health check");
 }
 
 bool Injector::on_node_check(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  SiteState& st = site_state(site);
-  const std::uint64_t occ = st.launches++;  // per-site consult occurrence
-  const std::uint64_t chk = node_counter_++;
-
-  bool lost = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::node_loss) continue;
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      lost = true;
-      break;
-    }
-  }
-  if (!lost && plan_.p_node_loss > 0.0 &&
-      draw(FaultKind::node_loss, chk) < plan_.p_node_loss) {
-    lost = true;
-  }
-  if (lost) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "health check %llu",
-                  static_cast<unsigned long long>(occ));
-    record(FaultKind::node_loss, site, occ, buf);
-  }
-  return lost;
+  return consult(FaultKind::node_loss, plan_.p_node_loss, node_counter_, site, "health check");
 }
 
 bool Injector::on_serve_check(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  SiteState& st = site_state(site);
-  const std::uint64_t occ = st.launches++;  // per-site consult occurrence
-  const std::uint64_t chk = serve_counter_++;
-
-  bool faulted = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::serve_fault) continue;
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      faulted = true;
-      break;
-    }
-  }
-  if (!faulted && plan_.p_serve > 0.0 &&
-      draw(FaultKind::serve_fault, chk) < plan_.p_serve) {
-    faulted = true;
-  }
-  if (faulted) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "control-plane step %llu",
-                  static_cast<unsigned long long>(occ));
-    record(FaultKind::serve_fault, site, occ, buf);
-  }
-  return faulted;
+  return consult(FaultKind::serve_fault, plan_.p_serve, serve_counter_, site,
+                 "control-plane step");
 }
 
 bool Injector::on_cache_check(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  SiteState& st = site_state(site);
-  const std::uint64_t occ = st.launches++;  // per-site consult occurrence
-  const std::uint64_t chk = cache_counter_++;
-
-  bool faulted = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::cache_fault) continue;
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      faulted = true;
-      break;
-    }
-  }
-  if (!faulted && plan_.p_cache_fault > 0.0 &&
-      draw(FaultKind::cache_fault, chk) < plan_.p_cache_fault) {
-    faulted = true;
-  }
-  if (faulted) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "cache I/O step %llu",
-                  static_cast<unsigned long long>(occ));
-    record(FaultKind::cache_fault, site, occ, buf);
-  }
-  return faulted;
+  return consult(FaultKind::cache_fault, plan_.p_cache_fault, cache_counter_, site,
+                 "cache I/O step");
 }
 
 bool Injector::on_heal_check(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  SiteState& st = site_state(site);
-  const std::uint64_t occ = st.launches++;  // per-site consult occurrence
-  const std::uint64_t chk = heal_counter_++;
-
-  bool healed = false;
-  for (const ScheduledFault& s : plan_.schedule) {
-    if (s.kind != FaultKind::heal) continue;
-    if (!s.site_filter.empty() && site.find(s.site_filter) == std::string::npos) continue;
-    if (occ >= s.index && occ < s.index + s.repeat) {
-      healed = true;
-      break;
-    }
-  }
-  if (!healed && plan_.p_heal > 0.0 && draw(FaultKind::heal, chk) < plan_.p_heal) {
-    healed = true;
-  }
-  if (healed) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "device return %llu",
-                  static_cast<unsigned long long>(occ));
-    record(FaultKind::heal, site, occ, buf);
-  }
-  return healed;
+  return consult(FaultKind::heal, plan_.p_heal, heal_counter_, site, "device return");
 }
 
 void Injector::set_corruption_targets(std::vector<MemRegion> regions) {

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,7 @@ struct ScheduledFault {
   FaultKind kind = FaultKind::launch_fail;
   std::uint64_t index = 0;      ///< fire on the index-th occurrence (0-based)
   std::uint64_t repeat = 1;     ///< ...and the repeat-1 following occurrences
-  std::string site_filter;      ///< substring of the kernel name; empty = any site
+  std::string site_filter;      ///< substring of the site name; empty = any site
 };
 
 /// How malloc_device reports an injected allocation failure.
@@ -158,7 +159,9 @@ class Injector {
 
   // --- consult points (called by minisycl) --------------------------------
 
-  /// True when this allocation must fail; the event is logged.
+  /// True when this allocation must fail; the event is logged.  Every
+  /// allocation consults the site "malloc_device", so a schedule entry's
+  /// `site_filter` must match that name.
   [[nodiscard]] bool should_fail_alloc(std::size_t bytes);
 
   /// Decide the fate of one kernel launch attempt (schedule first, then the
@@ -166,7 +169,9 @@ class Injector {
   [[nodiscard]] LaunchVerdict on_kernel_launch(const std::string& name);
 
   /// Report a completed launch whose *simulated* duration is known; returns a
-  /// hang verdict when the duration exceeds the plan's watchdog.
+  /// hang verdict when the duration exceeds the plan's watchdog.  The hang is
+  /// logged at the occurrence of the site's latest on_kernel_launch — the
+  /// launch it completes.
   [[nodiscard]] LaunchVerdict on_kernel_complete(const std::string& name, double duration_us);
 
   /// Flip one deterministic-random bit inside the registered target regions
@@ -239,6 +244,16 @@ class Injector {
   explicit Injector(FaultPlan plan) : plan_(std::move(plan)) {}
 
   [[nodiscard]] double draw(FaultKind kind, std::uint64_t counter) const;
+  /// The first schedule entry whose kind is one of `kinds`, whose filter
+  /// matches `site` and whose window covers `occurrence`; nullptr if none.
+  [[nodiscard]] const ScheduledFault* scheduled(std::initializer_list<FaultKind> kinds,
+                                                const std::string& site,
+                                                std::uint64_t occurrence) const;
+  /// The yes/no consult behind every on_*_check: takes the site's
+  /// occurrence, advances the kind's draw `stream`, checks the schedule and
+  /// then draws against `p`, and logs a hit as "<what> <occurrence>".
+  [[nodiscard]] bool consult(FaultKind kind, double p, std::uint64_t& stream,
+                             const std::string& site, const char* what);
   void record(FaultKind kind, const std::string& site, std::uint64_t occurrence,
               std::string detail);
 

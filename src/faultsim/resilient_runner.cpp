@@ -67,6 +67,16 @@ std::string RecoveryReport::summary() const {
 
 namespace {
 
+/// Simulated backoff after failed attempt `attempt`: 100 us doubling per attempt.
+double backoff_us(int attempt) { return 100.0 * std::pow(2.0, attempt); }
+
+constexpr std::uint64_t kAbftSeed = 0x5eed;
+/// |<r,C> - s_ref| <= tol * max(1, |s_ref|) accepts the output.  1e-9 rides
+/// above summation-order roundoff between kernel and serial reference; flips
+/// below it are also below every field tolerance used by the correctness
+/// tests (see docs/RESILIENCE.md).
+constexpr double kAbftRelTol = 1e-9;
+
 /// <r, c>: conjugate-linear contraction over the site arrays — the O(n)
 /// ABFT check, summed in a fixed order so repeated checks are bit-identical.
 dcomplex contract(const SU3Vector<dcomplex>* r, const SU3Vector<dcomplex>* c,
@@ -74,25 +84,6 @@ dcomplex contract(const SU3Vector<dcomplex>* r, const SU3Vector<dcomplex>* c,
   dcomplex acc{0.0, 0.0};
   for (std::int64_t s = 0; s < n; ++s) acc += dot(r[s], c[s]);
   return acc;
-}
-
-/// Adapt the caller's request to a fallback rung: plain SYCL variant, and
-/// the first paper-valid (order, local size) when the caller's choice does
-/// not exist for that strategy.
-RunRequest adapt_request(const RunRequest& base, Strategy s, std::int64_t sites) {
-  if (s == base.strategy) return base;
-  RunRequest r = base;
-  r.strategy = s;
-  r.variant = Variant::SYCL;
-  const std::vector<IndexOrder> orders = orders_of(s);
-  if (std::find(orders.begin(), orders.end(), r.order) == orders.end()) {
-    r.order = orders.front();
-  }
-  if (!is_valid_local_size(s, r.order, r.local_size, sites)) {
-    const std::vector<int> sizes = paper_local_sizes(s, r.order, sites);
-    if (!sizes.empty()) r.local_size = sizes.front();
-  }
-  return r;
 }
 
 std::vector<faultsim::FaultEvent> drain_log(faultsim::Injector* inj, std::size_t mark) {
@@ -128,68 +119,55 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
   }
 
   // --- ABFT setup: one golden serial reference + one scalar to keep --------
-  ColorField c_ref;
-  ColorField r_host;
-  dcomplex s_ref{0.0, 0.0};
-  SU3Vector<dcomplex>* r_dev = nullptr;
-  if (cfg_.abft) {
-    c_ref = ColorField(problem.geom(), problem.target_parity());
-    dslash_reference(problem.view(), problem.neighbors(), problem.b(), c_ref);
-    r_host = ColorField(problem.geom(), problem.target_parity());
-    r_host.fill_random(cfg_.abft_seed);
-    s_ref = dot(r_host, c_ref);
+  ColorField c_ref(problem.geom(), problem.target_parity());
+  dslash_reference(problem.view(), problem.neighbors(), problem.b(), c_ref);
+  ColorField r_host(problem.geom(), problem.target_parity());
+  r_host.fill_random(kAbftSeed);
+  const dcomplex s_ref = dot(r_host, c_ref);
 
-    // Stage the check vector in device memory, as a service would; this is
-    // the allocation-pressure fault site.  Degrade to the host copy when the
-    // allocator stays exhausted — verification must not be lost to OOM.
-    for (int attempt = 0; attempt < cfg_.max_attempts_per_strategy; ++attempt) {
-      const std::size_t mark = inj != nullptr ? inj->log().size() : 0;
-      SU3Vector<dcomplex>* p = nullptr;
-      try {
-        p = minisycl::malloc_device<SU3Vector<dcomplex>>(static_cast<std::size_t>(sites),
-                                                         util_q);
-      } catch (const std::bad_alloc&) {
-        p = nullptr;
-      }
-      if (p != nullptr) {
-        // Plain memcpy: the host-side source vector may legitimately reuse a
-        // heap block the registry still tracks as a freed USM region (freed
-        // ranges are kept for use-after-free diagnosis), so the checked copy
-        // would false-positive across repeated runs.
-        std::memcpy(p, r_host.data(),
-                    static_cast<std::size_t>(sites) * sizeof(SU3Vector<dcomplex>));
-        r_dev = p;
-        break;
-      }
-      const double backoff =
-          cfg_.backoff_base_us * std::pow(cfg_.backoff_factor, attempt);
-      rep.recovery_us += backoff;
-      rep.steps.push_back(RecoveryStep{RecoveryAction::alloc_retry, req.strategy, attempt,
-                                       backoff, "malloc_device",
-                                       "ABFT check-vector allocation refused",
-                                       drain_log(inj, mark)});
+  // Stage the check vector in device memory, as a service would; this is the
+  // allocation-pressure fault site.  Degrade to the host copy when the
+  // allocator stays exhausted — verification must not be lost to OOM.
+  SU3Vector<dcomplex>* r_dev = nullptr;
+  for (int attempt = 0; attempt < kMaxAttemptsPerStrategy; ++attempt) {
+    const std::size_t mark = inj != nullptr ? inj->log().size() : 0;
+    SU3Vector<dcomplex>* p = nullptr;
+    try {
+      p = minisycl::malloc_device<SU3Vector<dcomplex>>(static_cast<std::size_t>(sites), util_q);
+    } catch (const std::bad_alloc&) {
+      p = nullptr;
     }
-    if (r_dev == nullptr && !rep.steps.empty()) {
-      rep.steps.push_back(RecoveryStep{RecoveryAction::degrade, req.strategy, 0, 0.0,
-                                       "malloc_device",
-                                       "device allocation exhausted; ABFT check vector stays "
-                                       "host-resident",
-                                       {}});
+    if (p != nullptr) {
+      // Plain memcpy: the host-side source vector may legitimately reuse a
+      // heap block the registry still tracks as a freed USM region (freed
+      // ranges are kept for use-after-free diagnosis), so the checked copy
+      // would false-positive across repeated runs.
+      std::memcpy(p, r_host.data(), static_cast<std::size_t>(sites) * sizeof(SU3Vector<dcomplex>));
+      r_dev = p;
+      break;
     }
+    const double backoff = backoff_us(attempt);
+    rep.recovery_us += backoff;
+    rep.steps.push_back(RecoveryStep{RecoveryAction::alloc_retry, req.strategy, attempt, backoff,
+                                     "malloc_device", "ABFT check-vector allocation refused",
+                                     drain_log(inj, mark)});
+  }
+  if (r_dev == nullptr && !rep.steps.empty()) {
+    rep.steps.push_back(RecoveryStep{RecoveryAction::degrade, req.strategy, 0, 0.0,
+                                     "malloc_device",
+                                     "device allocation exhausted; ABFT check vector stays "
+                                     "host-resident",
+                                     {}});
   }
 
   // --- the retry / fallback ladder ----------------------------------------
-  std::vector<Strategy> rungs{req.strategy};
-  for (Strategy s : cfg_.ladder) {
-    if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
-  }
-
+  const std::vector<RunRequest> rungs = fallback_requests(req, sites);
   for (std::size_t rung = 0; rung < rungs.size() && !rep.succeeded; ++rung) {
-    const RunRequest r = adapt_request(req, rungs[rung], sites);
+    const RunRequest& r = rungs[rung];
     const std::string label = config_label(r.strategy, r.order, r.local_size);
     const VariantInfo& vi = variant_info(r.variant);
 
-    for (int attempt = 0; attempt < cfg_.max_attempts_per_strategy; ++attempt) {
+    for (int attempt = 0; attempt < kMaxAttemptsPerStrategy; ++attempt) {
       ++rep.attempts;
       const std::size_t mark = inj != nullptr ? inj->log().size() : 0;
       problem.c().zero();
@@ -208,11 +186,11 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
       }
 
       bool abft_ok = true;
-      if (launch_ok && cfg_.abft) {
+      if (launch_ok) {
         const SU3Vector<dcomplex>* rv = r_dev != nullptr ? r_dev : r_host.data();
         const dcomplex s_out = contract(rv, problem.c().data(), sites);
         const double err = cabs({s_out.re - s_ref.re, s_out.im - s_ref.im});
-        abft_ok = err <= cfg_.abft_rel_tol * std::max(1.0, cabs(s_ref));
+        abft_ok = err <= kAbftRelTol * std::max(1.0, cabs(s_ref));
         if (!abft_ok) {
           char buf[128];
           std::snprintf(buf, sizeof(buf),
@@ -225,26 +203,22 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
       if (launch_ok && abft_ok) {
         rep.succeeded = true;
         rep.final_strategy = r.strategy;
-        rep.abft_checked = cfg_.abft;
+        rep.abft_checked = true;
         rep.result = std::move(rr);
         break;
       }
 
       // Failed attempt: classify the action and charge the simulated cost.
-      const bool last_attempt = attempt + 1 == cfg_.max_attempts_per_strategy;
+      const bool last_attempt = attempt + 1 == kMaxAttemptsPerStrategy;
       const bool last_rung = rung + 1 == rungs.size();
       RecoveryAction action = launch_ok ? RecoveryAction::recompute : RecoveryAction::retry;
       if (last_attempt) {
         action = last_rung ? RecoveryAction::abort : RecoveryAction::fallback;
         if (!last_rung) {
-          detail += " — falling back to " +
-                    std::string(to_string(rungs[rung + 1]));
+          detail += " — falling back to " + std::string(to_string(rungs[rung + 1].strategy));
         }
       }
-      const double backoff =
-          (action == RecoveryAction::retry)
-              ? cfg_.backoff_base_us * std::pow(cfg_.backoff_factor, attempt)
-              : 0.0;
+      const double backoff = action == RecoveryAction::retry ? backoff_us(attempt) : 0.0;
       rep.recovery_us += q.sim_time_us() + backoff;
       rep.steps.push_back(RecoveryStep{action, r.strategy, attempt, backoff, label,
                                        std::move(detail), drain_log(inj, mark)});

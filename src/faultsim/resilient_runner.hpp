@@ -8,7 +8,7 @@
 //  * bounded retry with exponential backoff for transient faults (launch
 //    failures, sticky device faults, watchdog timeouts) — deterministic,
 //    charged to the *simulated* recovery clock, never the wall clock;
-//  * a strategy fallback ladder (default 3LP-1 → 2LP → 1LP) when one
+//  * a strategy fallback ladder (kFallbackLadder: 3LP-1 → 2LP → 1LP) when one
 //    strategy keeps faulting — a mis-generated or resource-hungry kernel
 //    must not take the service down when a simpler shape still runs;
 //  * ABFT output verification: Dslash is linear (eq. (1)), so a fixed
@@ -74,30 +74,11 @@ struct RecoveryReport {
   [[nodiscard]] std::string summary() const;
 };
 
-struct ResilientConfig {
-  int max_attempts_per_strategy = 4;  ///< includes the first try
-  double backoff_base_us = 100.0;     ///< backoff = base * factor^attempt (simulated)
-  double backoff_factor = 2.0;
-  bool abft = true;
-  std::uint64_t abft_seed = 0x5eed;
-  /// |<r,C> - s_ref| <= tol * max(1, |s_ref|) accepts the output.  1e-9
-  /// rides above summation-order roundoff between kernel and serial
-  /// reference; flips below it are also below every field tolerance used by
-  /// the correctness tests (see docs/RESILIENCE.md).
-  double abft_rel_tol = 1e-9;
-  /// Fallback rungs tried after the requested strategy exhausts its
-  /// attempts (the requested strategy is skipped if it reappears here).
-  std::vector<Strategy> ladder = {Strategy::LP3_1, Strategy::LP2, Strategy::LP1};
-};
-
 class ResilientRunner {
  public:
-  explicit ResilientRunner(DslashRunner runner = DslashRunner(),
-                           ResilientConfig cfg = ResilientConfig())
-      : runner_(runner), cfg_(std::move(cfg)) {}
-
-  [[nodiscard]] const ResilientConfig& config() const { return cfg_; }
-  [[nodiscard]] const DslashRunner& runner() const { return runner_; }
+  /// Kernel attempts per strategy rung, including the first try; also the
+  /// ABFT check vector's allocation budget.
+  static constexpr int kMaxAttemptsPerStrategy = 4;
 
   /// Execute one Dslash application resiliently.  On success problem.c()
   /// holds the verified output.  Never throws for injected fault kinds; a
@@ -106,7 +87,6 @@ class ResilientRunner {
 
  private:
   DslashRunner runner_;
-  ResilientConfig cfg_;
 };
 
 }  // namespace milc

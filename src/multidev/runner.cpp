@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -24,6 +25,18 @@ namespace {
 /// Complex values of one site's links in one family: kNdim column-major
 /// SU(3) matrices, contiguous in DeviceGaugeLayout and in ShardLinks.
 constexpr std::int64_t kSiteLinkElems = kNdim * kColors * kColors;
+
+// The hardened path's recovery budgets (docs/RESILIENCE.md "The hardened
+// exchange").  Without a fault plan nothing fails, so none of them is spent.
+constexpr int kMaxRounds = 4;             ///< delivery rounds per message set
+constexpr double kWatchdogUs = 20'000.0;  ///< per-exchange watchdog on the simulated clock
+constexpr int kMaxKernelAttempts = 4;     ///< shard kernel attempts per rung, incl. the first
+
+constexpr int kPackLocalSize = 96;  ///< work-group size of the pack/unpack kernels
+
+/// Simulated backoff before retry `n + 1` of a message, a slab or a kernel:
+/// 50 us doubling per retry.
+double backoff_us(int n) { return 50.0 * std::pow(2.0, n); }
 
 /// One shard's links, copied block by block out of the problem's
 /// DeviceGaugeLayout at each target's global eo index — bit-exact, which is
@@ -179,25 +192,6 @@ minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
   return spec;
 }
 
-/// Adapt the caller's request to a fallback rung (same policy as
-/// ResilientRunner): plain SYCL variant, and the first paper-valid
-/// (order, local size) when the caller's choice does not exist there.
-RunRequest adapt_request(const RunRequest& base, Strategy s, std::int64_t sites) {
-  if (s == base.strategy) return base;
-  RunRequest r = base;
-  r.strategy = s;
-  r.variant = Variant::SYCL;
-  const std::vector<IndexOrder> orders = orders_of(s);
-  if (std::find(orders.begin(), orders.end(), r.order) == orders.end()) {
-    r.order = orders.front();
-  }
-  if (!is_valid_local_size(s, r.order, r.local_size, sites)) {
-    const std::vector<int> sizes = paper_local_sizes(s, r.order, sites);
-    if (!sizes.empty()) r.local_size = sizes.front();
-  }
-  return r;
-}
-
 /// Discard a queue's buffered async errors (the retry loops classify faults
 /// from stats.fault at the submission site; the buffered exceptions are the
 /// same information).
@@ -246,8 +240,7 @@ void hook_queues_for_dsan(dsan::Recorder* rec,
 /// re-unpacked in a separate launch).
 std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
                                                  const PartitionGrid& grid,
-                                                 int pack_local_size, const WireFormat& wire_fmt,
-                                                 bool hardened) {
+                                                 const WireFormat& wire_fmt, bool hardened) {
   const Partitioner part(problem.geom(), grid, problem.target_parity());
   std::vector<ShardFields> fields;
   fields.reserve(part.shards().size());
@@ -285,7 +278,7 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
             ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
         pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
         reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
+            ksan::sanitize_launch(halo_spec(msg.count(), kPackLocalSize, pack.traits()),
                                   pack, std::move(pack_cfg), "halo-pack" + suffix));
 
         // Unpack: reads inside the payload, writes *only* into this
@@ -309,7 +302,7 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
           unpack_cfg.regions.push_back(ksan::region_of(
               f.src.data() + msg.ghost_base, static_cast<std::size_t>(msg.count())));
           reports.push_back(ksan::sanitize_launch(
-              halo_spec(msg.count(), pack_local_size, unpack.traits()), unpack,
+              halo_spec(msg.count(), kPackLocalSize, unpack.traits()), unpack,
               std::move(unpack_cfg),
               "halo-unpack" + suffix + (delivery > 0 ? " retry" : "")));
         }
@@ -490,12 +483,12 @@ struct RejoinTarget {
 std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
                                            const gpusim::NodeTopology& topo, int src, int dst,
                                            const std::string& site, std::int64_t bytes,
-                                           const ExchangeConfig& xc, MultiDevResult& res) {
+                                           MultiDevResult& res) {
   dsan::Recorder* rec = dsan::Recorder::current();
   const bool cross = topo.multi_node() && !topo.same_node(src, dst);
   double spent = 0.0;
   std::optional<std::uint64_t> verified;
-  for (int round = 1; round <= xc.max_rounds; ++round) {
+  for (int round = 1; round <= kMaxRounds; ++round) {
     const faultsim::LinkVerdict v =
         inj->on_message(site, static_cast<std::uint64_t>(bytes));
     double wire = cross ? gpusim::fabric_wire_time_us(topo.fabric, bytes)
@@ -519,7 +512,7 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
       verified = uid;
       break;
     }
-    spent += xc.backoff_base_us * std::pow(xc.backoff_factor, round - 1);
+    spent += backoff_us(round - 1);
   }
   res.rereplication_us += spent;
   res.recovery_us += spent;
@@ -548,7 +541,7 @@ bool adopt_shards(faultsim::Injector* inj, const gpusim::NodeTopology& topo,
     const std::optional<std::uint64_t> msg = transfer_slab(
         inj, topo, a.src, a.rank,
         "rereplicate r" + std::to_string(a.rank) + " @ " + part.grid().label(),
-        shard_slab_bytes(part, a.rank, mreq.wire), mreq.xcfg, res);
+        shard_slab_bytes(part, a.rank, mreq.wire), res);
     if (!msg.has_value()) return false;
     if (rec != nullptr) {
       rec->rejoin(a.rank, a.note);
@@ -772,7 +765,6 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
   const auto crosses_fabric = [&](int a, int b) { return multi_node && !topo.same_node(a, b); };
   const auto node_of = [&](int r) { return multi_node ? topo.node_of(r) : 0; };
   const VariantInfo& vi = variant_info(mreq.req.variant);
-  const ExchangeConfig& xc = mreq.xcfg;
   const std::vector<Shard>& shards = layout.part.shards();
 
   std::vector<ShardFields> fields;
@@ -799,62 +791,50 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
   res.per_iter_us = 0.0;
   res.halo_bytes = 0;
 
-  // Bounded-retry submission of one halo (pack/unpack) kernel.
-  auto submit_halo = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
-                         const auto& kernel, const std::string& name, int rank,
-                         double& us_acc) -> bool {
-    for (int a = 0; a < xc.max_kernel_attempts; ++a) {
-      const gpusim::KernelStats st = q.submit(spec, kernel, name);
-      if (st.fault.empty()) {
-        us_acc += st.duration_us + q.launch_overhead_us();
-        return true;
-      }
-      drain_errors(q);
-      const double backoff = xc.backoff_base_us * std::pow(xc.backoff_factor, a);
-      res.recovery_us += backoff;
-      us_acc += backoff;
-      res.shard_recoveries.push_back(
-          ShardRecovery{rank, name, mreq.req.strategy, a, "retry", backoff});
-    }
-    return false;
-  };
-
-  // Bounded retry + strategy-fallback ladder for one Dslash range (the
-  // per-shard analogue of ResilientRunner's rung loop).
-  auto submit_range = [&](const Shard& sh, std::int64_t first, std::int64_t count,
-                          const std::string& name, double& us_acc) -> bool {
-    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
-    std::vector<Strategy> rungs{mreq.req.strategy};
-    for (Strategy s : xc.ladder) {
-      if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
-    }
-    const auto rank = static_cast<std::size_t>(sh.rank);
-    const DslashArgs<dcomplex> args =
-        range_args(layout.links[rank], fields[rank], sh, first, count);
+  // Bounded retry of one shard kernel: up to kMaxKernelAttempts launches of
+  // each rung in turn, `launch(rung)` submitting one.  A Dslash range walks
+  // fallback_requests (the per-shard analogue of ResilientRunner's ladder); a
+  // halo kernel is the one-rung case.  A failed attempt logs "retry" and
+  // charges a backoff; a rung's last one logs "fallback", or "abort" on the
+  // last rung, and charges none.
+  const auto submit_shard = [&](minisycl::queue& q, int rank, const std::string& name,
+                                std::span<const RunRequest> rungs, const auto& launch,
+                                double& us_acc) -> bool {
     for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
-      const RunRequest r = adapt_request(mreq.req, rungs[rung], count);
-      const VariantInfo& rvi = variant_info(r.variant);
-      const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
-      for (int a = 0; a < xc.max_kernel_attempts; ++a) {
-        const gpusim::KernelStats st =
-            submit_dslash(q, args, sh.extended_sources(), r, rvi, ls, name);
+      for (int a = 0; a < kMaxKernelAttempts; ++a) {
+        const gpusim::KernelStats st = launch(rungs[rung]);
         if (st.fault.empty()) {
           us_acc += st.duration_us + q.launch_overhead_us();
           return true;
         }
         drain_errors(q);
-        const bool last_attempt = a + 1 == xc.max_kernel_attempts;
+        const bool last_attempt = a + 1 == kMaxKernelAttempts;
         const bool last_rung = rung + 1 == rungs.size();
-        const double backoff =
-            last_attempt ? 0.0 : xc.backoff_base_us * std::pow(xc.backoff_factor, a);
+        const double backoff = last_attempt ? 0.0 : backoff_us(a);
         res.recovery_us += backoff;
         us_acc += backoff;
         res.shard_recoveries.push_back(ShardRecovery{
-            sh.rank, name, r.strategy, a,
+            rank, name, rungs[rung].strategy, a,
             last_attempt ? (last_rung ? "abort" : "fallback") : "retry", backoff});
       }
     }
     return false;
+  };
+
+  const auto submit_range = [&](const Shard& sh, std::int64_t first, std::int64_t count,
+                                const std::string& name, double& us_acc) -> bool {
+    const auto rank = static_cast<std::size_t>(sh.rank);
+    minisycl::queue& q = *queues[rank];
+    const DslashArgs<dcomplex> args =
+        range_args(layout.links[rank], fields[rank], sh, first, count);
+    return submit_shard(
+        q, sh.rank, name, fallback_requests(mreq.req, count),
+        [&](const RunRequest& r) {
+          const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
+          return submit_dslash(q, args, sh.extended_sources(), r, variant_info(r.variant), ls,
+                               name);
+        },
+        us_acc);
   };
 
   // One halo message, in (receiver, message) order — the order every phase
@@ -902,9 +882,12 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
                                 .count = msg.count(),
                                 .scale = s.scale};
         minisycl::LaunchSpec pspec =
-            halo_spec(msg.count(), mreq.pack_local_size, HaloPackKernelT<W>::traits());
+            halo_spec(msg.count(), kPackLocalSize, HaloPackKernelT<W>::traits());
         pspec.regions = pack_regions(pack, shards[src].extended_sources());
-        ok = submit_halo(*queues[src], pspec, pack, name, msg.peer, pack_us[src]);
+        ok = submit_shard(
+            *queues[src], msg.peer, name, {&mreq.req, 1},
+            [&](const RunRequest&) { return queues[src]->submit(pspec, pack, name); },
+            pack_us[src]);
       });
       if (!ok) {
         fail_reason = "pack kernel '" + name + "' exhausted its retries";
@@ -963,9 +946,9 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
   double wire_clock = 0.0;
   std::size_t remaining = slabs.size();
   for (int round = 1; remaining > 0; ++round) {
-    if (round > xc.max_rounds) {
+    if (round > kMaxRounds) {
       xr.succeeded = false;
-      fail_reason = "exchange exhausted " + std::to_string(xc.max_rounds) +
+      fail_reason = "exchange exhausted " + std::to_string(kMaxRounds) +
                     " delivery rounds (" + std::to_string(remaining) + " undelivered)";
       return false;
     }
@@ -999,7 +982,8 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
       res.intra_wire_us += frep.intra_wire_us;
       res.inter_wire_us += frep.inter_wire_us;
     } else {
-      res.intra_node_bytes += simulate_exchange(mreq.link, msgs, ndev).total_bytes;
+      res.intra_node_bytes +=
+          simulate_exchange(gpusim::dgx_a100_links(), msgs, ndev).total_bytes;
     }
 
     // Transmissions enter the trace after the wire simulation so the drop
@@ -1065,11 +1049,11 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
     }
 
     if (remaining > 0) {
-      const double backoff = xc.backoff_base_us * std::pow(xc.backoff_factor, round - 1);
+      const double backoff = backoff_us(round - 1);
       xr.backoff_us += backoff;
       res.recovery_us += backoff;
       wire_clock = round_end + backoff;
-      if (wire_clock > xc.watchdog_us) {
+      if (wire_clock > kWatchdogUs) {
         xr.watchdog_fired = true;
         fail_reason =
             "exchange watchdog expired after round " + std::to_string(round) + " (" +
@@ -1096,9 +1080,12 @@ bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevReque
                                   .count = msg.count(),
                                   .inv_scale = 1.0 / s.scale};
       minisycl::LaunchSpec uspec =
-          halo_spec(msg.count(), mreq.pack_local_size, HaloUnpackKernelT<W>::traits());
+          halo_spec(msg.count(), kPackLocalSize, HaloUnpackKernelT<W>::traits());
       uspec.regions = unpack_regions(unpack, shards[dst].extended_sources());
-      ok = submit_halo(*queues[dst], uspec, unpack, name, s.dst, unpack_us[dst]);
+      ok = submit_shard(
+          *queues[dst], s.dst, name, {&mreq.req, 1},
+          [&](const RunRequest&) { return queues[dst]->submit(uspec, unpack, name); },
+          unpack_us[dst]);
     });
     if (!ok) {
       fail_reason = "unpack kernel '" + name + "' exhausted its retries";
@@ -1238,15 +1225,13 @@ void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGri
 }
 
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_halo(
-    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
-    const WireFormat& wire_fmt) const {
-  return sanitize_flow(problem, grid, pack_local_size, wire_fmt, /*hardened=*/false);
+    DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire_fmt) const {
+  return sanitize_flow(problem, grid, wire_fmt, /*hardened=*/false);
 }
 
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_exchange(
-    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
-    const WireFormat& wire_fmt) const {
-  return sanitize_flow(problem, grid, pack_local_size, wire_fmt, /*hardened=*/true);
+    DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire_fmt) const {
+  return sanitize_flow(problem, grid, wire_fmt, /*hardened=*/true);
 }
 
 }  // namespace milc::multidev

@@ -58,31 +58,17 @@
 
 namespace milc::multidev {
 
-/// Retry/backoff/watchdog parameters of the hardened exchange path (only
-/// consulted when a fault plan is installed).
-struct ExchangeConfig {
-  int max_rounds = 4;             ///< delivery attempts per message (1 = no retry)
-  double backoff_base_us = 50.0;  ///< retransmit backoff = base * factor^(round-1)
-  double backoff_factor = 2.0;
-  double watchdog_us = 20'000.0;  ///< per-exchange watchdog on the simulated clock
-  int max_kernel_attempts = 4;    ///< per-shard kernel retry budget (incl. first try)
-  /// Strategy rungs tried per shard range after the requested strategy
-  /// exhausts its attempts (mirrors ResilientConfig::ladder).
-  std::vector<Strategy> ladder = {Strategy::LP3_1, Strategy::LP2, Strategy::LP1};
-};
-
 /// A multi-device run: which grid, which kernel configuration, what fabric.
 struct MultiDevRequest {
   PartitionGrid grid{};
   RunRequest req{};  ///< strategy / order / preferred local size / variant
-  gpusim::LinkModel link = gpusim::dgx_a100_links();
   /// Two-level interconnect.  With `topo.nodes == 1` (the default) the run
-  /// is single-node: `link` prices the exchange and nothing else changes.
-  /// With `topo.nodes > 1`, `topo` replaces `link` entirely (`topo.intra`
-  /// is the island model): grid ranks are grouped into node groups of
-  /// `topo.devices_per_node` devices, fabric-bound slabs are packed first
-  /// and aggregated per neighbour, and the exchange is priced by
-  /// simulate_topology_exchange.  The *output field* is identical either
+  /// is single-node: gpusim::dgx_a100_links() prices the exchange and
+  /// nothing else changes.  With `topo.nodes > 1`, `topo` prices it
+  /// (`topo.intra` is the island model): grid ranks are grouped into node
+  /// groups of `topo.devices_per_node` devices, fabric-bound slabs are
+  /// packed first and aggregated per neighbour, and the exchange is priced
+  /// by simulate_topology_exchange.  The *output field* is identical either
   /// way — placement changes time, never values.
   gpusim::NodeTopology topo{};
   /// Halo wire format (docs/WIRE.md).  The fp64/recon-18 default is the
@@ -91,8 +77,6 @@ struct MultiDevRequest {
   /// byte (checksums, aggregation frames, corruption and retransmission all
   /// operate on the encoded size); the convert is fused into pack/unpack.
   WireFormat wire{};
-  int pack_local_size = 96;  ///< work-group size of the pack/unpack kernels
-  ExchangeConfig xcfg{};     ///< hardened-path parameters (fault plan installed)
   /// Live-rejoin target (elastic recovery).  When `rejoin_grid.total() >
   /// grid.total()`, a previous run abandoned that larger grid in a shrink
   /// failover; each hardened attempt consults `heal/<rejoin_what> @ <grid>`
@@ -148,7 +132,7 @@ struct ExchangeReport {
   int checksum_failures = 0;  ///< corrupted payloads caught on receipt
   double backoff_us = 0.0;    ///< simulated backoff charged between rounds
   bool watchdog_fired = false;
-  bool succeeded = false;  ///< every message verified within max_rounds
+  bool succeeded = false;  ///< every message verified within the round budget
   std::vector<ExchangeEvent> events;
 
   [[nodiscard]] bool clean() const {
@@ -172,7 +156,7 @@ struct ShardRecovery {
   std::string site;  ///< kernel site name ("dslash-interior r2", ...)
   Strategy strategy = Strategy::LP3_1;
   int attempt = 0;
-  std::string action;  ///< "retry" | "fallback"
+  std::string action;  ///< "retry" | "fallback" | "abort"
   double backoff_us = 0.0;
 };
 
@@ -322,8 +306,7 @@ class MultiDeviceRunner {
   /// ksan entry: replay every pack and unpack launch of one exchange under
   /// the sanitizer with exact region declarations (ghost-region OOB, races).
   [[nodiscard]] std::vector<ksan::SanitizerReport> sanitize_halo(
-      DslashProblem& problem, const PartitionGrid& grid, int pack_local_size = 96,
-      const WireFormat& wire = {}) const;
+      DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire = {}) const;
 
   /// ksan entry for the *hardened* exchange data flow: pack -> receiver-side
   /// copy -> unpack-from-copy, with the first message of every shard
@@ -332,8 +315,7 @@ class MultiDeviceRunner {
   /// unpacks into one launch is a cross-group write-write race; the test
   /// suite demonstrates ksan catching exactly that.)
   [[nodiscard]] std::vector<ksan::SanitizerReport> sanitize_exchange(
-      DslashProblem& problem, const PartitionGrid& grid, int pack_local_size = 96,
-      const WireFormat& wire = {}) const;
+      DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire = {}) const;
 
   /// dsan entry: record one full run — fault-free or hardened, whichever the
   /// installed fault plan selects — as a cluster-wide event graph (kernel

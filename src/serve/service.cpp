@@ -28,6 +28,20 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes) {
 
 namespace {
 
+constexpr double kDispatchOverheadUs = 25.0;  ///< control-plane cost per dispatch
+/// A dispatch whose deadline buys fewer operator applications than this (per
+/// right-hand side) is hopeless: shed as deadline-unreachable instead of
+/// burning devices on it.
+constexpr int kMinAppliesPerRhs = 4;
+/// The strategy-fallback degradation step's last rung: rung 0 is the
+/// request's own strategy, rung k is kFallbackLadder[k], clamped here.
+constexpr int kLastRung = static_cast<int>(kFallbackLadder.size()) - 1;
+
+/// Requeue backoff after `attempts` dispatches: 500 us doubling per attempt.
+double requeue_backoff_us(int attempts) {
+  return 500.0 * std::pow(2.0, static_cast<double>(attempts - 1));
+}
+
 ShardedCgConfig solver_config(const ProblemSpec& sp, Strategy strategy,
                               const gpusim::NodeTopology& topo) {
   ShardedCgConfig c;
@@ -157,12 +171,6 @@ void SolverService::price_catalog() {
   }
 }
 
-const SolverService::Placement* SolverService::placement_for(int spec, int devices) const {
-  for (const Placement& p : placements_[static_cast<std::size_t>(spec)])
-    if (p.devices == devices) return &p;
-  return nullptr;
-}
-
 int SolverService::max_priced_devices(int spec) const {
   int m = 1;
   for (const Placement& p : placements_[static_cast<std::size_t>(spec)])
@@ -179,9 +187,9 @@ void SolverService::reset_runtime_state() {
   const int dpn = cfg_.cluster.devices_per_node;
   for (int k = 0; k < cfg_.cluster.total(); ++k)
     devices_.push_back({k, k / dpn, true, 0.0,
-                        CircuitBreaker("d" + std::to_string(k), cfg_.device_breaker)});
+                        CircuitBreaker("d" + std::to_string(k), BreakerConfig{})});
   for (int j = 0; j < cfg_.cluster.nodes; ++j)
-    nodes_.push_back({j, true, CircuitBreaker("n" + std::to_string(j), cfg_.node_breaker)});
+    nodes_.push_back({j, true, CircuitBreaker("n" + std::to_string(j), BreakerConfig{})});
 }
 
 int SolverService::alive_devices() const {
@@ -537,10 +545,7 @@ void SolverService::dispatch_ready(SloReport& rep, double now) {
         shed(rep, req, ShedReason::dispatch_fault_budget,
              std::to_string(req.dispatch_attempts) + " faulted dispatches", now);
       } else {
-        req.not_before_us =
-            now + cfg_.retry_backoff_us *
-                      std::pow(cfg_.retry_backoff_factor,
-                               static_cast<double>(req.dispatch_attempts - 1));
+        req.not_before_us = now + requeue_backoff_us(req.dispatch_attempts);
         queue_.requeue(req);
       }
       continue;
@@ -549,7 +554,6 @@ void SolverService::dispatch_ready(SloReport& rep, double now) {
     const int target_k = std::max(1, std::min(req.devices, max_priced_devices(req.spec)));
     const Placement* chosen = nullptr;
     PlacePick pick;
-    bool blocked_by_busy = false;
     const auto& specs = placements_[static_cast<std::size_t>(req.spec)];
     for (auto it = specs.rbegin(); it != specs.rend(); ++it) {
       if (it->devices > target_k) continue;
@@ -562,14 +566,12 @@ void SolverService::dispatch_ready(SloReport& rep, double now) {
       if (pp.status == PlacePick::Status::busy) {
         // Capacity at this width exists but is occupied: wait for it rather
         // than degrading the request onto fewer devices.
-        blocked_by_busy = true;
         break;
       }
       // infeasible at this width (dead or breaker-open devices): shrink.
     }
     if (chosen == nullptr) {
       held.push_back(req);
-      (void)blocked_by_busy;
       continue;
     }
     if (chosen->devices < target_k)
@@ -580,10 +582,10 @@ void SolverService::dispatch_ready(SloReport& rep, double now) {
 
     int apply_budget = 0;
     if (req.deadline_us != kNoDeadline) {
-      const double remaining = req.deadline_us - (now + cfg_.dispatch_overhead_us);
+      const double remaining = req.deadline_us - (now + kDispatchOverheadUs);
       apply_budget = static_cast<int>(
           std::floor(remaining / (2.0 * chosen->per_iter_us)));
-      if (apply_budget < cfg_.min_applies_per_rhs * req.rhs) {
+      if (apply_budget < kMinAppliesPerRhs * req.rhs) {
         shed(rep, req, ShedReason::deadline_unreachable,
              "budget of " + std::to_string(apply_budget) + " applies cannot cover " +
                  std::to_string(req.rhs) + " rhs on " + std::to_string(chosen->devices) +
@@ -607,9 +609,9 @@ void SolverService::dispatch_ready(SloReport& rep, double now) {
 void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placement,
                             int apply_budget, double now) {
   const ProblemSpec& sp = catalog_[static_cast<std::size_t>(f.req.spec)];
-  const int rung = std::min(f.req.fallback_rung,
-                            static_cast<int>(cfg_.ladder.size()) - 1);
-  const Strategy strat = rung <= 0 ? f.req.strategy : cfg_.ladder[static_cast<std::size_t>(rung)];
+  const int rung = std::min(f.req.fallback_rung, kLastRung);
+  const Strategy strat =
+      rung <= 0 ? f.req.strategy : kFallbackLadder[static_cast<std::size_t>(rung)];
   const gpusim::NodeTopology etopo = multidev::effective_topology(topo_, placement.devices);
 
   int applies_total = 0;
@@ -630,7 +632,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
   f.rank_faults.clear();
   f.node_faults.clear();
 
-  const double start = now + cfg_.dispatch_overhead_us;
+  const double start = now + kDispatchOverheadUs;
   double solve_us = 0.0;
   bool all_ok = true;
   for (int r = 0; r < f.req.rhs; ++r) {
@@ -772,13 +774,11 @@ void SolverService::process_completion(SloReport& rep, Inflight f, double now) {
     return;
   }
   SolveRequest r = f.req;
-  r.fallback_rung = std::min(r.fallback_rung + 1, static_cast<int>(cfg_.ladder.size()) - 1);
-  r.not_before_us = now + cfg_.retry_backoff_us *
-                              std::pow(cfg_.retry_backoff_factor,
-                                       static_cast<double>(r.dispatch_attempts - 1));
+  r.fallback_rung = std::min(r.fallback_rung + 1, kLastRung);
+  r.not_before_us = now + requeue_backoff_us(r.dispatch_attempts);
   degrade(rep, now, r.id, "strategy-fallback",
           "retry " + std::to_string(r.dispatch_attempts) + " as " +
-              to_string(cfg_.ladder[static_cast<std::size_t>(r.fallback_rung)]) +
+              to_string(kFallbackLadder[static_cast<std::size_t>(r.fallback_rung)]) +
               " after: " + f.fail_detail);
   queue_.requeue(std::move(r));
 }

@@ -59,24 +59,11 @@ struct CancelEvent {
 struct ServiceConfig {
   ClusterSpec cluster{};
   QueueConfig queue{};
-  BreakerConfig device_breaker{};
-  BreakerConfig node_breaker{};
 
   /// Hot-spare inventory advertised to every dispatched solve: with spares
   /// the hardened runner re-replicates a lost shard onto a standby instead
   /// of shrinking the grid, so placement capacity survives device loss.
   gpusim::SpareInventory spares{};
-
-  double dispatch_overhead_us = 25.0;  ///< control-plane cost per dispatch
-  double retry_backoff_us = 500.0;     ///< requeue backoff = base * factor^(attempt-1)
-  double retry_backoff_factor = 2.0;
-  /// A dispatch whose deadline buys fewer operator applications than this
-  /// (per right-hand side) is hopeless: shed as deadline-unreachable instead
-  /// of burning devices on it.
-  int min_applies_per_rhs = 4;
-  /// Strategy rungs for the strategy-fallback degradation step; rung 0 is
-  /// overridden by the request's own preferred strategy.
-  std::vector<Strategy> ladder = {Strategy::LP3_1, Strategy::LP2, Strategy::LP1};
 };
 
 /// FNV-1a over raw bytes — the bit-for-bit solution fingerprint.
@@ -174,7 +161,6 @@ class SolverService {
 
   void reset_runtime_state();
   void price_catalog();
-  [[nodiscard]] const Placement* placement_for(int spec, int devices) const;
   [[nodiscard]] int max_priced_devices(int spec) const;
 
   [[nodiscard]] PlacePick pick_devices(int k, double now) const;

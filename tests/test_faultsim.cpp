@@ -108,6 +108,29 @@ TEST(FaultSim, AllocFailCanThrowBadAlloc) {
   EXPECT_THROW((void)malloc_device<double>(16, q), std::bad_alloc);
 }
 
+TEST(FaultSim, AllocScheduleHonoursItsSiteFilter) {
+  // Allocations consult the site "malloc_device": a filter naming another
+  // site never fires, one matching it does.
+  queue q(ExecMode::functional);
+  {
+    FaultPlan plan;
+    plan.schedule.push_back(ScheduledFault{FaultKind::alloc_fail, 0, 1, "halo-pack"});
+    ScopedFaultInjection fi(plan);
+    double* p = malloc_device<double>(16, q);
+    ASSERT_NE(p, nullptr);
+    minisycl::free(p, q);
+    EXPECT_EQ(fi.injector().injected(FaultKind::alloc_fail), 0u);
+  }
+  {
+    FaultPlan plan;
+    plan.schedule.push_back(ScheduledFault{FaultKind::alloc_fail, 0, 1, "malloc"});
+    ScopedFaultInjection fi(plan);
+    EXPECT_EQ(malloc_device<double>(16, q), nullptr);
+    ASSERT_EQ(fi.injector().injected(FaultKind::alloc_fail), 1u);
+    EXPECT_EQ(fi.injector().log()[0].site, "malloc_device");
+  }
+}
+
 TEST(FaultSim, InjectedLaunchFailureSuppressesTheKernel) {
   FaultPlan plan;
   plan.schedule.push_back(ScheduledFault{FaultKind::launch_fail, 0, 1, {}});
@@ -179,6 +202,9 @@ TEST(FaultSim, SlowKernelIsKilledByTheWatchdog) {
   const auto stats = submit_once(q, buf, "slow");
   EXPECT_EQ(stats.fault, "hang");
   EXPECT_EQ(fi.injector().injected(FaultKind::hang), 1u);
+  // Logged at the occurrence a ScheduledFault would replay: the site's first.
+  ASSERT_EQ(fi.injector().log().size(), 1u);
+  EXPECT_EQ(fi.injector().log()[0].occurrence, 0u);
 }
 
 TEST(FaultSim, BitFlipChangesExactlyOneBitOfARegisteredRegion) {

@@ -458,7 +458,7 @@ TEST(MultidevChaos, CascadingDeviceLossWalksTheFallbackLadder) {
 }
 
 TEST(MultidevChaos, UnbrokenDropStormExhaustsRoundsAndReportsFailure) {
-  // Every delivery on one link drops and the budget is tiny: the exchange
+  // Every delivery on one link drops and the budget is bounded: the exchange
   // must fail closed — watchdog/rounds accounted, recovered == false, never
   // a partial unpack presented as success.
   DslashProblem problem(kL, /*seed=*/19);
@@ -472,7 +472,6 @@ TEST(MultidevChaos, UnbrokenDropStormExhaustsRoundsAndReportsFailure) {
   MultiDevRequest mreq;
   mreq.grid = PartitionGrid::along(3, 2);
   mreq.req = kReq;
-  mreq.xcfg.max_rounds = 2;
   const MultiDevResult res = runner.run(problem, mreq);
 
   // The exchange failure triggers failover; the 1x1x1x1 grid has no links,
@@ -486,6 +485,33 @@ TEST(MultidevChaos, UnbrokenDropStormExhaustsRoundsAndReportsFailure) {
   EXPECT_GE(res.exchange.retransmissions, 1);
   const ColorField expected = clean_output(/*seed=*/19);
   EXPECT_EQ(max_abs_diff(expected, problem.c()), 0.0);
+}
+
+TEST(MultidevChaos, ExhaustedHaloKernelAbortsWithoutTrailingBackoff) {
+  // The first pack kernel on the r0->r1 link fails all 4 attempts.  Like a
+  // Dslash range on its last rung, the last attempt aborts and charges no
+  // backoff nothing would wait for; the run fails over to the lone device.
+  DslashProblem problem(kL, /*seed=*/21);
+  FaultPlan plan;
+  plan.schedule.push_back(ScheduledFault{FaultKind::launch_fail, 0, 4, "halo-pack r0->r1"});
+  ScopedFaultInjection fi(plan);
+  const MultiDevResult res = run_hardened(problem, PartitionGrid::along(3, 2));
+
+  EXPECT_TRUE(res.recovered);
+  ASSERT_EQ(res.failovers.size(), 1u);
+  EXPECT_EQ(res.failovers[0].to.label(), "1x1x1x1");
+  EXPECT_NE(res.failovers[0].reason.find("exhausted its retries"), std::string::npos)
+      << res.failovers[0].reason;
+  EXPECT_EQ(max_abs_diff(clean_output(/*seed=*/21), problem.c()), 0.0);
+
+  const std::vector<std::string> actions = {"retry", "retry", "retry", "abort"};
+  const std::vector<double> backoffs = {50.0, 100.0, 200.0, 0.0};
+  ASSERT_EQ(res.shard_recoveries.size(), actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    EXPECT_EQ(res.shard_recoveries[i].action, actions[i]) << "attempt " << i;
+    EXPECT_EQ(res.shard_recoveries[i].backoff_us, backoffs[i]) << "attempt " << i;
+  }
+  EXPECT_EQ(res.recovery_us, 350.0);
 }
 
 // --- fabric-tier chaos -------------------------------------------------------

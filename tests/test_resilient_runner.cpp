@@ -109,7 +109,7 @@ TEST(ResilientRunner, PersistentStrategyFaultFallsDownTheLadder) {
 
   EXPECT_TRUE(rep.succeeded);
   EXPECT_EQ(rep.final_strategy, Strategy::LP2);
-  EXPECT_EQ(rep.attempts, resilient.config().max_attempts_per_strategy + 1);
+  EXPECT_EQ(rep.attempts, ResilientRunner::kMaxAttemptsPerStrategy + 1);
   EXPECT_EQ(rep.count(RecoveryAction::fallback), 1);
   const RecoveryStep& fb = rep.steps.back();
   EXPECT_EQ(fb.action, RecoveryAction::fallback);
@@ -163,7 +163,7 @@ TEST(ResilientRunner, AllocationPressureDegradesAbftToHostCopy) {
 
   EXPECT_TRUE(rep.succeeded);
   EXPECT_EQ(rep.count(RecoveryAction::alloc_retry),
-            resilient.config().max_attempts_per_strategy);
+            ResilientRunner::kMaxAttemptsPerStrategy);
   EXPECT_EQ(rep.count(RecoveryAction::degrade), 1);
   EXPECT_TRUE(rep.abft_checked) << "verification must survive the OOM";
   EXPECT_LT(error_vs_reference(p), 1e-9);
@@ -202,7 +202,7 @@ TEST(ResilientRunner, ExhaustedLadderReportsAbort) {
   const RecoveryReport rep = resilient.run(p, default_request());
 
   EXPECT_FALSE(rep.succeeded);
-  const int per = resilient.config().max_attempts_per_strategy;
+  const int per = ResilientRunner::kMaxAttemptsPerStrategy;
   EXPECT_EQ(rep.attempts, 3 * per);  // requested + 2 remaining ladder rungs
   EXPECT_EQ(rep.count(RecoveryAction::fallback), 2);
   EXPECT_EQ(rep.count(RecoveryAction::abort), 1);

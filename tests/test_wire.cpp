@@ -303,13 +303,13 @@ TEST(SpinorWire, KsanCleanOnReducedFormats) {
     ASSERT_TRUE(parse_wire_format(spec, fmt));
     DslashProblem problem(12, 2024);
     for (const ksan::SanitizerReport& rep :
-         multi.sanitize_halo(problem, PartitionGrid::along(3, 2), 96, fmt)) {
+         multi.sanitize_halo(problem, PartitionGrid::along(3, 2), fmt)) {
       EXPECT_TRUE(rep.clean()) << spec << ": " << rep.summary();
       EXPECT_GT(rep.checked_global, 0u) << rep.kernel;
     }
     DslashProblem px(12, 2024);
     for (const ksan::SanitizerReport& rep :
-         multi.sanitize_exchange(px, PartitionGrid::along(3, 2), 96, fmt)) {
+         multi.sanitize_exchange(px, PartitionGrid::along(3, 2), fmt)) {
       EXPECT_TRUE(rep.clean()) << spec << ": " << rep.summary();
     }
   }
