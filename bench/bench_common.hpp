@@ -6,16 +6,23 @@
 //                --L 32 to reproduce at paper scale, ~10-15x slower to
 //                simulate on one host core)
 //   --seed <n>   gauge/source RNG seed
+// An unknown flag, a missing value or a malformed or out-of-range number
+// exits 2 with a message on stderr.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "core/runner.hpp"
+#include "lattice/geometry.hpp"
 
 namespace milc::bench {
 
@@ -37,44 +44,86 @@ struct Options {
   /// Empty = not requested; bench_scaling's --wire mode certifies the
   /// format against the exact fp64 wire and exits nonzero on any failure.
   std::string wire;
+  int max_devices = 8;  ///< bench_scaling: largest device count of its sweeps
+  std::uint64_t chaos_seed = 2024;  ///< bench_serve: seed of the probabilistic storm
 };
+
+/// Exit 2 with "<prog>: <message>" on stderr: the command line is malformed.
+[[noreturn]] inline void usage_error(const char* prog, const std::string& message) {
+  std::fprintf(stderr, "%s: %s (see --help)\n", prog, message.c_str());
+  std::exit(2);
+}
+
+/// All of `text` as a decimal integer of type T that is at least `min`;
+/// anything else (trailing characters, overflow, a value below `min`) is a
+/// usage_error naming `flag`.
+template <typename T>
+T parse_number(const char* prog, const std::string& flag, const char* text, T min) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < min) {
+    usage_error(prog, flag + " expects an integer >= " + std::to_string(min) + ", got '" +
+                          text + "'");
+  }
+  return v;
+}
 
 inline Options parse_options(int argc, char** argv) {
   Options o;
+  const char* prog = argv[0];
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) {
-      o.L = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      o.csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      o.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sanitize") == 0) {
+    const std::string flag = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(prog, flag + " expects a value");
+      return argv[++i];
+    };
+    if (flag == "--L") {
+      const char* text = value();
+      o.L = parse_number(prog, flag, text, 2);
+      try {
+        (void)LatticeGeom(o.L);
+      } catch (const std::invalid_argument& e) {
+        usage_error(prog, flag + " " + text + ": " + e.what());
+      }
+    } else if (flag == "--seed") {
+      o.seed = parse_number<std::uint64_t>(prog, flag, value(), 0);
+    } else if (flag == "--csv") {
+      o.csv_path = value();
+    } else if (flag == "--json") {
+      o.json_path = value();
+    } else if (flag == "--sanitize") {
       o.sanitize = true;
-    } else if (std::strcmp(argv[i], "--dsan") == 0) {
+    } else if (flag == "--dsan") {
       o.dsan = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
+    } else if (flag == "--faults") {
       o.faults = true;
-      o.fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      o.nodes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tune-cache") == 0 && i + 1 < argc) {
-      o.tune_cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--stamp") == 0 && i + 1 < argc) {
-      o.stamp = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--spares") == 0 && i + 1 < argc) {
-      o.spares = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--wire") == 0 && i + 1 < argc) {
-      o.wire = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+      o.fault_seed = parse_number<std::uint64_t>(prog, flag, value(), 0);
+    } else if (flag == "--nodes") {
+      o.nodes = parse_number(prog, flag, value(), 1);
+    } else if (flag == "--tune-cache") {
+      o.tune_cache_path = value();
+    } else if (flag == "--stamp") {
+      o.stamp = parse_number<std::uint64_t>(prog, flag, value(), 0);
+    } else if (flag == "--spares") {
+      o.spares = parse_number(prog, flag, value(), 0);
+    } else if (flag == "--wire") {
+      o.wire = value();
+    } else if (flag == "--max-devices") {
+      o.max_devices = parse_number(prog, flag, value(), 1);
+    } else if (flag == "--chaos") {
+      o.chaos_seed = parse_number<std::uint64_t>(prog, flag, value(), 0);
+    } else if (flag == "--help") {
       std::printf(
           "usage: %s [--L <extent>] [--seed <n>] [--csv <path>] [--json <path>] "
           "[--sanitize] [--dsan] [--faults <fault seed>] [--nodes <n>] "
           "[--tune-cache <path>] [--stamp <n>] [--spares <n>] "
-          "[--wire <fp64|fp32|fp16>[+r<18|12|9>]]\n",
-          argv[0]);
+          "[--wire <fp64|fp32|fp16>[+r<18|12|9>]] [--max-devices <n>] "
+          "[--chaos <seed>]\n",
+          prog);
       std::exit(0);
+    } else {
+      usage_error(prog, "unknown option '" + flag + "'");
     }
   }
   return o;

@@ -4,10 +4,11 @@
 // Strong scaling: the L^4 lattice of bench_fig6 is split across 1, 2, 4
 // and 8 simulated A100s (t split first, then z, then y — the splits with
 // the smallest surface-to-volume ratio at these shapes).  The 1-device row
-// is *exactly* bench_fig6's "3LP-1 k-major /768" SYCL row: the runner
-// delegates a 1x1x1x1 grid to DslashRunner, and this bench asserts the
-// equality.  Weak scaling: every device keeps an L x L x L x L/2 block and
-// the lattice grows along t with the device count.
+// is *exactly* bench_fig6's "3LP-1 k-major /768" SYCL row: a 1x1x1x1 grid
+// runs the halo pipeline as one interior launch over the whole lattice,
+// priced like DslashRunner's launch, and this bench asserts the equality.
+// Weak scaling: every device keeps an L x L x L x L/2 block and the
+// lattice grows along t with the device count.
 //
 // Every grid is also self-verified bit-for-bit: the gathered multi-device
 // functional output must equal the single-device functional output of the
@@ -190,7 +191,7 @@ ChaosOutcome run_chaos_grid(const char* name, const Options& opt, const Partitio
   return out;
 }
 
-int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
+int run_chaos(const Options& opt, const RunRequest& req) {
   std::printf("\nChaos mode: seeded fault storms against the hardened multi-device path\n");
   std::printf("fault seed %llu; every scenario must recover bit-for-bit\n\n",
               static_cast<unsigned long long>(opt.fault_seed));
@@ -200,7 +201,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
 
   // -- seeded link storms on the 2- and 4-device grids -----------------------
   for (const int n : {2, 4}) {
-    if (n > max_devices) continue;
+    if (n > opt.max_devices) continue;
     faultsim::FaultPlan plan;
     plan.seed = opt.fault_seed;
     plan.p_msg_drop = 0.25;
@@ -215,7 +216,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
   // The loss of device r3 fails the 4-device grid over to its fallback; the
   // message faults are pinned to the r0<->r1 link, which survives the
   // re-partition, so all four kinds provably fire in a single recovered run.
-  if (max_devices >= 4) {
+  if (opt.max_devices >= 4) {
     faultsim::FaultPlan plan;
     plan.seed = opt.fault_seed;
     using faultsim::FaultKind;
@@ -247,7 +248,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
   // groups: the message faults now also hit the aggregated fabric wires
   // ("fabric-exchange ... n0->n1" sites), and a scheduled node loss takes
   // both devices of n1 at once, forcing a failover below the survivor count.
-  if (opt.nodes >= 2 && max_devices >= 4) {
+  if (opt.nodes >= 2 && opt.max_devices >= 4) {
     const gpusim::NodeTopology topo = gpusim::cluster(2, 2);
     {
       faultsim::FaultPlan plan;
@@ -290,7 +291,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
     total_recovery_us += r.recovery_us;
     total_rereplication_us += r.rereplication_us;
   };
-  if (opt.spares > 0 && max_devices >= 2) {
+  if (opt.spares > 0 && opt.max_devices >= 2) {
     // Hot-spare re-replication: the shard of the lost device moves to a
     // standby over the priced link model; the grid never shrinks.
     gpusim::NodeTopology topo;
@@ -312,7 +313,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
     }
     ++scenarios;
   }
-  if (max_devices >= 2) {
+  if (opt.max_devices >= 2) {
     // Kill-then-heal: no spares, so the loss shrinks the grid — then the
     // scheduled heal returns the device and the run rejoins the full grid.
     faultsim::FaultPlan plan;
@@ -333,7 +334,7 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
     }
     ++scenarios;
   }
-  if (opt.spares > 0 && opt.nodes >= 2 && max_devices >= 4) {
+  if (opt.spares > 0 && opt.nodes >= 2 && opt.max_devices >= 4) {
     // Node loss with a standby node: every shard of the lost node group
     // re-replicates across the fabric; capacity survives whole-node failure.
     gpusim::NodeTopology topo = gpusim::cluster(2, 2);
@@ -536,13 +537,13 @@ int run_chaos(const Options& opt, int max_devices, const RunRequest& req) {
 // analogue of bench_fig6 --sanitize.  Any error fails the run.
 // ---------------------------------------------------------------------------
 
-int run_sanitize(const Options& opt, int max_devices) {
+int run_sanitize(const Options& opt) {
   DslashProblem p0(opt.L, opt.seed);
   print_header("Halo protocol under ksan (sanitized replay)", opt, p0.sites());
   const MultiDeviceRunner multi;
   bool all_clean = true;
   for (const int n : {2, 4, 8}) {
-    if (n > max_devices) continue;
+    if (n > opt.max_devices) continue;
     const PartitionGrid grid = strong_grid(n);
     std::printf("\ngrid %s — pack/unpack launches\n", grid.label().c_str());
     DslashProblem ph(opt.L, opt.seed);
@@ -569,7 +570,7 @@ int run_sanitize(const Options& opt, int max_devices) {
 // join it).  Every trace must come back clean.
 // ---------------------------------------------------------------------------
 
-int run_dsan(const Options& opt, int max_devices, const RunRequest& req) {
+int run_dsan(const Options& opt, const RunRequest& req) {
   DslashProblem p0(opt.L, opt.seed);
   print_header("Distributed sanitizer (dsan) over recorded event graphs", opt, p0.sites());
   const MultiDeviceRunner multi;
@@ -595,14 +596,14 @@ int run_dsan(const Options& opt, int max_devices, const RunRequest& req) {
   };
 
   for (const int n : {2, 4, 8}) {
-    if (n > max_devices) continue;
+    if (n > opt.max_devices) continue;
     const std::string name = "plain " + std::to_string(n) + "-device run";
     check_grid(name.c_str(), strong_grid(n), gpusim::NodeTopology{}, nullptr);
   }
-  if (opt.nodes >= 2 && max_devices >= 4) {
+  if (opt.nodes >= 2 && opt.max_devices >= 4) {
     check_grid("multi-node 2x2 run", strong_grid(4), gpusim::cluster(2, 2), nullptr);
   }
-  if (opt.faults && max_devices >= 2) {
+  if (opt.faults && opt.max_devices >= 2) {
     // A corrupted first delivery forces a checksum reject + round-2
     // retransmit; the recorded retry protocol must still check clean.
     faultsim::FaultPlan retx;
@@ -610,7 +611,7 @@ int run_dsan(const Options& opt, int max_devices, const RunRequest& req) {
     retx.schedule.push_back(faultsim::ScheduledFault{faultsim::FaultKind::msg_corrupt, 0, 1,
                                                      "halo-exchange r0->r1"});
     check_grid("hardened retransmit run", strong_grid(2), gpusim::NodeTopology{}, &retx);
-    if (max_devices >= 4) {
+    if (opt.max_devices >= 4) {
       faultsim::FaultPlan loss;
       loss.seed = opt.fault_seed;
       loss.schedule.push_back(
@@ -754,7 +755,7 @@ NodeRow run_node_point(const char* kind, const Coords& dims, const Options& opt,
   return row;
 }
 
-int run_nodes(const Options& opt, int max_devices, const RunRequest& req) {
+int run_nodes(const Options& opt, const RunRequest& req) {
   DslashProblem p0(opt.L, opt.seed);
   print_header("Multi-node scaling — fabric tier over NVLink node groups", opt, p0.sites());
   std::printf("cluster: %d nodes, NVLink (300 GB/s) inside a node, "
@@ -765,10 +766,10 @@ int run_nodes(const Options& opt, int max_devices, const RunRequest& req) {
 
   std::vector<int> counts;
   for (const int n : {2, 4, 8}) {
-    if (n <= max_devices && n % opt.nodes == 0) counts.push_back(n);
+    if (n <= opt.max_devices && n % opt.nodes == 0) counts.push_back(n);
   }
   if (counts.empty()) {
-    std::fprintf(stderr, "no device count <= %d divides into %d nodes\n", max_devices,
+    std::fprintf(stderr, "no device count <= %d divides into %d nodes\n", opt.max_devices,
                  opt.nodes);
     return 2;
   }
@@ -835,7 +836,7 @@ double wire_error_floor(SpinorWire w) {
   return 0.0;
 }
 
-int run_wire(const Options& opt, int max_devices, const RunRequest& req) {
+int run_wire(const Options& opt, const RunRequest& req) {
   WireFormat fmt;
   if (!parse_wire_format(opt.wire, fmt)) {
     std::fprintf(stderr,
@@ -859,11 +860,11 @@ int run_wire(const Options& opt, int max_devices, const RunRequest& req) {
 
   // Pick the exchange shape: >= 2 devices so halos actually move; with
   // --nodes the same grid is priced over the fabric tier.
-  int n = max_devices >= 4 ? 4 : 2;
+  int n = opt.max_devices >= 4 ? 4 : 2;
   if (opt.nodes > 1) {
-    while (n % opt.nodes != 0 && n <= max_devices) n *= 2;
-    if (n > max_devices || n % opt.nodes != 0) {
-      std::fprintf(stderr, "no device count <= %d divides into %d nodes\n", max_devices,
+    while (n % opt.nodes != 0 && n <= opt.max_devices) n *= 2;
+    if (n > opt.max_devices || n % opt.nodes != 0) {
+      std::fprintf(stderr, "no device count <= %d divides into %d nodes\n", opt.max_devices,
                    opt.nodes);
       return 2;
     }
@@ -1024,22 +1025,16 @@ int run_wire(const Options& opt, int max_devices, const RunRequest& req) {
 
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
-  int max_devices = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-devices") == 0 && i + 1 < argc) {
-      max_devices = std::atoi(argv[i + 1]);
-    }
-  }
 
   const RunRequest req{.strategy = Strategy::LP3_1,
                        .order = IndexOrder::kMajor,
                        .local_size = 768,
                        .variant = Variant::SYCL};
-  if (!opt.wire.empty()) return run_wire(opt, max_devices, req);
-  if (opt.dsan) return run_dsan(opt, max_devices, req);
-  if (opt.sanitize) return run_sanitize(opt, max_devices);
-  if (opt.faults) return run_chaos(opt, max_devices, req);
-  if (opt.nodes > 1) return run_nodes(opt, max_devices, req);
+  if (!opt.wire.empty()) return run_wire(opt, req);
+  if (opt.dsan) return run_dsan(opt, req);
+  if (opt.sanitize) return run_sanitize(opt);
+  if (opt.faults) return run_chaos(opt, req);
+  if (opt.nodes > 1) return run_nodes(opt, req);
   const DslashRunner single;
   const MultiDeviceRunner multi;
 
@@ -1062,7 +1057,7 @@ int main(int argc, char** argv) {
 
   std::vector<int> counts;
   for (const int n : {1, 2, 4, 8}) {
-    if (n <= max_devices) counts.push_back(n);
+    if (n <= opt.max_devices) counts.push_back(n);
   }
   bool ok = true;
 
@@ -1071,11 +1066,7 @@ int main(int argc, char** argv) {
   const RunResult fig6 = single.run(p0, req);  // the bench_fig6 row
   double strong_base = 0.0;
   for (const int n : counts) {
-    // The n = 1 run reuses p0: simulated stats are a function of the
-    // problem's actual buffer addresses, so reproducing the bench_fig6 row
-    // exactly requires the same problem instance, not just the same seed.
-    DslashProblem problem_n(opt.L, opt.seed);
-    DslashProblem& problem = n == 1 ? p0 : problem_n;
+    DslashProblem problem(opt.L, opt.seed);
     MultiDevRequest mreq;
     mreq.grid = strong_grid(n);
     mreq.req = req;

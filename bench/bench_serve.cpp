@@ -20,7 +20,6 @@
 // request carries an explicit reason, and the seeded scenarios replay to
 // byte-identical SloReport::canonical() strings.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <tuple>
@@ -391,10 +390,6 @@ Scenario chaos(std::uint64_t seed) {
 
 int serve_main(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
-  std::uint64_t chaos_seed = 2024;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc)
-      chaos_seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
 
   std::printf("== bench_serve: resilient multi-tenant solver service ==\n");
 
@@ -426,11 +421,11 @@ int serve_main(int argc, char** argv) {
 
   RefCache refs(svc);
   JsonSink json(opt.json_path, "bench_serve");
-  json.meta("chaos_seed", chaos_seed);
+  json.meta("chaos_seed", opt.chaos_seed);
 
   std::vector<Scenario> scenarios = {steady(),       bursty(),      hot_tenant(),
                                      storm_device(), storm_node(),  rejoin_device(),
-                                     storm_spare(),  chaos(chaos_seed)};
+                                     storm_spare(),  chaos(opt.chaos_seed)};
   for (const Scenario& sc : scenarios) {
     std::printf("\n-- scenario %s --\n", sc.name.c_str());
     SolverService& target = sc.use_spares ? svc_spares : svc;

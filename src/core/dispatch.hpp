@@ -1,21 +1,27 @@
-// dispatch.hpp — the one (strategy, order, complex type) -> kernel switch.
+// dispatch.hpp — the one (strategy, order, complex type) -> kernel switch
+// and the one description of a Dslash launch.
 //
 // Every launch mode (profiled, functional, sanitized) and every driver
 // (single-device DslashRunner, multi-device shard launches) must run the
-// *identical* kernel object for a given configuration; this header is the
-// single place that instantiates it.  It operates on a raw DslashArgs block
-// rather than a DslashProblem so callers can point it at sub-ranges — the
-// multidev runner launches the same kernels over a shard's interior and
-// boundary site ranges by offsetting the block's base pointers.
+// *identical* kernel object for a given configuration, launched with the
+// identical LaunchSpec; this header is the single place that instantiates
+// both.  It operates on a raw DslashArgs block rather than a DslashProblem
+// so callers can point it at sub-ranges — the multidev runner launches the
+// same kernels over a shard's interior and boundary site ranges by
+// offsetting the block's base pointers.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/kernels_1lp.hpp"
 #include "core/kernels_2lp.hpp"
 #include "core/kernels_3lp.hpp"
 #include "core/kernels_4lp.hpp"
 #include "core/strategy.hpp"
+#include "core/variants.hpp"
+#include "minisycl/executor.hpp"
 
 namespace milc {
 
@@ -85,6 +91,47 @@ auto with_dslash_kernel(const DslashArgs<dcomplex>& a, Strategy s, IndexOrder o,
       return fn(Dslash4LPKernel<Order4::lp2_iMajor>{.args = a});
   }
   throw std::logic_error("unknown strategy");
+}
+
+/// A Dslash launch's buffers in a fixed order — gauge links, source, target,
+/// neighbour table — for the profiler's canonical address map (see
+/// minisycl::AddressRegion): timing becomes a pure function of the launch,
+/// independent of where the heap put the fields, which the tuning cache's
+/// bit-for-bit replay rule needs.  `src_sites` is the source field's
+/// extent: `a.sites` on one device; on a shard its extended_sources(),
+/// because neighbour indices can reach any ghost slot.
+inline std::vector<minisycl::AddressRegion> dslash_regions(const DslashArgs<dcomplex>& a,
+                                                           std::int64_t src_sites) {
+  constexpr auto kVectorBytes = static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>));
+  std::vector<minisycl::AddressRegion> regions;
+  for (int l = 0; l < kNlinks; ++l) {
+    regions.push_back({a.links[l], a.sites * kNdim * kColors * kColors *
+                                       static_cast<std::int64_t>(sizeof(dcomplex))});
+  }
+  regions.push_back({a.b, src_sites * kVectorBytes});
+  regions.push_back({a.c_out, a.sites * kVectorBytes});
+  regions.push_back(
+      {a.neighbors, a.sites * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))});
+  return regions;
+}
+
+/// The launch of Dslash kernel `K` (strategy `s`) over `a`'s target sites:
+/// the strategy's work-items per site, K's local memory, phases and traits
+/// — with the variant's codegen slowdown when `vi` is given — and
+/// dslash_regions(a, src_sites).
+template <typename K>
+minisycl::LaunchSpec dslash_launch(const DslashArgs<dcomplex>& a, std::int64_t src_sites,
+                                   Strategy s, int local_size,
+                                   const VariantInfo* vi = nullptr) {
+  minisycl::LaunchSpec spec;
+  spec.global_size = a.sites * items_per_site(s);
+  spec.local_size = local_size;
+  spec.shared_bytes = K::shared_bytes(local_size);
+  spec.num_phases = K::kPhases;
+  spec.traits = K::traits();
+  if (vi != nullptr) spec.traits.codegen_slowdown = vi->codegen_slowdown;
+  spec.regions = dslash_regions(a, src_sites);
+  return spec;
 }
 
 }  // namespace milc

@@ -6,6 +6,7 @@
 #pragma once
 
 #include "core/dslash_args.hpp"
+#include "core/index_orders.hpp"
 #include "minisycl/traits.hpp"
 
 namespace milc {

@@ -12,41 +12,6 @@ namespace milc {
 
 namespace {
 
-/// The launch's buffers in a fixed order (mirrors declare_dslash_regions),
-/// for the profiler's canonical address map: timing becomes a pure function
-/// of the launch, independent of where the heap put the fields — the
-/// tuning cache's bit-for-bit replay rule needs exactly this.
-std::vector<minisycl::AddressRegion> dslash_regions(const DslashArgs<dcomplex>& a) {
-  std::vector<minisycl::AddressRegion> regions;
-  const auto n = a.sites;
-  for (int l = 0; l < kNlinks; ++l) {
-    regions.push_back({a.links[l],
-                       n * kNdim * kColors * kColors *
-                           static_cast<std::int64_t>(sizeof(dcomplex))});
-  }
-  regions.push_back({a.b, n * static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>))});
-  regions.push_back({a.c_out, n * static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>))});
-  regions.push_back({a.neighbors,
-                     n * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))});
-  return regions;
-}
-
-template <typename Kernel>
-gpusim::KernelStats submit(minisycl::queue& q, const Kernel& kernel,
-                           const DslashArgs<dcomplex>& args, int items, int local_size,
-                           const VariantInfo* vi, std::string name) {
-  minisycl::LaunchSpec spec;
-  spec.global_size = args.sites * items;
-  spec.local_size = local_size;
-  spec.shared_bytes = Kernel::shared_bytes(local_size);
-  spec.num_phases = Kernel::kPhases;
-  spec.traits = Kernel::traits();
-  spec.regions = dslash_regions(args);
-  if (vi != nullptr) spec.traits.codegen_slowdown = vi->codegen_slowdown;
-  if (name.empty()) name = spec.traits.name;
-  return q.submit(spec, kernel, std::move(name));
-}
-
 /// Validate the §III local-size rules for this problem, then hand the
 /// configuration's kernel object to `fn` via the shared dispatch switch
 /// (core/dispatch.hpp) — every launch mode (profiled, functional,
@@ -64,23 +29,20 @@ auto with_kernel(DslashProblem& p, Strategy s, IndexOrder o, int local_size, boo
 gpusim::KernelStats dispatch(minisycl::queue& q, DslashProblem& p, Strategy s, IndexOrder o,
                              int local_size, bool use_syclcplx, const VariantInfo* vi,
                              const std::string& name) {
-  const int items = items_per_site(s);
   const DslashArgs<dcomplex> args = p.args();
   return with_kernel(p, s, o, local_size, use_syclcplx, [&](const auto& kernel) {
-    return submit(q, kernel, args, items, local_size, vi, name);
+    using K = std::decay_t<decltype(kernel)>;
+    return q.submit(dslash_launch<K>(args, args.sites, s, local_size, vi), kernel, name);
   });
 }
 
 }  // namespace
 
 void declare_dslash_regions(const DslashArgs<dcomplex>& a, ksan::SanitizeConfig& cfg) {
-  const auto n = static_cast<std::size_t>(a.sites);
-  for (int l = 0; l < kNlinks; ++l) {
-    cfg.regions.push_back(ksan::region_of(a.links[l], n * kNdim * kColors * kColors));
+  for (const minisycl::AddressRegion& r : dslash_regions(a, a.sites)) {
+    cfg.regions.push_back(
+        {reinterpret_cast<std::uint64_t>(r.base), static_cast<std::uint64_t>(r.bytes)});
   }
-  cfg.regions.push_back(ksan::region_of(a.b, n));
-  cfg.regions.push_back(ksan::region_of(a.c_out, n));
-  cfg.regions.push_back(ksan::region_of(a.neighbors, n * kNeighbors));
 }
 
 std::vector<RunRequest> fallback_requests(const RunRequest& req, std::int64_t sites) {
@@ -197,19 +159,12 @@ void DslashRunner::run_functional(DslashProblem& problem, Strategy s, IndexOrder
 ksan::SanitizerReport DslashRunner::sanitize(DslashProblem& problem, Strategy s, IndexOrder o,
                                              int local_size, bool use_syclcplx,
                                              ksan::SanitizeConfig cfg) const {
-  declare_dslash_regions(problem.args(), cfg);
-  const std::int64_t n = problem.sites();
-  const int items = items_per_site(s);
+  const DslashArgs<dcomplex> args = problem.args();
+  declare_dslash_regions(args, cfg);
   return with_kernel(problem, s, o, local_size, use_syclcplx, [&](const auto& kernel) {
     using K = std::decay_t<decltype(kernel)>;
-    minisycl::LaunchSpec spec;
-    spec.global_size = n * items;
-    spec.local_size = local_size;
-    spec.shared_bytes = K::shared_bytes(local_size);
-    spec.num_phases = K::kPhases;
-    spec.traits = K::traits();
-    return ksan::sanitize_launch(spec, kernel, std::move(cfg),
-                                 config_label(s, o, local_size));
+    return ksan::sanitize_launch(dslash_launch<K>(args, args.sites, s, local_size), kernel,
+                                 std::move(cfg), config_label(s, o, local_size));
   });
 }
 

@@ -2,8 +2,8 @@
 
 #include <cassert>
 
+#include "core/dispatch.hpp"
 #include "core/dslash_ref.hpp"
-#include "core/kernels_3lp.hpp"
 #include "minisycl/queue.hpp"
 
 namespace milc {
@@ -28,13 +28,7 @@ void StaggeredOperator::apply_half(Parity target, const ColorField& in, ColorFie
   using Kernel = Dslash3LP1Kernel<Order3::kMajor>;
   Kernel kernel{args};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
-  minisycl::LaunchSpec spec;
-  spec.global_size = args.sites * 12;
-  spec.local_size = 96;
-  spec.shared_bytes = Kernel::shared_bytes(96);
-  spec.num_phases = Kernel::kPhases;
-  spec.traits = Kernel::traits();
-  q.submit(spec, kernel);
+  q.submit(dslash_launch<Kernel>(args, args.sites, Strategy::LP3_1, 96), kernel);
 }
 
 void StaggeredOperator::dslash_eo(const ColorField& in, ColorField& out) const {

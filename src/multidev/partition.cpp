@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "tune/explorer.hpp"
 #include "tune/session.hpp"
 
 namespace milc::multidev {
@@ -426,51 +427,38 @@ tune::TuneKey grid_tune_key(const LatticeGeom& geom, const gpusim::NodeTopology&
 
 PartitionGrid choose_grid(const LatticeGeom& geom, const gpusim::NodeTopology& topo,
                           const WireFormat& wire) {
-  const std::vector<PartitionGrid> candidates = enumerate_grids(geom, topo.total_devices());
-  if (candidates.empty()) {
+  const std::vector<PartitionGrid> grids = enumerate_grids(geom, topo.total_devices());
+  if (grids.empty()) {
     throw std::invalid_argument("choose_grid: no grid of " +
                                 std::to_string(topo.total_devices()) +
                                 " devices can partition this lattice");
   }
 
-  tune::TuneSession* sess = tune::TuneSession::current();
-  tune::TuneKey key;
-  if (sess != nullptr) {
-    key = grid_tune_key(geom, topo, wire);
-    if (const tune::TuneEntry* hit = sess->lookup(key); hit != nullptr) {
-      PartitionGrid g;
-      if (!PartitionGrid::from_label(hit->grid, g) || !partition_error(geom, g).empty()) {
-        throw tune::ReplayMismatch(key.canonical() + " (grid '" + hit->grid + "')",
-                                   hit->per_iter_us, 0.0);
-      }
-      // Warm start: one re-score instead of the full enumeration sweep —
-      // and the honesty rule on its predicted cost.
-      sess->verify(key, *hit, score_grid(geom, g, topo, wire).cost_us);
-      return g;
-    }
-  }
-
+  // One candidate per grid label, priced by its predicted exchange cost.
   // Strict < keeps the first of equal-cost candidates.  enumerate_grids
   // emits grids in ascending lexicographic order, so a symmetric tie (the
   // same arithmetic gives bit-identical costs) resolves to splitting the
   // later dimensions — t first, then z — the repo's strong_grid convention.
-  const PartitionGrid* best = nullptr;
-  double best_cost = 0.0;
-  for (const PartitionGrid& g : candidates) {
-    const double cost = score_grid(geom, g, topo, wire).cost_us;
-    if (best == nullptr || cost < best_cost) {
-      best = &g;
-      best_cost = cost;
+  std::vector<tune::Candidate> candidates;
+  candidates.reserve(grids.size());
+  for (const PartitionGrid& g : grids) candidates.push_back({.grid = g.label()});
+  const tune::TuneKey key = grid_tune_key(geom, topo, wire);
+  const tune::PriceFn price = [&](const tune::Candidate& c) {
+    PartitionGrid g;
+    if (!PartitionGrid::from_label(c.grid, g) || !partition_error(geom, g).empty()) {
+      // Only a warm start can price a label that was not enumerated: the
+      // cached entry is forged or stale.
+      throw tune::ReplayMismatch(key.canonical() + " (grid '" + c.grid + "')",
+                                 tune::TuneSession::current()->cache().find(key)->per_iter_us,
+                                 0.0);
     }
-  }
-  if (sess != nullptr) {
-    sess->note_explored(candidates.size());
-    tune::TuneEntry entry;
-    entry.grid = best->label();
-    entry.per_iter_us = best_cost;
-    sess->record(key, entry);
-  }
-  return *best;
+    return score_grid(geom, g, topo, wire).cost_us;
+  };
+  PartitionGrid chosen;
+  // The winner's label was parsed and validated when it was priced.
+  (void)PartitionGrid::from_label(tune::tune_or_replay(key, candidates, price).entry.grid,
+                                  chosen);
+  return chosen;
 }
 
 }  // namespace milc::multidev

@@ -214,8 +214,10 @@ struct GridScore {
 ///
 /// With a tune::TuneSession installed, consults grid_tune_key() first: a
 /// hit re-scores only the cached grid and verifies its predicted cost
-/// bit-for-bit (tune::ReplayMismatch otherwise) instead of scoring every
-/// candidate; a miss scores the full enumeration and records the winner.
+/// bit-for-bit (tune::ReplayMismatch otherwise, and for a cached label that
+/// does not parse or does not partition the lattice) instead of scoring
+/// every candidate; a miss scores the full enumeration and records the
+/// winner.
 [[nodiscard]] PartitionGrid choose_grid(const LatticeGeom& geom,
                                         const gpusim::NodeTopology& topo,
                                         const WireFormat& wire = {});

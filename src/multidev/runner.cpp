@@ -95,26 +95,6 @@ DslashArgs<dcomplex> range_args(const ShardLinks& links, ShardFields& f, const S
   return a;
 }
 
-/// The shard launch's buffers in a fixed order, for the profiler's canonical
-/// address map (see minisycl::AddressRegion): shard timings become pure
-/// functions of the launch, which the tuning cache's bit-for-bit replay rule
-/// needs.  `src_elems` is the extended source extent — neighbor indices can
-/// reach any ghost slot, so the whole field is one region.
-std::vector<minisycl::AddressRegion> shard_regions(const DslashArgs<dcomplex>& a,
-                                                   std::int64_t src_elems) {
-  std::vector<minisycl::AddressRegion> regions;
-  for (int l = 0; l < kNlinks; ++l) {
-    regions.push_back(
-        {a.links[l], a.sites * kSiteLinkElems * static_cast<std::int64_t>(sizeof(dcomplex))});
-  }
-  regions.push_back({a.b, src_elems * static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>))});
-  regions.push_back(
-      {a.c_out, a.sites * static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>))});
-  regions.push_back({a.neighbors,
-                     a.sites * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))});
-  return regions;
-}
-
 template <typename W>
 std::vector<minisycl::AddressRegion> pack_regions(const HaloPackKernelT<W>& k,
                                                   std::int64_t src_elems) {
@@ -160,25 +140,28 @@ double message_scale(SpinorWire w, const SU3Vector<dcomplex>* src, const HaloMsg
   return peak > 0.0 ? 1.0 / peak : 1.0;
 }
 
-/// Submit one Dslash kernel range on a shard queue; returns the raw stats
-/// (stats.fault names an injected failure — no side effects in that case).
-gpusim::KernelStats submit_dslash(minisycl::queue& q, const DslashArgs<dcomplex>& a,
-                                  std::int64_t src_elems, const RunRequest& req,
-                                  const VariantInfo& vi, int local_size,
-                                  const std::string& name) {
-  return with_dslash_kernel(a, req.strategy, req.order, vi.use_syclcplx,
-                            [&](const auto& kernel) {
-                              using K = std::decay_t<decltype(kernel)>;
-                              minisycl::LaunchSpec spec;
-                              spec.global_size = a.sites * items_per_site(req.strategy);
-                              spec.local_size = local_size;
-                              spec.shared_bytes = K::shared_bytes(local_size);
-                              spec.num_phases = K::kPhases;
-                              spec.traits = K::traits();
-                              spec.traits.codegen_slowdown = vi.codegen_slowdown;
-                              spec.regions = shard_regions(a, src_elems);
-                              return q.submit(spec, kernel, name);
-                            });
+/// The pack kernel of `msg`: gathers the sender's owned sources named by
+/// msg.send_slots into `wire`, encoded as W with the message's range scale.
+template <typename W>
+HaloPackKernelT<W> pack_kernel(const ShardFields& sender, const HaloMsg& msg,
+                               std::vector<std::byte>& wire, double scale) {
+  return {.src = sender.src.data(),
+          .slots = msg.send_slots.data(),
+          .wire = reinterpret_cast<W*>(wire.data()),
+          .count = msg.count(),
+          .scale = scale};
+}
+
+/// The unpack kernel of `msg`: decodes `payload` into the receiver's ghost
+/// slots [msg.ghost_base, msg.ghost_base + msg.count()).
+template <typename W>
+HaloUnpackKernelT<W> unpack_kernel(const std::vector<std::byte>& payload, ShardFields& receiver,
+                                   const HaloMsg& msg, double scale) {
+  return {.wire = reinterpret_cast<const W*>(payload.data()),
+          .field = receiver.src.data(),
+          .ghost_base = msg.ghost_base,
+          .count = msg.count(),
+          .inv_scale = 1.0 / scale};
 }
 
 minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
@@ -266,11 +249,7 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
         // a ghost slot would be an ordering bug), writes inside the wire.
         // The fused convert-pack kernel is sanitized at the requested
         // format, so its accesses are checked against the *encoded* buffer.
-        HaloPackKernelT<W> pack{.src = peer.src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(wire.data()),
-                                .count = msg.count(),
-                                .scale = scale};
+        const HaloPackKernelT<W> pack = pack_kernel<W>(peer, msg, wire, scale);
         ksan::SanitizeConfig pack_cfg;
         pack_cfg.regions.push_back(
             ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
@@ -292,11 +271,7 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
         for (int delivery = 0; delivery < deliveries; ++delivery) {
           if (hardened) rx.assign(wire.begin(), wire.end());
           const std::vector<std::byte>& payload = hardened ? rx : wire;
-          HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(payload.data()),
-                                      .field = f.src.data(),
-                                      .ghost_base = msg.ghost_base,
-                                      .count = msg.count(),
-                                      .inv_scale = 1.0 / scale};
+          const HaloUnpackKernelT<W> unpack = unpack_kernel<W>(payload, f, msg, scale);
           ksan::SanitizeConfig unpack_cfg;
           unpack_cfg.regions.push_back(ksan::region_of(payload.data(), payload.size()));
           unpack_cfg.regions.push_back(ksan::region_of(
@@ -551,6 +526,440 @@ bool adopt_shards(faultsim::Injector* inj, const gpusim::NodeTopology& topo,
   return true;
 }
 
+/// One halo message, in (receiver, message) order — the order every phase
+/// walks, and the order the injector is consulted in.
+struct Slab {
+  const HaloMsg* msg = nullptr;
+  int dst = 0;
+  std::vector<std::byte> wire{};  ///< sender's pack buffer, never modified after packing
+  std::vector<std::byte> rx{};    ///< receiver-side copy (hardened only)
+  double scale = 1.0;
+  double depart_us = 0.0;
+  std::uint64_t checksum = 0;
+  std::uint64_t tx = 0;  ///< dsan uid of the accepted delivery
+  bool delivered = false;
+};
+
+/// One pass of the halo pipeline on the layout's grid and the state its
+/// phases share.  The fault policy: an installed injector adds payload
+/// checksums, the receiver-side copies they verify, and retransmit rounds.
+/// Without one, every retry loop runs exactly once and the first round
+/// delivers.  Each phase returns the empty string, or why a fault exhausted
+/// its recovery budget, and adds its microseconds to res.per_device.
+class HaloPass {
+ public:
+  HaloPass(DslashProblem& problem, const MultiDevRequest& mreq, const ShardLayout& layout,
+           MultiDevResult& res, const gpusim::MachineModel& machine,
+           const gpusim::Calibration& cal);
+
+  /// Every device packs its outbound faces (pack_us).
+  std::string pack_faces();
+  /// One Dslash launch per shard over its interior or its boundary targets
+  /// (interior_us / boundary_us).
+  std::string dslash_range(bool boundary);
+  /// Deliver -> verify checksum -> retransmit, round by round (arrival_us).
+  std::string exchange_rounds();
+  /// Unpack every verified payload into its ghost slots (unpack_us).
+  std::string unpack_ghosts();
+  /// Gather the output into the problem and assemble the overlap timeline.
+  void gather_and_time();
+  /// Zero every device's timeline, keeping its rank.
+  void clear_timeline();
+
+ private:
+  template <typename Launch>
+  bool submit_shard(int rank, const std::string& name, std::span<const RunRequest> rungs,
+                    const Launch& launch, double& us_acc);
+  [[nodiscard]] bool crosses_fabric(int a, int b) const {
+    return topo_.multi_node() && !topo_.same_node(a, b);
+  }
+  [[nodiscard]] int node_of(int r) const { return topo_.multi_node() ? topo_.node_of(r) : 0; }
+  DeviceTimeline& timeline(int rank) { return res_.per_device[static_cast<std::size_t>(rank)]; }
+
+  DslashProblem& problem_;
+  const MultiDevRequest& mreq_;
+  const ShardLayout& layout_;
+  MultiDevResult& res_;
+  const std::vector<Shard>& shards_;
+  const int ndev_;
+  const gpusim::NodeTopology topo_;
+  const SpinorWire sw_;
+  const bool hardened_;
+  dsan::Recorder* const rec_;
+  std::vector<ShardFields> fields_;
+  std::vector<std::unique_ptr<minisycl::queue>> queues_;
+  std::vector<Slab> slabs_;
+};
+
+HaloPass::HaloPass(DslashProblem& problem, const MultiDevRequest& mreq,
+                   const ShardLayout& layout, MultiDevResult& res,
+                   const gpusim::MachineModel& machine, const gpusim::Calibration& cal)
+    : problem_(problem),
+      mreq_(mreq),
+      layout_(layout),
+      res_(res),
+      shards_(layout.part.shards()),
+      ndev_(layout.part.grid().total()),
+      topo_(effective_topology(mreq.topo, ndev_)),
+      sw_(mreq.wire.spinor),
+      hardened_(faultsim::Injector::current() != nullptr),
+      rec_(dsan::Recorder::current()) {
+  fields_.reserve(shards_.size());
+  for (const Shard& sh : shards_) fields_.push_back(build_fields(problem_, sh));
+  const VariantInfo& vi = variant_info(mreq_.req.variant);
+  for (int d = 0; d < ndev_; ++d) {
+    queues_.push_back(
+        std::make_unique<minisycl::queue>(mreq_.mode, vi.queue_order, machine, cal));
+  }
+  const std::string grid = layout_.part.grid().label();
+  if (rec_ != nullptr) {
+    rec_->barrier("attempt @ " + grid);
+    hook_queues_for_dsan(rec_, queues_);
+  }
+
+  res_.label = config_label(mreq_.req.strategy, mreq_.req.order, mreq_.req.local_size) +
+               " @ " + grid;
+  res_.devices = ndev_;
+  clear_timeline();
+  res_.per_iter_us = 0.0;
+  res_.halo_bytes = 0;
+
+  for (const Shard& sh : shards_) {
+    for (const HaloMsg& msg : sh.halo) slabs_.push_back(Slab{.msg = &msg, .dst = sh.rank});
+  }
+}
+
+void HaloPass::clear_timeline() {
+  res_.per_device.assign(static_cast<std::size_t>(ndev_), DeviceTimeline{});
+  for (int d = 0; d < ndev_; ++d) timeline(d).rank = d;
+}
+
+// Bounded retry of one shard kernel on rank's queue: up to
+// kMaxKernelAttempts launches of each rung in turn, `launch(queue, rung)`
+// submitting one.  A Dslash range walks fallback_requests (the per-shard
+// analogue of ResilientRunner's ladder); a halo kernel is the one-rung case.
+// A failed attempt logs "retry" and charges a backoff; a rung's last one
+// logs "fallback", or "abort" on the last rung, and charges none.
+template <typename Launch>
+bool HaloPass::submit_shard(int rank, const std::string& name,
+                            std::span<const RunRequest> rungs, const Launch& launch,
+                            double& us_acc) {
+  minisycl::queue& q = *queues_[static_cast<std::size_t>(rank)];
+  for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
+    for (int a = 0; a < kMaxKernelAttempts; ++a) {
+      const gpusim::KernelStats st = launch(q, rungs[rung]);
+      if (st.fault.empty()) {
+        us_acc += st.duration_us + q.launch_overhead_us();
+        return true;
+      }
+      drain_errors(q);
+      const bool last_attempt = a + 1 == kMaxKernelAttempts;
+      const bool last_rung = rung + 1 == rungs.size();
+      const double backoff = last_attempt ? 0.0 : backoff_us(a);
+      res_.recovery_us += backoff;
+      us_acc += backoff;
+      res_.shard_recoveries.push_back(ShardRecovery{
+          rank, name, rungs[rung].strategy, a,
+          last_attempt ? (last_rung ? "abort" : "fallback") : "retry", backoff});
+    }
+  }
+  return false;
+}
+
+// Fabric-bound slabs pack first (pass 0) so their aggregates hit the slow
+// pipe at fabric_pack_us while the NVLink slabs are still packing — the
+// two-phase schedule.  Single-node runs have no pass-0 slabs.  Wire buffers
+// hold *encoded* bytes of the request's wire format: the pack kernels write
+// the wire element type directly, and checksums, corruption,
+// retransmission and pricing all operate on those bytes.
+std::string HaloPass::pack_faces() {
+  std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev_), 0.0);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Slab& s : slabs_) {
+      const HaloMsg& msg = *s.msg;
+      if ((pass == 0) != crosses_fabric(msg.peer, s.dst)) continue;
+      const auto src = static_cast<std::size_t>(msg.peer);
+      s.wire.resize(static_cast<std::size_t>(msg.wire_bytes(sw_)));
+      s.scale = message_scale(sw_, fields_[src].src.data(), msg);
+      const std::string name = pack_site(msg.peer, s.dst);
+      bool ok = true;
+      with_wire_element(sw_, [&](auto tag) {
+        using W = decltype(tag);
+        const HaloPackKernelT<W> pack = pack_kernel<W>(fields_[src], msg, s.wire, s.scale);
+        minisycl::LaunchSpec spec =
+            halo_spec(msg.count(), kPackLocalSize, HaloPackKernelT<W>::traits());
+        spec.regions = pack_regions(pack, shards_[src].extended_sources());
+        ok = submit_shard(
+            msg.peer, name, {&mreq_.req, 1},
+            [&](minisycl::queue& q, const RunRequest&) { return q.submit(spec, pack, name); },
+            timeline(msg.peer).pack_us);
+      });
+      if (!ok) return "pack kernel '" + name + "' exhausted its retries";
+      if (rec_ != nullptr) {
+        rec_->annotate(msg.peer, name,
+                       {dsan::span_of(fields_[src].src.data(),
+                                      static_cast<std::size_t>(shards_[src].sources())),
+                        dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
+                       {dsan::span_of(s.wire.data(), s.wire.size())});
+      }
+      // FNV-1a is not cryptographic: it only has to catch the injector's bit
+      // flips, and one flipped bit always perturbs the multiply-xor chain.
+      if (hardened_) s.checksum = io::fnv1a(s.wire.data(), s.wire.size());
+    }
+    if (pass == 0) {
+      for (int d = 0; d < ndev_; ++d) {
+        fabric_pack_us[static_cast<std::size_t>(d)] = timeline(d).pack_us;
+      }
+    }
+  }
+  // A device puts its messages on the wire once the packs feeding them are
+  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
+  // fabric-bound slabs depart at the end of the fabric pack pass.
+  for (Slab& s : slabs_) {
+    const int src = s.msg->peer;
+    s.depart_us = crosses_fabric(src, s.dst) ? fabric_pack_us[static_cast<std::size_t>(src)]
+                                             : timeline(src).pack_us;
+  }
+  return {};
+}
+
+// The interior range reads only owned sources and runs while the messages
+// fly; the boundary range reads the extended field, ghosts included, after
+// the unpack.  Host execution order (interior before unpack) also proves
+// the interior range reads no ghost slot: ghosts are still NaN poison then.
+std::string HaloPass::dslash_range(bool boundary) {
+  const std::string what = boundary ? "boundary" : "interior";
+  for (const Shard& sh : shards_) {
+    const std::int64_t first = boundary ? sh.n_interior : 0;
+    const std::int64_t count = boundary ? sh.n_boundary : sh.n_interior;
+    const std::int64_t reads = boundary ? sh.extended_sources() : sh.sources();
+    if (count == 0) continue;
+    const auto rank = static_cast<std::size_t>(sh.rank);
+    const std::string name = "dslash-" + what + " r" + std::to_string(sh.rank);
+    ShardFields& f = fields_[rank];
+    const DslashArgs<dcomplex> args = range_args(layout_.links[rank], f, sh, first, count);
+    DeviceTimeline& t = timeline(sh.rank);
+    const bool ok = submit_shard(
+        sh.rank, name, fallback_requests(mreq_.req, count),
+        [&](minisycl::queue& q, const RunRequest& r) {
+          const VariantInfo& vi = variant_info(r.variant);
+          const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
+          return with_dslash_kernel(args, r.strategy, r.order, vi.use_syclcplx,
+                                    [&](const auto& kernel) {
+                                      using K = std::decay_t<decltype(kernel)>;
+                                      return q.submit(
+                                          dslash_launch<K>(args, sh.extended_sources(),
+                                                           r.strategy, ls, &vi),
+                                          kernel, name);
+                                    });
+        },
+        boundary ? t.boundary_us : t.interior_us);
+    if (!ok) return what + " kernel '" + name + "' exhausted the strategy ladder";
+    if (rec_ != nullptr) {
+      rec_->annotate(sh.rank, name, {dsan::span_of(f.src.data(), static_cast<std::size_t>(reads))},
+                     {dsan::span_of(f.dst.data() + first, static_cast<std::size_t>(count))});
+    }
+  }
+  return {};
+}
+
+// Hardened deliveries land on a receiver-side copy, so corruption never
+// destroys the retransmission source and a verified payload is unpacked
+// exactly once.  A fault-free run has one round and unpacks the sender's
+// buffer directly; its report stays at the defaults.
+std::string HaloPass::exchange_rounds() {
+  ExchangeReport unreported;
+  ExchangeReport& xr = hardened_ ? res_.exchange : unreported;
+  xr.messages += static_cast<int>(slabs_.size());
+  double wire_clock = 0.0;
+  std::size_t remaining = slabs_.size();
+  for (int round = 1; remaining > 0; ++round) {
+    if (round > kMaxRounds) {
+      xr.succeeded = false;
+      return "exchange exhausted " + std::to_string(kMaxRounds) + " delivery rounds (" +
+             std::to_string(remaining) + " undelivered)";
+    }
+    ++xr.rounds;
+    std::vector<Slab*> pend;
+    for (Slab& s : slabs_) {
+      if (!s.delivered) pend.push_back(&s);
+    }
+    if (round > 1) xr.retransmissions += static_cast<int>(pend.size());
+
+    std::vector<gpusim::LinkMessage> msgs;
+    msgs.reserve(pend.size());
+    for (const Slab* s : pend) {
+      msgs.push_back({.src = s->msg->peer,
+                      .dst = s->dst,
+                      .bytes = s->msg->wire_bytes(sw_),
+                      .depart_us = std::max(s->depart_us, wire_clock),
+                      .site = exchange_site(s->msg->peer, s->dst)});
+    }
+    // Over a multi-node topology the round's messages ride the two-level
+    // exchange: intra-node ones keep their per-message fault sites, inter-
+    // node ones are aggregated per neighbour and consulted per aggregate.
+    // Retransmissions re-enter here round after round, so a pending frame
+    // joins the next round's (smaller) aggregate — retransmit-over-fabric.
+    if (topo_.multi_node()) {
+      const gpusim::FabricExchangeReport frep =
+          gpusim::simulate_topology_exchange(topo_, msgs);
+      res_.intra_node_bytes += frep.intra_bytes;
+      res_.inter_node_bytes += frep.inter_bytes;
+      res_.fabric_messages += frep.inter_messages;
+      res_.intra_wire_us += frep.intra_wire_us;
+      res_.inter_wire_us += frep.inter_wire_us;
+    } else {
+      res_.intra_node_bytes +=
+          simulate_exchange(gpusim::dgx_a100_links(), msgs, ndev_).total_bytes;
+    }
+
+    // Transmissions enter the trace after the wire simulation so the drop
+    // verdict rides the Send event (a retransmit round records fresh uids).
+    std::vector<std::uint64_t> round_tx(msgs.size(), 0);
+    if (rec_ != nullptr) {
+      for (std::size_t j = 0; j < msgs.size(); ++j) {
+        const gpusim::LinkMessage& lm = msgs[j];
+        const std::vector<std::byte>& wire = pend[j]->wire;
+        round_tx[j] = rec_->send(lm.src, lm.dst, lm.site, round,
+                                 dsan::span_of(wire.data(), wire.size()), lm.dropped,
+                                 crosses_fabric(lm.src, lm.dst), node_of(lm.src),
+                                 node_of(lm.dst));
+      }
+    }
+
+    double round_end = wire_clock;
+    for (std::size_t j = 0; j < msgs.size(); ++j) {
+      Slab& s = *pend[j];
+      const gpusim::LinkMessage& lm = msgs[j];
+      round_end = std::max(round_end, lm.done_us);
+      ExchangeEvent ev;
+      ev.round = round;
+      ev.src = lm.src;
+      ev.dst = lm.dst;
+      ev.site = lm.site;
+      ev.dropped = lm.dropped;
+      ev.corrupted = lm.corrupted;
+      ev.delayed = lm.delayed;
+      xr.drops += lm.dropped ? 1 : 0;
+      xr.corruptions += lm.corrupted ? 1 : 0;
+      xr.delays += lm.delayed ? 1 : 0;
+      if (!lm.dropped) {
+        std::vector<dsan::MemSpan> rx_span;
+        if (hardened_) {
+          s.rx = s.wire;
+          if (lm.corrupted) {
+            // The bit flip lands in the *encoded* wire bytes — on a reduced
+            // format that is the compressed payload, so the checksum below
+            // (also over encoded bytes) catches it before any decode runs.
+            faultsim::flip_bit(s.rx.data(), s.rx.size(), lm.corrupt_key);
+          }
+          ev.checksum_ok = io::fnv1a(s.rx.data(), s.rx.size()) == s.checksum;
+          rx_span.push_back(dsan::span_of(s.rx.data(), s.rx.size()));
+        }
+        if (rec_ != nullptr) {
+          rec_->recv(round_tx[j], ev.checksum_ok, {dsan::span_of(s.wire.data(), s.wire.size())},
+                     std::move(rx_span));
+          if (hardened_) rec_->checksum(round_tx[j], ev.checksum_ok);
+          if (ev.checksum_ok) s.tx = round_tx[j];
+        }
+        if (ev.checksum_ok) {
+          s.delivered = true;
+          --remaining;
+          ev.delivered = true;
+          DeviceTimeline& t = timeline(lm.dst);
+          t.arrival_us = std::max(t.arrival_us, lm.done_us);
+        } else {
+          ++xr.checksum_failures;
+        }
+      }
+      xr.events.push_back(std::move(ev));
+    }
+
+    if (remaining > 0) {
+      const double backoff = backoff_us(round - 1);
+      xr.backoff_us += backoff;
+      res_.recovery_us += backoff;
+      wire_clock = round_end + backoff;
+      if (wire_clock > kWatchdogUs) {
+        xr.watchdog_fired = true;
+        return "exchange watchdog expired after round " + std::to_string(round) + " (" +
+               std::to_string(remaining) + " undelivered)";
+      }
+    }
+  }
+  xr.succeeded = true;
+  return {};
+}
+
+std::string HaloPass::unpack_ghosts() {
+  for (const Slab& s : slabs_) {
+    const HaloMsg& msg = *s.msg;
+    const auto dst = static_cast<std::size_t>(s.dst);
+    const std::vector<std::byte>& payload = hardened_ ? s.rx : s.wire;
+    const std::string name = unpack_site(msg.peer, s.dst);
+    bool ok = true;
+    with_wire_element(sw_, [&](auto tag) {
+      using W = decltype(tag);
+      const HaloUnpackKernelT<W> unpack = unpack_kernel<W>(payload, fields_[dst], msg, s.scale);
+      minisycl::LaunchSpec spec =
+          halo_spec(msg.count(), kPackLocalSize, HaloUnpackKernelT<W>::traits());
+      spec.regions = unpack_regions(unpack, shards_[dst].extended_sources());
+      ok = submit_shard(
+          s.dst, name, {&mreq_.req, 1},
+          [&](minisycl::queue& q, const RunRequest&) { return q.submit(spec, unpack, name); },
+          timeline(s.dst).unpack_us);
+    });
+    if (!ok) return "unpack kernel '" + name + "' exhausted its retries";
+    if (rec_ != nullptr) {
+      rec_->annotate(s.dst, name, {dsan::span_of(payload.data(), payload.size())},
+                     {dsan::span_of(fields_[dst].src.data() + msg.ghost_base,
+                                    static_cast<std::size_t>(msg.count()))},
+                     s.tx);
+    }
+  }
+  return {};
+}
+
+void HaloPass::gather_and_time() {
+  for (const Shard& sh : shards_) {
+    const ShardFields& f = fields_[static_cast<std::size_t>(sh.rank)];
+    for (std::int64_t t = 0; t < sh.targets(); ++t) {
+      problem_.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
+          f.dst[static_cast<std::size_t>(t)];
+    }
+  }
+
+  double comm_window = 0.0;
+  double hidden = 0.0;
+  std::int64_t boundary_total = 0;
+  for (const Shard& sh : shards_) {
+    DeviceTimeline& t = timeline(sh.rank);
+    t.interior_sites = sh.n_interior;
+    t.boundary_sites = sh.n_boundary;
+    t.halo_bytes_in = sh.halo_wire_bytes(sw_);
+    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
+    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
+    res_.per_iter_us = std::max(res_.per_iter_us, t.iter_us);
+    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
+    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
+    res_.halo_bytes += t.halo_bytes_in;
+    boundary_total += sh.n_boundary;
+  }
+  res_.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
+  res_.comm_fraction = 0.0;
+  if (res_.per_iter_us > 0.0) {
+    double comm_frac_sum = 0.0;
+    for (const DeviceTimeline& t : res_.per_device) {
+      comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res_.per_iter_us;
+    }
+    res_.comm_fraction = comm_frac_sum / ndev_;
+  }
+  res_.surface_fraction =
+      static_cast<double>(boundary_total) / static_cast<double>(problem_.sites());
+  res_.gflops =
+      res_.per_iter_us > 0.0 ? problem_.flops() / (res_.per_iter_us * 1e-6) / 1e9 : 0.0;
+}
+
 }  // namespace
 
 MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
@@ -562,26 +971,6 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
 MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequest& mreq,
                                       ShardLayouts& layouts) const {
   faultsim::Injector* inj = faultsim::Injector::current();
-  if (inj == nullptr && mreq.mode == minisycl::ExecMode::profiled && mreq.grid.total() == 1) {
-    // Delegate so single-device numbers reproduce bench_fig6 exactly (the
-    // pipeline would be bit-identical in values but launches on gathered
-    // shard copies, which the profiler prices as a different layout).
-    const DslashRunner single(machine_, cal_);
-    const RunResult rr = single.run(problem, mreq.req);
-    MultiDevResult res;
-    res.label = rr.label + " @ " + mreq.grid.label();
-    res.devices = 1;
-    res.per_iter_us = rr.per_iter_us;
-    res.gflops = rr.gflops;
-    DeviceTimeline t;
-    t.interior_sites = problem.sites();
-    t.interior_us = rr.kernel_us;
-    t.iter_us = rr.per_iter_us;
-    res.per_device.push_back(t);
-    res.final_grid = mreq.grid;
-    res.wire = mreq.wire;
-    return res;
-  }
   // A profiled run prices the requested placement, so the topology must fit
   // the grid.  (Functional and recovering runs adopt effective_topology.)
   if (mreq.mode == minisycl::ExecMode::profiled && mreq.topo.multi_node() &&
@@ -731,8 +1120,8 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequ
     // so "replay from the last consistent state" is a rerun from the inputs
     // on the surviving grid; the sharded CG solver layers checkpointed
     // *solver* state on top of this.
-    std::string reason;
-    if (run_pipeline(problem, mreq, layouts.get(problem, grid), res, reason)) break;
+    std::string reason = run_pipeline(problem, mreq, layouts.get(problem, grid), res);
+    if (reason.empty()) break;
     if (grid.total() == 1) {
       // Nothing left to shrink to: recovery exhausted.
       res.recovered = false;
@@ -751,420 +1140,23 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequ
   return res;
 }
 
-bool MultiDeviceRunner::run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
-                                     const ShardLayout& layout, MultiDevResult& res,
-                                     std::string& fail_reason) const {
-  // The fault policy: an installed injector adds payload checksums, the
-  // receiver-side copies they verify, and retransmit rounds.  Without one,
-  // every retry loop below runs exactly once and the first round delivers.
-  const bool hardened = faultsim::Injector::current() != nullptr;
-  const PartitionGrid& grid = layout.part.grid();
-  const int ndev = grid.total();
-  const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
-  const bool multi_node = topo.multi_node();
-  const auto crosses_fabric = [&](int a, int b) { return multi_node && !topo.same_node(a, b); };
-  const auto node_of = [&](int r) { return multi_node ? topo.node_of(r) : 0; };
-  const VariantInfo& vi = variant_info(mreq.req.variant);
-  const std::vector<Shard>& shards = layout.part.shards();
-
-  std::vector<ShardFields> fields;
-  fields.reserve(shards.size());
-  for (const Shard& sh : shards) fields.push_back(build_fields(problem, sh));
-
-  std::vector<std::unique_ptr<minisycl::queue>> queues;
-  for (int d = 0; d < ndev; ++d) {
-    queues.push_back(
-        std::make_unique<minisycl::queue>(mreq.mode, vi.queue_order, machine_, cal_));
+std::string MultiDeviceRunner::run_pipeline(DslashProblem& problem,
+                                            const MultiDevRequest& mreq,
+                                            const ShardLayout& layout,
+                                            MultiDevResult& res) const {
+  HaloPass pass(problem, mreq, layout, res, machine_, cal_);
+  std::string reason = pass.pack_faces();
+  // Interior compute runs while the exchange's messages fly.
+  if (reason.empty()) reason = pass.dslash_range(/*boundary=*/false);
+  if (reason.empty()) reason = pass.exchange_rounds();
+  if (reason.empty()) reason = pass.unpack_ghosts();
+  if (reason.empty()) reason = pass.dslash_range(/*boundary=*/true);
+  if (reason.empty()) {
+    pass.gather_and_time();
+  } else {
+    pass.clear_timeline();  // a failed pass reports no per-device times
   }
-
-  dsan::Recorder* rec = dsan::Recorder::current();
-  if (rec != nullptr) {
-    rec->barrier("attempt @ " + grid.label());
-    hook_queues_for_dsan(rec, queues);
-  }
-
-  res.label = config_label(mreq.req.strategy, mreq.req.order, mreq.req.local_size) + " @ " +
-              grid.label();
-  res.devices = ndev;
-  res.per_device.assign(static_cast<std::size_t>(ndev), DeviceTimeline{});
-  for (int d = 0; d < ndev; ++d) res.per_device[static_cast<std::size_t>(d)].rank = d;
-  res.per_iter_us = 0.0;
-  res.halo_bytes = 0;
-
-  // Bounded retry of one shard kernel: up to kMaxKernelAttempts launches of
-  // each rung in turn, `launch(rung)` submitting one.  A Dslash range walks
-  // fallback_requests (the per-shard analogue of ResilientRunner's ladder); a
-  // halo kernel is the one-rung case.  A failed attempt logs "retry" and
-  // charges a backoff; a rung's last one logs "fallback", or "abort" on the
-  // last rung, and charges none.
-  const auto submit_shard = [&](minisycl::queue& q, int rank, const std::string& name,
-                                std::span<const RunRequest> rungs, const auto& launch,
-                                double& us_acc) -> bool {
-    for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
-      for (int a = 0; a < kMaxKernelAttempts; ++a) {
-        const gpusim::KernelStats st = launch(rungs[rung]);
-        if (st.fault.empty()) {
-          us_acc += st.duration_us + q.launch_overhead_us();
-          return true;
-        }
-        drain_errors(q);
-        const bool last_attempt = a + 1 == kMaxKernelAttempts;
-        const bool last_rung = rung + 1 == rungs.size();
-        const double backoff = last_attempt ? 0.0 : backoff_us(a);
-        res.recovery_us += backoff;
-        us_acc += backoff;
-        res.shard_recoveries.push_back(ShardRecovery{
-            rank, name, rungs[rung].strategy, a,
-            last_attempt ? (last_rung ? "abort" : "fallback") : "retry", backoff});
-      }
-    }
-    return false;
-  };
-
-  const auto submit_range = [&](const Shard& sh, std::int64_t first, std::int64_t count,
-                                const std::string& name, double& us_acc) -> bool {
-    const auto rank = static_cast<std::size_t>(sh.rank);
-    minisycl::queue& q = *queues[rank];
-    const DslashArgs<dcomplex> args =
-        range_args(layout.links[rank], fields[rank], sh, first, count);
-    return submit_shard(
-        q, sh.rank, name, fallback_requests(mreq.req, count),
-        [&](const RunRequest& r) {
-          const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
-          return submit_dslash(q, args, sh.extended_sources(), r, variant_info(r.variant), ls,
-                               name);
-        },
-        us_acc);
-  };
-
-  // One halo message, in (receiver, message) order — the order every phase
-  // below walks, and the order the injector is consulted in.
-  struct Slab {
-    const HaloMsg* msg = nullptr;
-    int dst = 0;
-    std::vector<std::byte> wire{};  ///< sender's pack buffer, never modified after packing
-    std::vector<std::byte> rx{};    ///< receiver-side copy (hardened only)
-    double scale = 1.0;
-    double depart_us = 0.0;
-    std::uint64_t checksum = 0;
-    std::uint64_t tx = 0;  ///< dsan uid of the accepted delivery
-    bool delivered = false;
-  };
-  std::vector<Slab> slabs;
-  for (const Shard& sh : shards) {
-    for (const HaloMsg& msg : sh.halo) slabs.push_back(Slab{.msg = &msg, .dst = sh.rank});
-  }
-
-  // --- Phase 1: every device packs its outbound faces. --------------------
-  // Fabric-bound slabs pack first (pass 0) so their aggregates hit the slow
-  // pipe at fabric_pack_us while the NVLink slabs are still packing — the
-  // two-phase schedule.  Single-node runs have no pass-0 slabs.  Wire
-  // buffers hold *encoded* bytes of the request's wire format: the pack
-  // kernels write the wire element type directly, and checksums,
-  // corruption, retransmission and pricing all operate on those bytes.
-  const SpinorWire sw = mreq.wire.spinor;
-  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
-  std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev), 0.0);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (Slab& s : slabs) {
-      const HaloMsg& msg = *s.msg;
-      if ((pass == 0) != crosses_fabric(msg.peer, s.dst)) continue;
-      const auto src = static_cast<std::size_t>(msg.peer);
-      s.wire.resize(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      s.scale = message_scale(sw, fields[src].src.data(), msg);
-      const std::string name = pack_site(msg.peer, s.dst);
-      bool ok = true;
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloPackKernelT<W> pack{.src = fields[src].src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(s.wire.data()),
-                                .count = msg.count(),
-                                .scale = s.scale};
-        minisycl::LaunchSpec pspec =
-            halo_spec(msg.count(), kPackLocalSize, HaloPackKernelT<W>::traits());
-        pspec.regions = pack_regions(pack, shards[src].extended_sources());
-        ok = submit_shard(
-            *queues[src], msg.peer, name, {&mreq.req, 1},
-            [&](const RunRequest&) { return queues[src]->submit(pspec, pack, name); },
-            pack_us[src]);
-      });
-      if (!ok) {
-        fail_reason = "pack kernel '" + name + "' exhausted its retries";
-        return false;
-      }
-      if (rec != nullptr) {
-        rec->annotate(msg.peer, name,
-                      {dsan::span_of(fields[src].src.data(),
-                                     static_cast<std::size_t>(shards[src].sources())),
-                       dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-                      {dsan::span_of(s.wire.data(), s.wire.size())});
-      }
-      // FNV-1a is not cryptographic: it only has to catch the injector's bit
-      // flips, and one flipped bit always perturbs the multiply-xor chain.
-      if (hardened) s.checksum = io::fnv1a(s.wire.data(), s.wire.size());
-    }
-    if (pass == 0) fabric_pack_us = pack_us;
-  }
-  // A device puts its messages on the wire once the packs feeding them are
-  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
-  // fabric-bound slabs depart at the end of the fabric pack pass.
-  for (Slab& s : slabs) {
-    const auto src = static_cast<std::size_t>(s.msg->peer);
-    s.depart_us = crosses_fabric(s.msg->peer, s.dst) ? fabric_pack_us[src] : pack_us[src];
-  }
-
-  // --- Phase 2: interior compute, concurrent with the exchange. -----------
-  // Host execution order (interior before unpack) also proves the interior
-  // range reads no ghost slot: ghosts are still NaN poison here.
-  std::vector<double> interior_us(static_cast<std::size_t>(ndev), 0.0);
-  for (const Shard& sh : shards) {
-    if (sh.n_interior == 0) continue;
-    const std::string name = "dslash-interior r" + std::to_string(sh.rank);
-    if (!submit_range(sh, 0, sh.n_interior, name,
-                      interior_us[static_cast<std::size_t>(sh.rank)])) {
-      fail_reason = "interior kernel '" + name + "' exhausted the strategy ladder";
-      return false;
-    }
-    if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-      rec->annotate(sh.rank, name,
-                    {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
-                    {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
-    }
-  }
-
-  // --- Exchange rounds: deliver -> verify checksum -> retransmit. ---------
-  // Hardened deliveries land on a receiver-side copy, so corruption never
-  // destroys the retransmission source and a verified payload is unpacked
-  // exactly once.  A fault-free run has one round and unpacks the sender's
-  // buffer directly; its report stays at the defaults.
-  ExchangeReport unreported;
-  ExchangeReport& xr = hardened ? res.exchange : unreported;
-  xr.messages += static_cast<int>(slabs.size());
-  std::vector<double> arrival(static_cast<std::size_t>(ndev), 0.0);
-  double wire_clock = 0.0;
-  std::size_t remaining = slabs.size();
-  for (int round = 1; remaining > 0; ++round) {
-    if (round > kMaxRounds) {
-      xr.succeeded = false;
-      fail_reason = "exchange exhausted " + std::to_string(kMaxRounds) +
-                    " delivery rounds (" + std::to_string(remaining) + " undelivered)";
-      return false;
-    }
-    ++xr.rounds;
-    std::vector<Slab*> pend;
-    for (Slab& s : slabs) {
-      if (!s.delivered) pend.push_back(&s);
-    }
-    if (round > 1) xr.retransmissions += static_cast<int>(pend.size());
-
-    std::vector<gpusim::LinkMessage> msgs;
-    msgs.reserve(pend.size());
-    for (const Slab* s : pend) {
-      msgs.push_back({.src = s->msg->peer,
-                      .dst = s->dst,
-                      .bytes = s->msg->wire_bytes(sw),
-                      .depart_us = std::max(s->depart_us, wire_clock),
-                      .site = exchange_site(s->msg->peer, s->dst)});
-    }
-    // Over a multi-node topology the round's messages ride the two-level
-    // exchange: intra-node ones keep their per-message fault sites, inter-
-    // node ones are aggregated per neighbour and consulted per aggregate.
-    // Retransmissions re-enter here round after round, so a pending frame
-    // joins the next round's (smaller) aggregate — retransmit-over-fabric.
-    if (multi_node) {
-      const gpusim::FabricExchangeReport frep =
-          gpusim::simulate_topology_exchange(topo, msgs);
-      res.intra_node_bytes += frep.intra_bytes;
-      res.inter_node_bytes += frep.inter_bytes;
-      res.fabric_messages += frep.inter_messages;
-      res.intra_wire_us += frep.intra_wire_us;
-      res.inter_wire_us += frep.inter_wire_us;
-    } else {
-      res.intra_node_bytes +=
-          simulate_exchange(gpusim::dgx_a100_links(), msgs, ndev).total_bytes;
-    }
-
-    // Transmissions enter the trace after the wire simulation so the drop
-    // verdict rides the Send event (a retransmit round records fresh uids).
-    std::vector<std::uint64_t> round_tx(msgs.size(), 0);
-    if (rec != nullptr) {
-      for (std::size_t j = 0; j < msgs.size(); ++j) {
-        const gpusim::LinkMessage& lm = msgs[j];
-        const std::vector<std::byte>& wire = pend[j]->wire;
-        round_tx[j] = rec->send(lm.src, lm.dst, lm.site, round,
-                                dsan::span_of(wire.data(), wire.size()), lm.dropped,
-                                crosses_fabric(lm.src, lm.dst), node_of(lm.src),
-                                node_of(lm.dst));
-      }
-    }
-
-    double round_end = wire_clock;
-    for (std::size_t j = 0; j < msgs.size(); ++j) {
-      Slab& s = *pend[j];
-      const gpusim::LinkMessage& lm = msgs[j];
-      round_end = std::max(round_end, lm.done_us);
-      ExchangeEvent ev;
-      ev.round = round;
-      ev.src = lm.src;
-      ev.dst = lm.dst;
-      ev.site = lm.site;
-      ev.dropped = lm.dropped;
-      ev.corrupted = lm.corrupted;
-      ev.delayed = lm.delayed;
-      xr.drops += lm.dropped ? 1 : 0;
-      xr.corruptions += lm.corrupted ? 1 : 0;
-      xr.delays += lm.delayed ? 1 : 0;
-      if (!lm.dropped) {
-        std::vector<dsan::MemSpan> rx_span;
-        if (hardened) {
-          s.rx = s.wire;
-          if (lm.corrupted) {
-            // The bit flip lands in the *encoded* wire bytes — on a reduced
-            // format that is the compressed payload, so the checksum below
-            // (also over encoded bytes) catches it before any decode runs.
-            faultsim::flip_bit(s.rx.data(), s.rx.size(), lm.corrupt_key);
-          }
-          ev.checksum_ok = io::fnv1a(s.rx.data(), s.rx.size()) == s.checksum;
-          rx_span.push_back(dsan::span_of(s.rx.data(), s.rx.size()));
-        }
-        if (rec != nullptr) {
-          rec->recv(round_tx[j], ev.checksum_ok, {dsan::span_of(s.wire.data(), s.wire.size())},
-                    std::move(rx_span));
-          if (hardened) rec->checksum(round_tx[j], ev.checksum_ok);
-          if (ev.checksum_ok) s.tx = round_tx[j];
-        }
-        if (ev.checksum_ok) {
-          s.delivered = true;
-          --remaining;
-          ev.delivered = true;
-          arrival[static_cast<std::size_t>(lm.dst)] =
-              std::max(arrival[static_cast<std::size_t>(lm.dst)], lm.done_us);
-        } else {
-          ++xr.checksum_failures;
-        }
-      }
-      xr.events.push_back(std::move(ev));
-    }
-
-    if (remaining > 0) {
-      const double backoff = backoff_us(round - 1);
-      xr.backoff_us += backoff;
-      res.recovery_us += backoff;
-      wire_clock = round_end + backoff;
-      if (wire_clock > kWatchdogUs) {
-        xr.watchdog_fired = true;
-        fail_reason =
-            "exchange watchdog expired after round " + std::to_string(round) + " (" +
-            std::to_string(remaining) + " undelivered)";
-        return false;
-      }
-    }
-  }
-  xr.succeeded = true;
-
-  // --- Phase 3: unpack the verified payloads, then boundary compute. ------
-  std::vector<double> unpack_us(static_cast<std::size_t>(ndev), 0.0);
-  for (const Slab& s : slabs) {
-    const HaloMsg& msg = *s.msg;
-    const auto dst = static_cast<std::size_t>(s.dst);
-    const std::vector<std::byte>& payload = hardened ? s.rx : s.wire;
-    const std::string name = unpack_site(msg.peer, s.dst);
-    bool ok = true;
-    with_wire_element(sw, [&](auto tag) {
-      using W = decltype(tag);
-      HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(payload.data()),
-                                  .field = fields[dst].src.data(),
-                                  .ghost_base = msg.ghost_base,
-                                  .count = msg.count(),
-                                  .inv_scale = 1.0 / s.scale};
-      minisycl::LaunchSpec uspec =
-          halo_spec(msg.count(), kPackLocalSize, HaloUnpackKernelT<W>::traits());
-      uspec.regions = unpack_regions(unpack, shards[dst].extended_sources());
-      ok = submit_shard(
-          *queues[dst], s.dst, name, {&mreq.req, 1},
-          [&](const RunRequest&) { return queues[dst]->submit(uspec, unpack, name); },
-          unpack_us[dst]);
-    });
-    if (!ok) {
-      fail_reason = "unpack kernel '" + name + "' exhausted its retries";
-      return false;
-    }
-    if (rec != nullptr) {
-      rec->annotate(s.dst, name, {dsan::span_of(payload.data(), payload.size())},
-                    {dsan::span_of(fields[dst].src.data() + msg.ghost_base,
-                                   static_cast<std::size_t>(msg.count()))},
-                    s.tx);
-    }
-  }
-
-  std::vector<double> boundary_us(static_cast<std::size_t>(ndev), 0.0);
-  for (const Shard& sh : shards) {
-    if (sh.n_boundary == 0) continue;
-    const std::string name = "dslash-boundary r" + std::to_string(sh.rank);
-    if (!submit_range(sh, sh.n_interior, sh.n_boundary, name,
-                      boundary_us[static_cast<std::size_t>(sh.rank)])) {
-      fail_reason = "boundary kernel '" + name + "' exhausted the strategy ladder";
-      return false;
-    }
-    if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-      rec->annotate(
-          sh.rank, name,
-          {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
-          {dsan::span_of(f.dst.data() + sh.n_interior,
-                         static_cast<std::size_t>(sh.n_boundary))});
-    }
-  }
-
-  // --- Gather output and assemble the overlap timeline. -------------------
-  for (const Shard& sh : shards) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
-
-  double comm_window = 0.0;
-  double hidden = 0.0;
-  std::int64_t boundary_total = 0;
-  for (int d = 0; d < ndev; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    const Shard& sh = shards[di];
-    DeviceTimeline& t = res.per_device[di];
-    t.interior_sites = sh.n_interior;
-    t.boundary_sites = sh.n_boundary;
-    t.halo_bytes_in = sh.halo_wire_bytes(sw);
-    t.pack_us = pack_us[di];
-    t.interior_us = interior_us[di];
-    t.arrival_us = arrival[di];
-    t.unpack_us = unpack_us[di];
-    t.boundary_us = boundary_us[di];
-    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
-    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
-    res.per_iter_us = std::max(res.per_iter_us, t.iter_us);
-    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
-    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
-    res.halo_bytes += t.halo_bytes_in;
-    boundary_total += sh.n_boundary;
-  }
-  res.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
-  res.comm_fraction = 0.0;
-  if (res.per_iter_us > 0.0) {
-    double comm_frac_sum = 0.0;
-    for (int d = 0; d < ndev; ++d) {
-      const DeviceTimeline& t = res.per_device[static_cast<std::size_t>(d)];
-      comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res.per_iter_us;
-    }
-    res.comm_fraction = comm_frac_sum / ndev;
-  }
-  res.surface_fraction =
-      static_cast<double>(boundary_total) / static_cast<double>(problem.sites());
-  res.gflops =
-      res.per_iter_us > 0.0 ? problem.flops() / (res.per_iter_us * 1e-6) / 1e9 : 0.0;
-  return true;
+  return reason;
 }
 
 void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGrid& grid,

@@ -23,9 +23,10 @@
 // so the multi-device output equals the single-device output of the same
 // strategy bit for bit, for any partition grid.  Tests assert == 0.0.
 //
-// One pipeline serves every mode: run() is a loop around a single private
-// pack -> exchange -> interior -> unpack -> boundary pass whose queue mode is
-// MultiDevRequest::mode and whose fault policy is the installed injector.
+// One pipeline serves every mode and every grid, 1x1x1x1 included: run() is
+// a loop around a single private pass — pack, interior, exchange rounds,
+// unpack, boundary — whose queue mode is MultiDevRequest::mode and whose
+// fault policy is the installed injector.
 // Fault tolerance (docs/RESILIENCE.md "distributed failure model"): with a
 // faultsim plan installed, halo payloads carry checksums, failed/corrupted
 // messages are retransmitted with exponential backoff on the simulated
@@ -260,9 +261,10 @@ class MultiDeviceRunner {
   /// Run the halo pipeline in mreq.mode, hardened and failing over when a
   /// fault plan is installed.  The kernels execute for real (the output
   /// field is gathered into problem.c()); a profiled run prices the overlap
-  /// timeline above from per-launch gpusim stats plus the link model.  A
-  /// profiled, fault-free 1x1x1x1 grid delegates to DslashRunner::run so
-  /// single-device numbers reproduce the existing benches exactly.
+  /// timeline above from per-launch gpusim stats plus the link model.  Every
+  /// grid runs the same pipeline: on 1x1x1x1 it is one interior launch over
+  /// the whole lattice, whose per-iteration time and GFLOP/s equal
+  /// DslashRunner::run's for the same request bit for bit.
   /// Each call builds its partitions and gathers its links into a fresh
   /// ShardLayouts that dies with the call.
   [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq) const;
@@ -327,13 +329,12 @@ class MultiDeviceRunner {
       DslashProblem& problem, const MultiDevRequest& mreq) const;
 
  private:
-  /// One pass of the halo pipeline (pack -> exchange -> interior -> unpack
-  /// -> boundary) on the layout's grid, its fault policy set by the installed
-  /// injector.  False with `fail_reason` set when a fault exhausted its
-  /// recovery budget.
-  bool run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
-                    const ShardLayout& layout, MultiDevResult& res,
-                    std::string& fail_reason) const;
+  /// One pass of the halo pipeline on the layout's grid, its fault policy
+  /// set by the installed injector: pack, interior, exchange rounds, unpack
+  /// and boundary phases, then the output gather and the overlap timeline.
+  /// Returns the empty string, or why a fault exhausted its recovery budget.
+  std::string run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
+                           const ShardLayout& layout, MultiDevResult& res) const;
 
   gpusim::MachineModel machine_;
   gpusim::Calibration cal_;

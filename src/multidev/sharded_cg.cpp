@@ -315,7 +315,7 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   // recursion draws on it.  Running out — or failing the apply a rebuild
   // needs — is fatal: the solve ends with recovered_all = false.
   auto restart = [&]() -> bool {
-    if (res.restarts >= cfg_.max_restarts) {
+    if (res.restarts >= kMaxRestarts) {
       fatal = true;
       return false;
     }
@@ -445,16 +445,9 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
       if (reliable_update("convergence gate") && rr <= target) break;
       continue;
     }
-    // Deadline/cancellation gate, at iteration granularity: a scheduler's
-    // apply budget or cancel hook stops the solve cleanly — the iterate in x
-    // is still the best-so-far and the residual below is reported honestly.
-    if (cfg_.max_applies > 0 && res.applies >= cfg_.max_applies) {
-      res.cancelled = true;
-      res.events.push_back({it, "cancelled", "apply budget " +
-                                                 std::to_string(cfg_.max_applies) +
-                                                 " exhausted"});
-      break;
-    }
+    // Cancellation gate, at iteration granularity: the cancel hook (a
+    // scheduler's apply budget, say) stops the solve cleanly — the iterate in
+    // x is still the best-so-far and the residual below is reported honestly.
     if (cfg_.cancel && cfg_.cancel(it, res.applies)) {
       res.cancelled = true;
       res.events.push_back({it, "cancelled", "cancelled by caller"});

@@ -36,6 +36,11 @@
 
 namespace milc::multidev {
 
+/// Restarts per solve: every snapshot restore and every rebuild of the
+/// recursion draws on this one budget; running out ends the solve with
+/// `recovered_all = false`.
+inline constexpr int kMaxRestarts = 8;
+
 struct ShardedCgConfig {
   CgOptions cg{};
   Strategy strategy = Strategy::LP3_1;
@@ -74,25 +79,18 @@ struct ShardedCgConfig {
   /// escalates the same way.  Default off: the synchronous path is untouched.
   bool async_checkpoint = false;
 
-  /// Restarts per solve: every snapshot restore and every rebuild of the
-  /// recursion draws on this one budget; running out ends the solve with
-  /// `recovered_all = false`.
-  int max_restarts = 8;
   /// Checkpoint audit: the true residual may exceed the recursion residual
   /// by at most this factor before the state is declared corrupted.
   double residual_audit_factor = 1e3;
 
   // --- deadline-aware execution (the serving tier, src/serve) --------------
-  /// Hard budget on operator applications for this solve (0 = unlimited).
-  /// A deadline scheduler converts its remaining simulated time into an
-  /// apply budget; when it runs out the solve stops cleanly at an iteration
-  /// boundary — the current iterate stays in `x`, `ShardedCgResult::cancelled`
-  /// is set, and the residual is reported honestly.
-  int max_applies = 0;
   /// Cooperative cancellation, consulted once per CG iteration with
-  /// (iteration, applies so far).  Return true to abandon the solve.
-  /// Deterministic callers key this off the simulated clock or apply
-  /// counts — never the wall clock.
+  /// (iteration, applies so far).  Return true to abandon the solve: it
+  /// stops cleanly at the iteration boundary — the current iterate stays in
+  /// `x`, `ShardedCgResult::cancelled` is set, and the residual is reported
+  /// honestly.  A deadline scheduler converts its remaining simulated time
+  /// into an apply budget checked here.  Deterministic callers key this off
+  /// the simulated clock or apply counts — never the wall clock.
   std::function<bool(int iteration, int applies)> cancel;
 };
 
@@ -108,7 +106,7 @@ struct SolverEvent {
 struct ShardedCgResult {
   CgResult cg{};
   bool recovered_all = true;  ///< false: a recovery budget was exhausted
-  bool cancelled = false;     ///< solve stopped by max_applies or the cancel hook
+  bool cancelled = false;     ///< solve stopped by the cancel hook
   int applies = 0;            ///< sharded operator applications (incl. recomputes)
   int checkpoints_taken = 0;
   int restarts = 0;    ///< snapshot restores and recursion rebuilds (one budget)

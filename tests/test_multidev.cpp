@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/dslash_ref.hpp"
 #include "multidev/runner.hpp"
@@ -217,22 +218,42 @@ TEST(Multidev, ProfiledRunReportsOverlapTimelineAndExactOutput) {
   EXPECT_GT(res.halo_bytes, 0);
 }
 
-TEST(Multidev, SingleDeviceGridDelegatesToDslashRunner) {
-  DslashProblem problem(12, /*seed=*/5);
-  const RunRequest req{.strategy = Strategy::LP3_1,
-                       .order = IndexOrder::kMajor,
-                       .local_size = 768,
-                       .variant = Variant::SYCL};
-  const DslashRunner single;
-  const RunResult expect = single.run(problem, req);
+TEST(Multidev, SingleDeviceGridReproducesDslashRunner) {
+  // A 1x1x1x1 grid runs the halo pipeline as one interior launch over the
+  // whole lattice.  Its price and its output must equal DslashRunner's for
+  // one configuration per strategy and for every 3LP-1 variant.
+  constexpr int kL = 8;
+  const std::int64_t sites = LatticeGeom(kL).half_volume();
+  std::vector<RunRequest> reqs;
+  for (const Strategy s : all_strategies()) {
+    const IndexOrder o = orders_of(s).front();
+    reqs.push_back(RunRequest{
+        .strategy = s, .order = o, .local_size = paper_local_sizes(s, o, sites).back()});
+  }
+  for (const Variant v : all_variants()) {
+    if (v == Variant::SYCL) continue;
+    reqs.push_back(RunRequest{.strategy = Strategy::LP3_1,
+                              .order = IndexOrder::kMajor,
+                              .local_size = 768,
+                              .variant = v});
+  }
 
+  const DslashRunner single;
   const MultiDeviceRunner runner;
-  const MultiDevResult res = runner.run(problem, MultiDevRequest{.req = req});
-  EXPECT_EQ(res.devices, 1);
-  EXPECT_EQ(res.per_iter_us, expect.per_iter_us);
-  EXPECT_EQ(res.gflops, expect.gflops);
-  EXPECT_EQ(res.halo_bytes, 0);
-  EXPECT_EQ(res.overlap_efficiency, 1.0);
+  for (const RunRequest& req : reqs) {
+    DslashProblem expected(kL, /*seed=*/5);
+    const RunResult expect = single.run(expected, req);
+    DslashProblem problem(kL, /*seed=*/5);
+    MultiDevRequest mreq;
+    mreq.req = req;
+    const MultiDevResult res = runner.run(problem, mreq);
+    EXPECT_EQ(res.devices, 1) << expect.label;
+    EXPECT_EQ(res.per_iter_us, expect.per_iter_us) << expect.label;
+    EXPECT_EQ(res.gflops, expect.gflops) << expect.label;
+    EXPECT_EQ(max_abs_diff(expected.c(), problem.c()), 0.0) << expect.label;
+    EXPECT_EQ(res.halo_bytes, 0) << expect.label;
+    EXPECT_EQ(res.overlap_efficiency, 1.0) << expect.label;
+  }
 }
 
 // --- two-level topology ------------------------------------------------------

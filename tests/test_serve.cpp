@@ -1,10 +1,11 @@
 // test_serve.cpp — the serving tier: admission-queue edge cases (zero and
 // expired deadlines, duplicate ids, quota exhaustion ordering), the circuit
 // breaker state machine (trip thresholds, cooloff growth, the half-open
-// probe race guard), the deadline hooks on ShardedCgSolver (max_applies,
-// cooperative cancel), and SolverService end-to-end: cancellation after
-// dispatch, shrink-to-survivors placement, breaker recovery under a device
-// storm, and same-seed replay identity of the SloReport.
+// probe race guard), the deadline hooks on ShardedCgSolver (an apply
+// budget and a cooperative cancel, both through its cancel hook), and
+// SolverService end-to-end: cancellation after dispatch,
+// shrink-to-survivors placement, breaker recovery under a device storm, and
+// same-seed replay identity of the SloReport.
 #include <gtest/gtest.h>
 
 #include "serve/service.hpp"
@@ -263,8 +264,9 @@ multidev::ShardedCgConfig cg_config() {
 }
 
 TEST(ShardedCgDeadline, MaxAppliesStopsCleanlyAtIterationBoundary) {
+  constexpr int kMaxApplies = 9;
   auto cfg = cg_config();
-  cfg.max_applies = 9;
+  cfg.cancel = [](int, int applies) { return applies >= kMaxApplies; };
   multidev::ShardedCgSolver solver(kDims, kGaugeSeed, kMass,
                                    multidev::PartitionGrid::along(3, 2), cfg);
   ColorField b(solver.geom(), Parity::Even);
@@ -274,7 +276,7 @@ TEST(ShardedCgDeadline, MaxAppliesStopsCleanlyAtIterationBoundary) {
   const auto res = solver.solve(b, x);
   EXPECT_TRUE(res.cancelled);
   EXPECT_FALSE(res.cg.converged);
-  EXPECT_LE(res.applies, cfg.max_applies + 1);  // stops at the boundary
+  EXPECT_LE(res.applies, kMaxApplies + 1);  // stops at the boundary
   EXPECT_GT(res.cg.iterations, 0);
   EXPECT_GT(norm2(x), 0.0);  // the current iterate is preserved, not wiped
 }

@@ -318,9 +318,8 @@ TEST(ShardedCg, RestartExhaustionReportsStructuredFailure) {
   // grid — must exhaust the restart budget and surface a *structured*
   // failure: recovered_all=false, converged=false, and the summary names
   // the exhaustion.  Never a crash, never a silent wrong answer.
-  ShardedCgConfig cfg = quick_config();
-  cfg.max_restarts = 2;
-  ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), cfg);
+  ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2),
+                         quick_config());
   const ColorField b = make_source(solver.geom());
   ColorField x(solver.geom(), Parity::Even);
   FaultPlan plan;
@@ -333,7 +332,7 @@ TEST(ShardedCg, RestartExhaustionReportsStructuredFailure) {
   EXPECT_FALSE(res.recovered_all);
   EXPECT_FALSE(res.cg.converged);
   EXPECT_FALSE(res.cancelled) << "exhaustion is a failure, not a cancellation";
-  EXPECT_LE(res.restarts, cfg.max_restarts);
+  EXPECT_LE(res.restarts, kMaxRestarts);
   EXPECT_FALSE(res.faults.empty());
   EXPECT_NE(res.summary().find("RECOVERY EXHAUSTED"), std::string::npos)
       << res.summary();

@@ -470,6 +470,22 @@ TEST(WarmStart, ChooseGridConsultsCache) {
   EXPECT_EQ(scoped.session().stats().replays_verified, 1u);
 }
 
+TEST(WarmStart, ChooseGridRejectsAForgedGridLabel) {
+  const LatticeGeom geom(12);
+  const gpusim::NodeTopology topo = gpusim::cluster(2, 2);
+  const TuneKey key = multidev::grid_tune_key(geom, topo);
+
+  // "2x2" does not parse as a grid; 5 does not divide 12.
+  for (const char* label : {"2x2", "5x1x1x1"}) {
+    ScopedTuneSession scoped;
+    TuneEntry forged;
+    forged.grid = label;
+    forged.per_iter_us = 1.0;
+    scoped.session().cache().put(key, forged);
+    EXPECT_THROW((void)multidev::choose_grid(geom, topo), ReplayMismatch) << label;
+  }
+}
+
 // --- faultsim integration --------------------------------------------------
 
 TEST(CacheFault, SeededLoadFaultFallsBackToColdTune) {
