@@ -30,12 +30,7 @@ int float_cg(const LatticeGeom& geom, const FloatDslash& feo, const FloatDslash&
         Ap[s].c[c].im = static_cast<float>(m2) * p[s].c[c].im - Ap[s].c[c].im;
       }
     }
-    const double alpha = rr / dot(p, Ap).re;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);
-    rr = rr_new;
+    if (!cg_step(Ap, x, r, p, rr)) break;
   }
   return it;
 }

@@ -825,17 +825,6 @@ int run_nodes(const Options& opt, const RunRequest& req) {
 // Any failed check exits non-zero.
 // ---------------------------------------------------------------------------
 
-/// Acceptable |multi(reduced wire) - single(exact)| for one Dslash, relative
-/// to the data magnitude (matches the ABFT floors in sharded_cg.cpp).
-double wire_error_floor(SpinorWire w) {
-  switch (w) {
-    case SpinorWire::fp64: return 0.0;
-    case SpinorWire::fp32: return 1e-5;
-    case SpinorWire::fp16: return 5e-2;
-  }
-  return 0.0;
-}
-
 int run_wire(const Options& opt, const RunRequest& req) {
   WireFormat fmt;
   if (!parse_wire_format(opt.wire, fmt)) {

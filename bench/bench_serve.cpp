@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "lattice/io.hpp"
 #include "serve/service.hpp"
 
 namespace milc::serve {
@@ -461,7 +462,7 @@ int serve_main(int argc, char** argv) {
     json.field("recovery_time_us", rep.recovery_time_us);
     json.field("rereplicated_bytes", rep.rereplicated_bytes);
     json.field("canonical_fnv",
-               static_cast<std::uint64_t>(fnv1a(rep.canonical().data(), rep.canonical().size())));
+               io::fnv1a(rep.canonical().data(), rep.canonical().size(), kFnvBasis));
     json.end_row();
     for (const RequestOutcome& o : rep.outcomes) {
       json.begin_row();

@@ -12,6 +12,7 @@
 
 #include "core/dslash_ref.hpp"
 #include "core/precision.hpp"
+#include "core/solver.hpp"
 
 using namespace milc;
 
@@ -70,12 +71,7 @@ int float_cg(const Operators& ops, const FloatColorField& rhs, FloatColorField& 
   int it = 0;
   for (; it < max_iter && rr > target; ++it) {
     ops.apply_float(p, Ap, tmp_o);
-    const double alpha = rr / dot(p, Ap).re;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);
-    rr = rr_new;
+    if (!cg_step(Ap, x, r, p, rr)) break;
   }
   return it;
 }

@@ -35,13 +35,25 @@ CompressedArgs CompressedDslash::make_args(const ColorField& in, ColorField& out
 
 namespace {
 
-minisycl::LaunchSpec make_spec(std::int64_t sites, int local_size) {
+/// The recon-12 kernel's one launch, with its buffers in a fixed order —
+/// link families, source, target, neighbour table — for the profiler's
+/// canonical address map and ksan's valid memory.
+minisycl::LaunchSpec make_spec(const CompressedArgs& a, int local_size) {
+  constexpr auto kVectorBytes = static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>));
   minisycl::LaunchSpec spec;
-  spec.global_size = sites * 12;
+  spec.global_size = a.sites * 12;
   spec.local_size = local_size;
   spec.shared_bytes = Dslash3LP1Recon12Kernel::shared_bytes(local_size);
   spec.num_phases = Dslash3LP1Recon12Kernel::kPhases;
   spec.traits = Dslash3LP1Recon12Kernel::traits();
+  for (int l = 0; l < kNlinks; ++l) {
+    spec.regions.push_back(
+        {a.links[l], a.sites * kNdim * 6 * static_cast<std::int64_t>(sizeof(dcomplex))});
+  }
+  spec.regions.push_back({a.b, a.sites * kVectorBytes});
+  spec.regions.push_back({a.c_out, a.sites * kVectorBytes});
+  spec.regions.push_back(
+      {a.neighbors, a.sites * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))});
   return spec;
 }
 
@@ -50,7 +62,7 @@ minisycl::LaunchSpec make_spec(std::int64_t sites, int local_size) {
 void CompressedDslash::apply(const ColorField& in, ColorField& out, int local_size) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
-  q.submit(make_spec(sites(), local_size), kernel);
+  q.submit(make_spec(kernel.args, local_size), kernel);
 }
 
 gpusim::KernelStats CompressedDslash::profile(const ColorField& in, ColorField& out,
@@ -59,7 +71,7 @@ gpusim::KernelStats CompressedDslash::profile(const ColorField& in, ColorField& 
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
                     cal);
-  return q.submit(make_spec(sites(), local_size), kernel,
+  return q.submit(make_spec(kernel.args, local_size), kernel,
                   "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 
@@ -67,14 +79,7 @@ ksan::SanitizerReport CompressedDslash::sanitize(const ColorField& in, ColorFiel
                                                  int local_size,
                                                  ksan::SanitizeConfig cfg) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
-  const auto n = static_cast<std::size_t>(sites());
-  for (int l = 0; l < kNlinks; ++l) {
-    cfg.regions.push_back(ksan::region_of(kernel.args.links[l], n * kNdim * 6));
-  }
-  cfg.regions.push_back(ksan::region_of(kernel.args.b, n));
-  cfg.regions.push_back(ksan::region_of(kernel.args.c_out, n));
-  cfg.regions.push_back(ksan::region_of(kernel.args.neighbors, n * kNeighbors));
-  return ksan::sanitize_launch(make_spec(sites(), local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(make_spec(kernel.args, local_size), kernel, std::move(cfg),
                                "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 

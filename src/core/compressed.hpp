@@ -92,7 +92,8 @@ class CompressedDslash {
                                             gpusim::Calibration cal =
                                                 gpusim::default_calibration()) const;
 
-  /// Replay the kernel under ksan with the compressed gauge extents declared.
+  /// Replay the kernel under ksan; the launch declares the compressed gauge
+  /// extents.
   [[nodiscard]] ksan::SanitizerReport sanitize(const ColorField& in, ColorField& out,
                                                int local_size = 96,
                                                ksan::SanitizeConfig cfg = {}) const;

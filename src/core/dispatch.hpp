@@ -2,13 +2,13 @@
 // and the one description of a Dslash launch.
 //
 // Every launch mode (profiled, functional, sanitized) and every driver
-// (single-device DslashRunner, multi-device shard launches) must run the
-// *identical* kernel object for a given configuration, launched with the
-// identical LaunchSpec; this header is the single place that instantiates
-// both.  It operates on a raw DslashArgs block rather than a DslashProblem
-// so callers can point it at sub-ranges — the multidev runner launches the
-// same kernels over a shard's interior and boundary site ranges by
-// offsetting the block's base pointers.
+// (single-device DslashRunner, multi-device shard launches, FloatDslash)
+// must run the *identical* kernel object for a given configuration,
+// launched with the identical LaunchSpec; this header is the single place
+// that instantiates both.  It operates on a raw DslashArgs block rather
+// than a DslashProblem so callers can point it at sub-ranges — the multidev
+// runner launches the same kernels over a shard's interior and boundary
+// site ranges by offsetting the block's base pointers.
 #pragma once
 
 #include <cstdint>
@@ -95,18 +95,19 @@ auto with_dslash_kernel(const DslashArgs<dcomplex>& a, Strategy s, IndexOrder o,
 
 /// A Dslash launch's buffers in a fixed order — gauge links, source, target,
 /// neighbour table — for the profiler's canonical address map (see
-/// minisycl::AddressRegion): timing becomes a pure function of the launch,
-/// independent of where the heap put the fields, which the tuning cache's
-/// bit-for-bit replay rule needs.  `src_sites` is the source field's
-/// extent: `a.sites` on one device; on a shard its extended_sources(),
-/// because neighbour indices can reach any ghost slot.
-inline std::vector<minisycl::AddressRegion> dslash_regions(const DslashArgs<dcomplex>& a,
-                                                           std::int64_t src_sites) {
-  constexpr auto kVectorBytes = static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>));
+/// minisycl::AddressRegion) and ksan's valid memory: timing becomes a pure
+/// function of the launch, independent of where the heap put the fields,
+/// which the tuning cache's bit-for-bit replay rule needs.  `src_sites` is
+/// the source field's extent: `a.sites` on one device; on a shard its
+/// extended_sources(), because neighbour indices can reach any ghost slot.
+template <ComplexScalar C>
+std::vector<minisycl::AddressRegion> dslash_regions(const DslashArgs<C>& a,
+                                                    std::int64_t src_sites) {
+  constexpr auto kVectorBytes = static_cast<std::int64_t>(sizeof(SU3Vector<C>));
   std::vector<minisycl::AddressRegion> regions;
   for (int l = 0; l < kNlinks; ++l) {
-    regions.push_back({a.links[l], a.sites * kNdim * kColors * kColors *
-                                       static_cast<std::int64_t>(sizeof(dcomplex))});
+    regions.push_back(
+        {a.links[l], a.sites * kNdim * kColors * kColors * static_cast<std::int64_t>(sizeof(C))});
   }
   regions.push_back({a.b, src_sites * kVectorBytes});
   regions.push_back({a.c_out, a.sites * kVectorBytes});
@@ -118,11 +119,11 @@ inline std::vector<minisycl::AddressRegion> dslash_regions(const DslashArgs<dcom
 /// The launch of Dslash kernel `K` (strategy `s`) over `a`'s target sites:
 /// the strategy's work-items per site, K's local memory, phases and traits
 /// — with the variant's codegen slowdown when `vi` is given — and
-/// dslash_regions(a, src_sites).
-template <typename K>
-minisycl::LaunchSpec dslash_launch(const DslashArgs<dcomplex>& a, std::int64_t src_sites,
-                                   Strategy s, int local_size,
-                                   const VariantInfo* vi = nullptr) {
+/// dslash_regions(a, src_sites).  DslashRunner, the shard launches and
+/// FloatDslash all launch from it.
+template <typename K, ComplexScalar C>
+minisycl::LaunchSpec dslash_launch(const DslashArgs<C>& a, std::int64_t src_sites, Strategy s,
+                                   int local_size, const VariantInfo* vi = nullptr) {
   minisycl::LaunchSpec spec;
   spec.global_size = a.sites * items_per_site(s);
   spec.local_size = local_size;

@@ -1,6 +1,6 @@
 #include "core/precision.hpp"
 
-#include "core/kernels_3lp.hpp"
+#include "core/dispatch.hpp"
 
 namespace milc {
 
@@ -101,36 +101,35 @@ DslashArgs<scomplex> FloatDslash::make_args(const FloatColorField& in,
   return args;
 }
 
+namespace {
+
+using FloatKernel = Dslash3LP1Kernel<Order3::kMajor, scomplex>;
+
+/// The float kernel's one launch: the 3LP-1 launch over single-precision
+/// buffers, under its own name.
+minisycl::LaunchSpec float_launch(const DslashArgs<scomplex>& a, int local_size) {
+  minisycl::LaunchSpec spec = dslash_launch<FloatKernel>(a, a.sites, Strategy::LP3_1, local_size);
+  spec.traits.name = "3LP-1 float";
+  return spec;
+}
+
+}  // namespace
+
 void FloatDslash::apply(const FloatColorField& in, FloatColorField& out,
                         int local_size) const {
-  using Kernel = Dslash3LP1Kernel<Order3::kMajor, scomplex>;
-  Kernel kernel{make_args(in, out)};
+  FloatKernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
-  minisycl::LaunchSpec spec;
-  spec.global_size = sites() * 12;
-  spec.local_size = local_size;
-  spec.shared_bytes = Kernel::shared_bytes(local_size);
-  spec.num_phases = Kernel::kPhases;
-  spec.traits = Kernel::traits();
-  spec.traits.name = "3LP-1 float";
-  q.submit(spec, kernel);
+  q.submit(float_launch(kernel.args, local_size), kernel);
 }
 
 gpusim::KernelStats FloatDslash::profile(const FloatColorField& in, FloatColorField& out,
                                          int local_size, gpusim::MachineModel machine,
                                          gpusim::Calibration cal) const {
-  using Kernel = Dslash3LP1Kernel<Order3::kMajor, scomplex>;
-  Kernel kernel{make_args(in, out)};
+  FloatKernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
                     cal);
-  minisycl::LaunchSpec spec;
-  spec.global_size = sites() * 12;
-  spec.local_size = local_size;
-  spec.shared_bytes = Kernel::shared_bytes(local_size);
-  spec.num_phases = Kernel::kPhases;
-  spec.traits = Kernel::traits();
-  spec.traits.name = "3LP-1 float";
-  return q.submit(spec, kernel, "3LP-1 float /" + std::to_string(local_size));
+  return q.submit(float_launch(kernel.args, local_size), kernel,
+                  "3LP-1 float /" + std::to_string(local_size));
 }
 
 }  // namespace milc

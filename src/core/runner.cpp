@@ -38,13 +38,6 @@ gpusim::KernelStats dispatch(minisycl::queue& q, DslashProblem& p, Strategy s, I
 
 }  // namespace
 
-void declare_dslash_regions(const DslashArgs<dcomplex>& a, ksan::SanitizeConfig& cfg) {
-  for (const minisycl::AddressRegion& r : dslash_regions(a, a.sites)) {
-    cfg.regions.push_back(
-        {reinterpret_cast<std::uint64_t>(r.base), static_cast<std::uint64_t>(r.bytes)});
-  }
-}
-
 std::vector<RunRequest> fallback_requests(const RunRequest& req, std::int64_t sites) {
   std::vector<RunRequest> rungs;
   rungs.reserve(1 + kFallbackLadder.size());
@@ -160,7 +153,6 @@ ksan::SanitizerReport DslashRunner::sanitize(DslashProblem& problem, Strategy s,
                                              int local_size, bool use_syclcplx,
                                              ksan::SanitizeConfig cfg) const {
   const DslashArgs<dcomplex> args = problem.args();
-  declare_dslash_regions(args, cfg);
   return with_kernel(problem, s, o, local_size, use_syclcplx, [&](const auto& kernel) {
     using K = std::decay_t<decltype(kernel)>;
     return ksan::sanitize_launch(dslash_launch<K>(args, args.sites, s, local_size), kernel,

@@ -24,12 +24,6 @@
 
 namespace milc {
 
-/// Append the exact byte extents of a Dslash argument block (gauge links,
-/// source/target fields, neighbour table) to a sanitizer config.  The fields
-/// live in host std::vector storage, not USM, so the Registry alone cannot
-/// vouch for them.
-void declare_dslash_regions(const DslashArgs<dcomplex>& a, ksan::SanitizeConfig& cfg);
-
 struct RunRequest {
   Strategy strategy = Strategy::LP3_1;
   IndexOrder order = IndexOrder::kMajor;
@@ -105,8 +99,8 @@ class DslashRunner {
                       bool use_syclcplx = false) const;
 
   /// Sanitized run: replay the chosen kernel under ksan (races, memcheck,
-  /// init-check, perf lints).  Same kernel object the other modes launch;
-  /// field extents are declared automatically.
+  /// init-check, perf lints).  Same kernel object and LaunchSpec the other
+  /// modes launch; the spec's buffer list is ksan's valid memory.
   [[nodiscard]] ksan::SanitizerReport sanitize(DslashProblem& problem, Strategy s, IndexOrder o,
                                                int local_size, bool use_syclcplx = false,
                                                ksan::SanitizeConfig cfg = {}) const;

@@ -5,18 +5,6 @@
 
 namespace milc {
 
-bool cg_step(const ColorField& Ap, ColorField& x, ColorField& r, ColorField& p, double& rr) {
-  const double pAp = dot(p, Ap).re;
-  if (!(pAp > 0.0)) return false;  // not HPD or numerical breakdown
-  const double alpha = rr / pAp;
-  axpy(alpha, p, x);
-  axpy(-alpha, Ap, r);
-  const double rr_new = norm2(r);
-  xpay(r, rr_new / rr, p);  // p = r + beta p
-  rr = rr_new;
-  return true;
-}
-
 CgResult cg_solve(const std::function<void(const ColorField&, ColorField&)>& apply,
                   const ColorField& b, ColorField& x, const LatticeGeom& geom,
                   const CgOptions& opts) {

@@ -27,9 +27,20 @@ struct CgResult {
 /// One CG update from Ap = A p: alpha = rr / <p, Ap>, x += alpha p,
 /// r -= alpha Ap, then p = r + (rr_new / rr) p and rr = ||r||^2.  Returns
 /// false, leaving every argument untouched, when <p, Ap> is not positive
-/// (A not HPD, or corrupted recursion state).
-[[nodiscard]] bool cg_step(const ColorField& Ap, ColorField& x, ColorField& r, ColorField& p,
-                           double& rr);
+/// (A not HPD, or corrupted recursion state).  `Field` is any field type
+/// with dot, norm2, axpy and xpay: ColorField, FloatColorField, WilsonField.
+template <typename Field>
+[[nodiscard]] bool cg_step(const Field& Ap, Field& x, Field& r, Field& p, double& rr) {
+  const double pAp = dot(p, Ap).re;
+  if (!(pAp > 0.0)) return false;  // not HPD or numerical breakdown
+  const double alpha = rr / pAp;
+  axpy(alpha, p, x);
+  axpy(-alpha, Ap, r);
+  const double rr_new = norm2(r);
+  xpay(r, rr_new / rr, p);  // p = r + beta p
+  rr = rr_new;
+  return true;
+}
 
 /// Solve A x = b by CG for any Hermitian-positive-definite `apply`.
 /// `x` is used as the initial guess and holds the solution on return.

@@ -77,7 +77,10 @@ class Stream {
 
   /// kernel<<<grid, block, shared_bytes, stream>>>(...) equivalent.
   /// The kernel type provides kPhases, traits() and
-  /// operator()(ThreadCtx<Lane>&, int phase).
+  /// operator()(ThreadCtx<Lane>&, int phase).  Like a CUDA launch it knows
+  /// no buffers, so its spec declares none: the one profiled launch whose
+  /// simulated time still sees raw heap addresses (ARCHITECTURE.md
+  /// invariant 3).  It serves the CUDA-port tests only.
   template <typename Kernel>
   gpusim::KernelStats launch(const dim3& grid, const dim3& block, int shared_bytes,
                              const Kernel& kernel, std::string name = {}) {

@@ -221,15 +221,16 @@ bool Injector::maybe_corrupt(const std::string& name) {
       splitmix64(splitmix64(plan_.seed) ^ 0xb17f11bULL ^ occ);
   std::uint64_t byte_index = pick % total;
   const int bit = static_cast<int>((pick >> 32) % 8);
-  for (const MemRegion& r : targets_) {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    const MemRegion& r = targets_[i];
     if (byte_index < r.bytes) {
       auto* p = reinterpret_cast<unsigned char*>(r.base + byte_index);
       *p = static_cast<unsigned char>(*p ^ (1u << bit));
+      // The region is named by its registration index, not its heap
+      // address, so a seeded fault log is byte-stable across runs.
       char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "flipped bit %d of byte +%llu in region base=0x%llx (%llu B)", bit,
-                    static_cast<unsigned long long>(byte_index),
-                    static_cast<unsigned long long>(r.base),
+      std::snprintf(buf, sizeof(buf), "flipped bit %d of byte +%llu in region %zu (%llu B)",
+                    bit, static_cast<unsigned long long>(byte_index), i,
                     static_cast<unsigned long long>(r.bytes));
       record(FaultKind::bit_flip, name, occ, buf);
       return true;

@@ -55,7 +55,7 @@ inline constexpr std::size_t kNumFaultKinds = 13;
 void flip_bit(void* data, std::size_t bytes, std::uint64_t key);
 
 /// Byte extent eligible for bit-flip corruption (the caller registers the
-/// exact field extents, e.g. via milc::declare_dslash_regions).
+/// exact field extents; ResilientRunner registers its output field).
 struct MemRegion {
   std::uint64_t base = 0;
   std::uint64_t bytes = 0;
@@ -228,7 +228,8 @@ class Injector {
   /// tested in tests/test_faultsim.cpp).
   [[nodiscard]] bool on_heal_check(const std::string& site);
 
-  /// Register the byte extents eligible for bit-flip corruption.
+  /// Register the byte extents eligible for bit-flip corruption.  A flip's
+  /// FaultEvent detail names its region by index in this list.
   void set_corruption_targets(std::vector<MemRegion> regions);
 
   // --- observability -------------------------------------------------------

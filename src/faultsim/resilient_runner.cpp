@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/dslash_ref.hpp"
-#include "ksan/sanitizer.hpp"
 #include "minisycl/usm.hpp"
 
 namespace milc {
@@ -102,20 +101,12 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
   minisycl::queue util_q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order,
                          runner_.machine(), runner_.calibration());
 
-  // Silent-corruption surface: the kernels' output field, with the exact
-  // extent declare_dslash_regions computes (bit flips into *inputs* would
-  // need checkpoint/re-upload machinery to recover from — out of scope, see
-  // docs/RESILIENCE.md).
+  // Silent-corruption surface: the kernels' output field (bit flips into
+  // *inputs* would need checkpoint/re-upload machinery to recover from — out
+  // of scope, see docs/RESILIENCE.md).
   if (inj != nullptr) {
-    const DslashArgs<dcomplex> a = problem.args();
-    ksan::SanitizeConfig kcfg;
-    declare_dslash_regions(a, kcfg);
-    const auto c_base = reinterpret_cast<std::uint64_t>(a.c_out);
-    std::vector<faultsim::MemRegion> targets;
-    for (const ksan::Region& r : kcfg.regions) {
-      if (r.base == c_base) targets.push_back({r.base, r.bytes});
-    }
-    inj->set_corruption_targets(std::move(targets));
+    const ColorField& c = problem.c();
+    inj->set_corruption_targets({{reinterpret_cast<std::uint64_t>(c.data()), c.bytes()}});
   }
 
   // --- ABFT setup: one golden serial reference + one scalar to keep --------

@@ -41,7 +41,12 @@ LaunchContext::LaunchContext(const minisycl::LaunchSpec& spec, std::string name,
     for (const auto& r : reg.live_snapshot()) live_[r.base] = std::max(live_[r.base], r.bytes);
     for (const auto& r : reg.freed_snapshot()) freed_[r.base] = r.bytes;
   }
-  for (const Region& r : cfg_.regions) live_[r.base] = std::max(live_[r.base], r.bytes);
+  auto declare = [this](const minisycl::AddressRegion& r) {
+    const auto base = reinterpret_cast<std::uint64_t>(r.base);
+    live_[base] = std::max(live_[base], static_cast<std::uint64_t>(r.bytes));
+  };
+  for (const minisycl::AddressRegion& r : spec.regions) declare(r);
+  for (const minisycl::AddressRegion& r : cfg_.regions) declare(r);
   shared_init_.assign(static_cast<std::size_t>(spec.shared_bytes), 0);
 }
 

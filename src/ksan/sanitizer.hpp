@@ -9,8 +9,9 @@
 // shipped kernel template instantiates over it unchanged — and validates,
 // per access, against
 //   * a shadow-memory map (8-byte cells) for data races (racecheck),
-//   * the live/freed USM Registry regions plus caller-declared field extents
-//     for out-of-bounds and use-after-free (memcheck),
+//   * the live/freed USM Registry regions plus the launch's declared buffers
+//     (LaunchSpec::regions, then SanitizeConfig::regions) for out-of-bounds
+//     and use-after-free (memcheck),
 //   * a per-group byte bitmap for read-before-write of local-accessor bytes
 //     (initcheck),
 //   * warp-merged access positions for perf lints (coalescing, shared-memory
@@ -39,25 +40,21 @@
 
 namespace ksan {
 
-/// Half-open byte range of valid global memory.
-struct Region {
-  std::uint64_t base = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// Declare the extent of a typed array as a valid region.
+/// Declare the extent of a typed array as a valid region — the same
+/// buffer-extent type a LaunchSpec lists for the profiler.
 template <typename T>
-[[nodiscard]] Region region_of(const T* p, std::size_t count) {
-  return {reinterpret_cast<std::uint64_t>(p), count * sizeof(T)};
+[[nodiscard]] minisycl::AddressRegion region_of(const T* p, std::size_t count) {
+  return {p, static_cast<std::int64_t>(count * sizeof(T))};
 }
 
 struct SanitizeConfig {
   /// Seed the valid/freed region sets from the USM Registry (live and freed
   /// allocations at launch time).
   bool use_registry = true;
-  /// Additional valid regions (fields owned by std::vector etc. — declared
-  /// by the launching driver with exact extents).
-  std::vector<Region> regions;
+  /// Valid regions beyond the launch's own buffers (LaunchSpec::regions,
+  /// always valid): a tighter list for a region-free spec, or extra memory
+  /// a test kernel touches.
+  std::vector<minisycl::AddressRegion> regions;
   bool perf_lints = true;
   /// Offences recorded verbatim (counts are always exact).
   int max_records = 16;

@@ -65,9 +65,9 @@ std::vector<char> read_blob(const std::string& path, FieldKind kind, std::uint32
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t basis) {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = basis;
   for (std::size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
     h *= 0x100000001b3ull;

@@ -22,8 +22,10 @@ enum class FieldKind : std::uint32_t {
   ColorField = 2,
 };
 
-/// FNV-1a over a byte range (the checksum used by the format).
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t bytes);
+/// FNV-1a over a byte range (the checksum used by the format), from the
+/// standard offset basis unless the caller names another.
+[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                                  std::uint64_t basis = 0xcbf29ce484222325ull);
 
 void save_gauge(const std::string& path, const LatticeGeom& geom,
                 const GaugeConfiguration& cfg);

@@ -220,7 +220,10 @@ void hook_queues_for_dsan(dsan::Recorder* rec,
 /// and unpack launch of one exchange under exact region declarations.  The
 /// hardened flow adds the receiver-side copy the unpack reads, and
 /// redelivers the first message of every shard once (a retransmission
-/// re-unpacked in a separate launch).
+/// re-unpacked in a separate launch).  The specs stay region-free: ksan
+/// takes a spec's regions as valid memory, and the pipeline's
+/// pack_regions/unpack_regions span the whole extended source field, which
+/// would hide the stray ghost reads and writes these tighter lists catch.
 std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
                                                  const PartitionGrid& grid,
                                                  const WireFormat& wire_fmt, bool hardened) {

@@ -64,19 +64,6 @@ faultsim::MemRegion region_of(const ColorField& f) {
   return {reinterpret_cast<std::uint64_t>(f.data()), f.bytes()};
 }
 
-/// ABFT tolerance floor per wire format: a reduced wire rounds ghost-site
-/// values on every apply, so the Hermiticity identity holds only up to the
-/// wire epsilon (times the boundary fraction) instead of fp64 roundoff.
-/// The fp64 floor is 0, leaving the configured tolerance untouched.
-double wire_abft_floor(SpinorWire w) {
-  switch (w) {
-    case SpinorWire::fp64: return 0.0;
-    case SpinorWire::fp32: return 1e-5;
-    case SpinorWire::fp16: return 5e-2;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 std::string ShardedCgResult::summary() const {
@@ -252,7 +239,7 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   auto apply_checked = [&](const ColorField& in, ColorField& out,
                            bool exact = false) -> bool {
     const WireFormat wire = exact ? WireFormat{} : cfg_.wire;
-    const double rel_tol = std::max(kAbftRelTol, wire_abft_floor(wire.spinor));
+    const double rel_tol = std::max(kAbftRelTol, wire_error_floor(wire.spinor));
     for (int attempt = 0;; ++attempt) {
       if (!apply_raw(in, out, &res, wire, it)) return false;
       ++res.applies;
@@ -287,7 +274,7 @@ ShardedCgResult ShardedCgSolver::solve(const ColorField& b, ColorField& x) {
   // floor, only drift beyond the floor itself indicates corruption.  Exact
   // wire: the floor is 0 and the audit is unchanged.
   const double audit_slack =
-      (cfg_.cg.rel_tol + wire_abft_floor(cfg_.wire.spinor)) * std::sqrt(b2);
+      (cfg_.cg.rel_tol + wire_error_floor(cfg_.wire.spinor)) * std::sqrt(b2);
 
   // `snap` is the durable snapshot restores land on.  Async checkpointing
   // stages states off the critical path in `staged` and promotes one into

@@ -120,6 +120,20 @@ static_assert(sizeof(hcomplex) == 4, "fp16 wire element must be 4 bytes");
   return kColors * wire_complex_bytes(w);
 }
 
+/// Error floor of one Dslash on a reduced spinor wire, relative to the data
+/// magnitude: the wire rounds ghost-site values on every apply, so results
+/// agree with the exact wire only to this floor (0 / 1e-5 / 5e-2).  The
+/// sharded CG widens its ABFT tolerance and audit slack by it, and
+/// bench_scaling --wire certifies against it (docs/WIRE.md §5).
+[[nodiscard]] constexpr double wire_error_floor(SpinorWire w) {
+  switch (w) {
+    case SpinorWire::fp64: return 0.0;
+    case SpinorWire::fp32: return 1e-5;
+    case SpinorWire::fp16: return 5e-2;
+  }
+  return 0.0;
+}
+
 /// Encoded wire bytes of one gauge link under a recon scheme: 144 / 96 / 72.
 [[nodiscard]] constexpr std::int64_t gauge_link_bytes(Reconstruct r) {
   return static_cast<std::int64_t>(reals_per_link(r)) *

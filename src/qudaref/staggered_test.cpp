@@ -33,6 +33,33 @@ QudaArgs StaggeredDslashTest::make_args(Reconstruct scheme) {
   return a;
 }
 
+namespace {
+
+/// The QUDA kernel's one launch — run_at, sanitize and run_functional all
+/// use it — with its buffers in a fixed order (gauge, source, target,
+/// neighbours) for the profiler's canonical address map and ksan's valid
+/// memory: the profiled time is a pure function of the launch, which the
+/// tuner's bit-for-bit replay verification requires.
+minisycl::LaunchSpec quda_spec(const QudaArgs& a, int local_size) {
+  const std::int64_t n = a.sites;
+  const auto cbytes = static_cast<std::int64_t>(sizeof(dcomplex));
+  const auto ibytes = static_cast<std::int64_t>(sizeof(std::int32_t));
+  minisycl::LaunchSpec spec;
+  spec.global_size = n;
+  spec.local_size = local_size;
+  spec.shared_bytes = QudaStaggeredKernel::shared_bytes(local_size);
+  spec.num_phases = QudaStaggeredKernel::kPhases;
+  spec.traits = QudaStaggeredKernel::traits();
+  spec.traits.regs_per_thread = QudaStaggeredKernel::regs_for(a.scheme);
+  spec.regions = {{a.gauge, kNlinks * kNdim * a.pairs * n * cbytes},
+                  {a.b, kColors * n * cbytes},
+                  {a.c_out, kColors * n * cbytes},
+                  {a.neighbors, n * kNeighbors * ibytes}};
+  return spec;
+}
+
+}  // namespace
+
 std::vector<int> StaggeredDslashTest::tuning_candidates() const {
   return tune::quda_tuning_candidates(problem_.sites());
 }
@@ -53,29 +80,11 @@ StaggeredResult StaggeredDslashTest::run_at(Reconstruct scheme, int local_size) 
   QudaStaggeredKernel kernel{make_args(scheme)};
   minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine_,
                     cal_);
-  minisycl::LaunchSpec spec;
-  spec.global_size = problem_.sites();
-  spec.local_size = local_size;
-  spec.shared_bytes = 0;
-  spec.num_phases = 1;
-  spec.traits = QudaStaggeredKernel::traits();
-  spec.traits.regs_per_thread = QudaStaggeredKernel::regs_for(scheme);
-  // Canonical address map (same fixed order as sanitize()'s regions): makes
-  // the profiled time a pure function of the launch, which the tuner's
-  // bit-for-bit replay verification requires.
-  const QudaArgs& a = kernel.args;
-  const std::int64_t n = a.sites;
-  const auto cbytes = static_cast<std::int64_t>(sizeof(dcomplex));
-  spec.regions.push_back({a.gauge, kNlinks * kNdim * a.pairs * n * cbytes});
-  spec.regions.push_back({a.b, kColors * n * cbytes});
-  spec.regions.push_back({a.c_out, kColors * n * cbytes});
-  spec.regions.push_back(
-      {a.neighbors, n * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))});
 
   StaggeredResult res;
   res.scheme = scheme;
   res.local_size = local_size;
-  res.stats = q.submit(spec, kernel,
+  res.stats = q.submit(quda_spec(kernel.args, local_size), kernel,
                        std::string("staggered_dslash_test ") + to_string(scheme) + " /" +
                            std::to_string(local_size));
   res.kernel_us = res.stats.duration_us;
@@ -119,21 +128,7 @@ StaggeredResult StaggeredDslashTest::run(Reconstruct scheme) {
 ksan::SanitizerReport StaggeredDslashTest::sanitize(Reconstruct scheme, int local_size,
                                                     ksan::SanitizeConfig cfg) {
   QudaStaggeredKernel kernel{make_args(scheme)};
-  const QudaArgs& a = kernel.args;
-  const auto n = static_cast<std::size_t>(a.sites);
-  cfg.regions.push_back(ksan::region_of(
-      a.gauge, static_cast<std::size_t>(kNlinks * kNdim * a.pairs) * n));
-  cfg.regions.push_back(ksan::region_of(a.b, static_cast<std::size_t>(kColors) * n));
-  cfg.regions.push_back(ksan::region_of(a.c_out, static_cast<std::size_t>(kColors) * n));
-  cfg.regions.push_back(ksan::region_of(a.neighbors, n * kNeighbors));
-
-  minisycl::LaunchSpec spec;
-  spec.global_size = a.sites;
-  spec.local_size = local_size;
-  spec.shared_bytes = 0;
-  spec.num_phases = 1;
-  spec.traits = QudaStaggeredKernel::traits();
-  return ksan::sanitize_launch(spec, kernel, std::move(cfg),
+  return ksan::sanitize_launch(quda_spec(kernel.args, local_size), kernel, std::move(cfg),
                                std::string("staggered_dslash_test ") + to_string(scheme) +
                                    " /" + std::to_string(local_size));
 }
@@ -142,12 +137,7 @@ void StaggeredDslashTest::run_functional(Reconstruct scheme) {
   QudaStaggeredKernel kernel{make_args(scheme)};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
                     cal_);
-  minisycl::LaunchSpec spec;
-  spec.global_size = problem_.sites();
-  spec.local_size = 128;
-  spec.num_phases = 1;
-  spec.traits = QudaStaggeredKernel::traits();
-  q.submit(spec, kernel);
+  q.submit(quda_spec(kernel.args, 128), kernel);
   problem_.c() = c_soa_.to_aos(problem_.geom(), problem_.target_parity());
 }
 

@@ -56,7 +56,8 @@ class StaggeredDslashTest {
   /// reconstruction scheme in the recon field.
   [[nodiscard]] tune::TuneKey tune_key(Reconstruct scheme) const;
 
-  /// Replay the kernel under ksan with the SoA field extents declared.
+  /// Replay the kernel under ksan; the launch declares the SoA field
+  /// extents.
   [[nodiscard]] ksan::SanitizerReport sanitize(Reconstruct scheme, int local_size = 128,
                                                ksan::SanitizeConfig cfg = {});
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/problem.hpp"
+#include "lattice/io.hpp"
 #include "tune/session.hpp"
 
 namespace milc::serve {
@@ -15,16 +16,6 @@ using multidev::PartitionGrid;
 using multidev::ShardedCgConfig;
 using multidev::ShardedCgResult;
 using multidev::ShardedCgSolver;
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 namespace {
 
@@ -213,7 +204,7 @@ std::vector<std::uint64_t> SolverService::reference_checksums(int spec, int rhs,
     x.zero();
     const ShardedCgResult res = solver.solve(b, x);
     (void)res;
-    fnv.push_back(fnv1a(x.data(), x.bytes()));
+    fnv.push_back(io::fnv1a(x.data(), x.bytes(), kFnvBasis));
   }
   return fnv;
 }
@@ -709,7 +700,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
       break;
     }
     ++f.outcome.rhs_done;
-    f.outcome.solution_fnv.push_back(fnv1a(x.data(), x.bytes()));
+    f.outcome.solution_fnv.push_back(io::fnv1a(x.data(), x.bytes(), kFnvBasis));
   }
 
   f.ok = all_ok && f.outcome.rhs_done == f.req.rhs;

@@ -66,8 +66,11 @@ struct ServiceConfig {
   gpusim::SpareInventory spares{};
 };
 
-/// FNV-1a over raw bytes — the bit-for-bit solution fingerprint.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t bytes);
+/// Offset basis of the serving tier's FNV-1a fingerprints (solution_fnv and
+/// bench_serve's canonical_fnv, through io::fnv1a).  It is one digit short of
+/// the standard 14695981039346656037; every published serve fingerprint and
+/// SloReport digest was taken with it, so it stays.
+inline constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
 class SolverService {
  public:

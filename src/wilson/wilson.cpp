@@ -139,13 +139,25 @@ WilsonArgs WilsonDslash::make_args(const WilsonField& in, WilsonField& out) cons
 
 namespace {
 
-minisycl::LaunchSpec wilson_spec(std::int64_t sites, int local_size) {
+/// The Wilson kernel's one launch, with its buffers in a fixed order —
+/// forward links, backward links, source, target, neighbour table — for
+/// the profiler's canonical address map and ksan's valid memory.
+minisycl::LaunchSpec wilson_spec(const WilsonArgs& a, int local_size) {
+  constexpr auto kLinkBytes =
+      static_cast<std::int64_t>(kNdim * kColors * kColors * sizeof(dcomplex));
+  constexpr auto kSpinorBytes = static_cast<std::int64_t>(sizeof(WilsonSpinor));
   minisycl::LaunchSpec spec;
-  spec.global_size = sites;
+  spec.global_size = a.sites;
   spec.local_size = local_size;
   spec.shared_bytes = 0;
   spec.num_phases = 1;
   spec.traits = WilsonDslashKernel::traits();
+  spec.regions = {{a.fwd, a.sites * kLinkBytes},
+                  {a.bck, a.sites * kLinkBytes},
+                  {a.in, a.sites * kSpinorBytes},
+                  {a.out, a.sites * kSpinorBytes},
+                  {a.neighbors,
+                   a.sites * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))}};
   return spec;
 }
 
@@ -154,7 +166,7 @@ minisycl::LaunchSpec wilson_spec(std::int64_t sites, int local_size) {
 void WilsonDslash::apply(const WilsonField& in, WilsonField& out, int local_size) const {
   WilsonDslashKernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
-  q.submit(wilson_spec(sites(), local_size), kernel);
+  q.submit(wilson_spec(kernel.args, local_size), kernel);
 }
 
 gpusim::KernelStats WilsonDslash::profile(const WilsonField& in, WilsonField& out,
@@ -163,20 +175,14 @@ gpusim::KernelStats WilsonDslash::profile(const WilsonField& in, WilsonField& ou
   WilsonDslashKernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
                     cal);
-  return q.submit(wilson_spec(sites(), local_size), kernel,
+  return q.submit(wilson_spec(kernel.args, local_size), kernel,
                   "wilson /" + std::to_string(local_size));
 }
 
 ksan::SanitizerReport WilsonDslash::sanitize(const WilsonField& in, WilsonField& out,
                                              int local_size, ksan::SanitizeConfig cfg) const {
   WilsonDslashKernel kernel{make_args(in, out)};
-  const auto n = static_cast<std::size_t>(sites());
-  cfg.regions.push_back(ksan::region_of(kernel.args.fwd, n * kNdim * kColors * kColors));
-  cfg.regions.push_back(ksan::region_of(kernel.args.bck, n * kNdim * kColors * kColors));
-  cfg.regions.push_back(ksan::region_of(kernel.args.in, n));
-  cfg.regions.push_back(ksan::region_of(kernel.args.out, n));
-  cfg.regions.push_back(ksan::region_of(kernel.args.neighbors, n * kNeighbors));
-  return ksan::sanitize_launch(wilson_spec(sites(), local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(wilson_spec(kernel.args, local_size), kernel, std::move(cfg),
                                "wilson /" + std::to_string(local_size));
 }
 

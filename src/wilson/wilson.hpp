@@ -127,7 +127,8 @@ class WilsonDslash {
                                             gpusim::MachineModel machine = gpusim::a100(),
                                             gpusim::Calibration cal =
                                                 gpusim::default_calibration()) const;
-  /// Replay the kernel under ksan with the gauge/spinor extents declared.
+  /// Replay the kernel under ksan; the launch declares the gauge/spinor
+  /// extents.
   [[nodiscard]] ksan::SanitizerReport sanitize(const WilsonField& in, WilsonField& out,
                                                int local_size = 128,
                                                ksan::SanitizeConfig cfg = {}) const;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/solver.hpp"
+
 namespace milc::wilson {
 
 WilsonOperator::WilsonOperator(const LatticeGeom& geom, const GaugeConfiguration& cfg,
@@ -92,14 +94,7 @@ WilsonCgResult solve_schur_cg(const WilsonOperator& op, const WilsonField& b, Wi
   int it = 0;
   for (; it < max_iterations && rr > target; ++it) {
     apply_N(p, Np);
-    const double pNp = dot(p, Np).re;
-    if (!(pNp > 0.0)) break;
-    const double alpha = rr / pNp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Np, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);
-    rr = rr_new;
+    if (!cg_step(Np, x, r, p, rr)) break;
   }
   res.iterations = it;
   res.relative_residual = std::sqrt(rr / rhs2);

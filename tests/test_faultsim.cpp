@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "faultsim/faultsim.hpp"
@@ -245,6 +246,37 @@ TEST(FaultSim, BitFlipChangesExactlyOneBitOfARegisteredRegion) {
   EXPECT_EQ(diff_bytes, 1);
   EXPECT_EQ(diff_bits, 1);
   fi.injector().set_corruption_targets({});
+}
+
+TEST(FaultSim, BitFlipLogNamesRegionsByIndexNotAddress) {
+  // One plan over two sets of fields at different heap addresses: the seeded
+  // fault log must not depend on where the fields live.
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.schedule.push_back(ScheduledFault{FaultKind::bit_flip, 0, 4, {}});
+  auto flip_details = [&](std::vector<double>& a, std::vector<double>& b) {
+    ScopedFaultInjection fi(plan);
+    fi.injector().set_corruption_targets(
+        {{reinterpret_cast<std::uint64_t>(a.data()), a.size() * sizeof(double)},
+         {reinterpret_cast<std::uint64_t>(b.data()), b.size() * sizeof(double)}});
+    queue q(ExecMode::functional);
+    for (int i = 0; i < 4; ++i) (void)submit_once(q, a, "flip");
+    std::vector<std::string> details;
+    for (const faultsim::FaultEvent& e : fi.injector().log()) details.push_back(e.detail);
+    fi.injector().set_corruption_targets({});
+    return details;
+  };
+
+  std::vector<double> a1(1024, 0.0), b1(512, 0.0), a2(1024, 0.0), b2(512, 0.0);
+  ASSERT_NE(a1.data(), a2.data());
+  const std::vector<std::string> first = flip_details(a1, b1);
+  const std::vector<std::string> second = flip_details(a2, b2);
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_EQ(first, second);
+  for (const std::string& d : first) {
+    EXPECT_NE(d.find(" in region "), std::string::npos) << d;
+    EXPECT_EQ(d.find("0x"), std::string::npos) << d;
+  }
 }
 
 TEST(FaultSim, BitFlipWithoutTargetsIsInert) {

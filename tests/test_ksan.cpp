@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/compressed.hpp"
+#include "core/dispatch.hpp"
 #include "core/kernels_3lp.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
@@ -211,7 +212,7 @@ TEST(KsanErrors, RemovedAtomicIsAGlobalRace) {
   DslashProblem p(4);
   Racy3LP3Kernel kernel{p.args()};
   ksan::SanitizeConfig cfg;
-  declare_dslash_regions(kernel.args, cfg);
+  cfg.regions = dslash_regions(kernel.args, kernel.args.sites);
   const auto rep = ksan::sanitize_launch(
       spec_for(p.sites() * 12, 96, 0, Racy3LP3Kernel::kPhases), kernel, cfg);
   EXPECT_GT(rep.count(ksan::Category::GlobalRace), 0u) << rep.summary();
@@ -245,7 +246,7 @@ TEST(KsanErrors, OffByOneNeighbourIsOutOfBounds) {
 
   Dslash3LP1Kernel<Order3::kMajor> kernel{a};
   ksan::SanitizeConfig cfg;
-  declare_dslash_regions(a, cfg);
+  cfg.regions = dslash_regions(a, a.sites);
   const auto rep = ksan::sanitize_launch(
       spec_for(a.sites * 12, 96, kernel.shared_bytes(96), kernel.kPhases), kernel, cfg);
   EXPECT_GT(rep.count(ksan::Category::GlobalOOB), 0u) << rep.summary();
@@ -273,7 +274,7 @@ TEST(KsanErrors, SkippedBarrierIsAnIntraPhaseHazard) {
   DslashProblem p(4);
   BarrierSkipping3LP1Kernel kernel{.inner = {p.args()}};
   ksan::SanitizeConfig cfg;
-  declare_dslash_regions(kernel.inner.args, cfg);
+  cfg.regions = dslash_regions(kernel.inner.args, kernel.inner.args.sites);
   const auto rep = ksan::sanitize_launch(
       spec_for(p.sites() * 12, 96, BarrierSkipping3LP1Kernel::shared_bytes(96), 1), kernel,
       cfg);

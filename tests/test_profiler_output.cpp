@@ -1,7 +1,15 @@
-// Profiler report formatting (the Table-I printer) and the umbrella header.
+// Profiler report formatting (the Table-I printer), the umbrella header, and
+// profiled timing that does not depend on allocation history.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <sstream>
+#include <vector>
 
 #include "milc.hpp"  // the umbrella must compile and expose everything below
 
@@ -59,6 +67,81 @@ TEST(PrintKernelReport, ContainsTimingDecomposition) {
   EXPECT_NE(out.find("bound_by=dram"), std::string::npos);
   EXPECT_NE(out.find("occupancy:"), std::string::npos);
   EXPECT_NE(out.find("timing:"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// ARCHITECTURE.md invariant 3: simulated timing is a pure function of the
+// launch, whatever the heap did before it.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kCounterFields = sizeof(gpusim::TraceCounters) / sizeof(std::uint64_t);
+static_assert(sizeof(gpusim::TraceCounters) == kCounterFields * sizeof(std::uint64_t),
+              "TraceCounters holds 64-bit counters only");
+
+/// A profiled launch's duration bits and every TraceCounters field.
+struct ProfiledBits {
+  std::uint64_t duration = 0;
+  std::array<std::uint64_t, kCounterFields> counters{};
+};
+
+ProfiledBits bits_of(const gpusim::KernelStats& st) {
+  ProfiledBits b;
+  b.duration = std::bit_cast<std::uint64_t>(st.duration_us);
+  std::memcpy(b.counters.data(), &st.counters, sizeof(st.counters));
+  return b;
+}
+
+/// Every single-device kernel family profiled once on a fresh L=8 problem.
+std::vector<ProfiledBits> profile_every_family() {
+  milc::DslashProblem p(8, 2024);
+  std::vector<ProfiledBits> out;
+
+  const milc::RunRequest req{.strategy = milc::Strategy::LP3_1,
+                             .order = milc::IndexOrder::kMajor,
+                             .local_size = 96};
+  out.push_back(bits_of(milc::DslashRunner{}.run(p, req).stats));
+
+  const milc::FloatDslash fd(p.device_gauge(), p.neighbors());
+  milc::FloatColorField fin(p.b());
+  milc::FloatColorField fout(p.geom(), p.target_parity());
+  out.push_back(bits_of(fd.profile(fin, fout, 96)));
+
+  const milc::CompressedDslash cd(p.view(), p.neighbors());
+  out.push_back(bits_of(cd.profile(p.b(), p.c(), 96)));
+
+  const milc::wilson::WilsonField win(p.geom(), milc::opposite(p.target_parity()));
+  milc::wilson::WilsonField wout(p.geom(), p.target_parity());
+  const milc::wilson::WilsonDslash wd(p.device_gauge(), p.neighbors());
+  out.push_back(bits_of(wd.profile(win, wout, 128)));
+
+  milc::qudaref::StaggeredDslashTest quda(p);
+  out.push_back(bits_of(quda.run_at(milc::Reconstruct::k18, 128).stats));
+  return out;
+}
+
+TEST(ProfiledTiming, IndependentOfAllocationHistory) {
+  // A live padding allocation moves where the next problem's fields land;
+  // every family's launch declares its buffers, so neither its duration nor
+  // any counter may move with it.
+  const char* const kFamilies[] = {"DslashRunner 3LP-1 /96", "FloatDslash /96",
+                                  "CompressedDslash /96", "WilsonDslash /128",
+                                  "StaggeredDslashTest recon-18 /128"};
+  std::vector<ProfiledBits> first;
+  for (const std::size_t pad_bytes : {0, 64, 4144, 100000, 1048576}) {
+    const std::vector<std::byte> pad(pad_bytes);
+    const std::vector<ProfiledBits> got = profile_every_family();
+    ASSERT_EQ(got.size(), std::size(kFamilies));
+    if (first.empty()) {
+      first = got;
+      continue;
+    }
+    for (std::size_t d = 0; d < got.size(); ++d) {
+      EXPECT_EQ(got[d].duration, first[d].duration)
+          << kFamilies[d] << " after " << pad_bytes << " B of padding";
+      EXPECT_EQ(got[d].counters, first[d].counters)
+          << kFamilies[d] << " after " << pad_bytes << " B of padding";
+    }
+  }
 }
 
 TEST(UmbrellaHeader, ExposesTheMainEntryPoints) {

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # bench_fingerprint.sh — sha256 fingerprints of the deterministic bench
 # documents: bench_scaling JSON under seven flag sets, the bench_serve
-# SloReport JSON (clean and seeded chaos), and the bench_scaling --sanitize
-# report.  Every one of them depends only on its seeds, so two runs of one
-# build must print identical lines (ARCHITECTURE.md invariant 3), and a
-# refactor that claims "same behaviour" must print the lines of its parent.
+# SloReport JSON (clean and seeded chaos), the bench_scaling --sanitize
+# report, and the stdout of the single-device benches at L=8
+# (bench_fig6 clean and under seeded faults, bench_quda_recon,
+# bench_precision, bench_compressed_3lp, bench_wilson, bench_roofline).
+# Every one of them depends only on its seeds, so two runs of one build must
+# print identical lines (ARCHITECTURE.md invariant 3), and a refactor that
+# claims "same behaviour" must print the lines of its parent.
 #
 # Usage: tools/bench_fingerprint.sh <build-dir>
 # Prints one "<sha256>  <document>" line per document; exits non-zero when a
@@ -16,7 +19,8 @@ if [[ $# -ne 1 ]]; then
   exit 2
 fi
 bench_dir="$(cd "$1" && pwd)/bench"
-for exe in bench_scaling bench_serve; do
+for exe in bench_scaling bench_serve bench_fig6 bench_quda_recon bench_precision \
+           bench_compressed_3lp bench_wilson bench_roofline; do
   if [[ ! -x "$bench_dir/$exe" ]]; then
     echo "$0: $bench_dir/$exe not built" >&2
     exit 2
@@ -42,6 +46,13 @@ scaling scaling-wire-fp16r9 --nodes 2 --wire fp16+r9
 "$bench_dir/bench_serve" --json "$out/serve.json" >/dev/null
 "$bench_dir/bench_serve" --chaos 20260807 --json "$out/serve-chaos.json" >/dev/null
 "$bench_dir/bench_scaling" --sanitize --L 12 --max-devices 4 >"$out/scaling-sanitize.txt"
+"$bench_dir/bench_fig6" --L 8 >"$out/fig6.txt"
+"$bench_dir/bench_fig6" --faults 2024 --L 8 >"$out/fig6-faults.txt"
+"$bench_dir/bench_quda_recon" --L 8 >"$out/quda-recon.txt"
+"$bench_dir/bench_precision" --L 8 >"$out/precision.txt"
+"$bench_dir/bench_compressed_3lp" --L 8 >"$out/compressed-3lp.txt"
+"$bench_dir/bench_wilson" --L 8 >"$out/wilson.txt"
+"$bench_dir/bench_roofline" --L 8 >"$out/roofline.txt"
 
 cd "$out"
 sha256sum -- *.json *.txt
