@@ -1,8 +1,11 @@
 // bench_quda_recon — experiments E3 and A2: QUDA's staggered_dslash_test
 // gauge-compression ladder (recon 18/12/9 -> 634/728/825 GFLOP/s in the
 // paper) and the traffic-vs-recompute ablation behind it.
+#include <algorithm>
+
 #include "bench_common.hpp"
 #include "qudaref/staggered_test.hpp"
+#include "tune/candidates.hpp"
 
 using namespace milc;
 using namespace milc::bench;
@@ -37,11 +40,16 @@ int main(int argc, char** argv) {
               results[1].gflops / results[0].gflops, results[2].gflops / results[0].gflops);
 
   // -- A2: per-scheme trade-off across fixed launch configs --------------------
-  std::printf("\nAblation A2 — traffic saved vs reconstruction FLOPs (local 256):\n");
+  // Local 256, or the largest tuner candidate below it that divides the
+  // sites.  With none (e.g. L=10), run_at rejects 256 as it always did.
+  const std::vector<int> sizes = tune::quda_tuning_candidates(problem.sites());
+  const auto fits = std::upper_bound(sizes.begin(), sizes.end(), 256);
+  const int local = fits == sizes.begin() ? 256 : *std::prev(fits);
+  std::printf("\nAblation A2 — traffic saved vs reconstruction FLOPs (local %d):\n", local);
   std::printf("%-10s %16s %18s %14s\n", "scheme", "gauge B/site", "recon FLOP/link",
               "kernel_us");
   for (Reconstruct scheme : {Reconstruct::k18, Reconstruct::k12, Reconstruct::k9}) {
-    const auto r = test.run_at(scheme, 256);
+    const auto r = test.run_at(scheme, local);
     std::printf("%-10s %16d %18.0f %14.1f\n", to_string(scheme),
                 16 * 8 * reals_per_link(scheme), reconstruct_flops(scheme), r.kernel_us);
   }

@@ -280,16 +280,11 @@ int run_chaos(const Options& opt, const RunRequest& req) {
   // onto a standby instead of shrinking; with a scheduled heal a stickily
   // lost device returns and the run rejoins the abandoned grid.  Either way
   // the final grid must be at full capacity and the output bit-for-bit.
-  std::int64_t total_rereplicated = 0;
-  int total_spares = 0, total_rejoins = 0, total_capacity = 0;
-  double total_recovery_us = 0.0, total_rereplication_us = 0.0;
-  const auto tally = [&](const MultiDevResult& r) {
-    total_rereplicated += r.rereplicated_bytes;
-    total_spares += r.spares_consumed;
-    total_rejoins += r.rejoins;
-    total_capacity += r.capacity_restored;
+  ElasticTally elastic;
+  double total_recovery_us = 0.0;
+  const auto tally = [&](const auto& r) {  // a MultiDevResult or a ShardedCgResult
+    elastic += r;
     total_recovery_us += r.recovery_us;
-    total_rereplication_us += r.rereplication_us;
   };
   if (opt.spares > 0 && opt.max_devices >= 2) {
     // Hot-spare re-replication: the shard of the lost device moves to a
@@ -444,12 +439,7 @@ int run_chaos(const Options& opt, const RunRequest& req) {
                   hdiff == 0.0 ? "bit-for-bit" : "MISMATCH");
       print_faults(hres.faults);
       ok &= heal_ok;
-      total_rejoins += hres.rejoins;
-      total_capacity += hres.capacity_restored;
-      total_spares += hres.spares_consumed;
-      total_rereplicated += hres.rereplicated_bytes;
-      total_recovery_us += hres.recovery_us;
-      total_rereplication_us += hres.rereplication_us;
+      tally(hres);
       ++scenarios;
 
       json.begin_row();
@@ -512,11 +502,11 @@ int run_chaos(const Options& opt, const RunRequest& req) {
 
   // Elastic-recovery roll-up (schema v3 meta keys).
   json.meta("spares", static_cast<std::int64_t>(opt.spares));
-  json.meta("spares_consumed", static_cast<std::int64_t>(total_spares));
-  json.meta("rejoins", static_cast<std::int64_t>(total_rejoins));
-  json.meta("capacity_restored_devices", static_cast<std::int64_t>(total_capacity));
-  json.meta("rereplicated_bytes", total_rereplicated);
-  json.meta("rereplication_us", total_rereplication_us);
+  json.meta("spares_consumed", static_cast<std::int64_t>(elastic.spares_consumed));
+  json.meta("rejoins", static_cast<std::int64_t>(elastic.rejoins));
+  json.meta("capacity_restored_devices", static_cast<std::int64_t>(elastic.capacity_restored));
+  json.meta("rereplicated_bytes", elastic.rereplicated_bytes);
+  json.meta("rereplication_us", elastic.rereplication_us);
   json.meta("recovery_time_us", total_recovery_us);
 
   json.meta("mode", std::string("chaos"));

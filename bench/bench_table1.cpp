@@ -1,10 +1,12 @@
 // bench_table1 — reproduces the paper's Table I (experiment E2): Nsight-
 // Compute-style profile of a single kernel launch for every parallel
-// strategy and work-item index order, local size 768 (256 for 1LP).
+// strategy and work-item index order, local size 768 (256 for 1LP) or,
+// where that does not fit the lattice, tune::pick_local_size's fallback.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "gpusim/profiler.hpp"
+#include "tune/candidates.hpp"
 
 using namespace milc;
 using namespace milc::bench;
@@ -39,12 +41,13 @@ int main(int argc, char** argv) {
 
   std::vector<gpusim::KernelStats> stats;
   for (const Col& c : cols) {
-    RunRequest req{.strategy = c.s, .order = c.o, .local_size = c.local,
+    const int local = tune::pick_local_size(c.s, c.o, c.local, problem.sites());
+    RunRequest req{.strategy = c.s, .order = c.o, .local_size = local,
                    .variant = Variant::SYCL};
     RunResult r = runner.run(problem, req);
     r.stats.name = c.name;
     stats.push_back(r.stats);
-    std::printf("profiled %-8s (%s, local %d)\n", c.name, to_string(c.o), c.local);
+    std::printf("profiled %-8s (%s, local %d)\n", c.name, to_string(c.o), local);
   }
 
   gpusim::print_table1(std::cout, stats);

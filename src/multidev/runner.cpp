@@ -361,13 +361,6 @@ gpusim::NodeTopology effective_topology(const gpusim::NodeTopology& topo, int de
   return t;
 }
 
-int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites) {
-  // The fallback ladder (paper pool, warp-aligned multiples, partial-warp
-  // algorithmic multiples) now lives in tune::local_size_ladder — the same
-  // enumeration the online tuner sweeps on a cache miss.
-  return tune::pick_local_size(s, o, preferred, sites);
-}
-
 tune::TuneKey MultiDeviceRunner::tune_key(const DslashProblem& problem,
                                           const MultiDevRequest& mreq) const {
   tune::TuneKey key;
@@ -427,10 +420,6 @@ std::vector<ksan::SanitizerReport> MultiDeviceRunner::dsan_check(
   return dsan::check_all(sr.rec.trace(), mreq.grid.label());
 }
 
-std::int64_t shard_slab_bytes(const Partitioner& part, int rank) {
-  return shard_slab_bytes(part, rank, WireFormat{});
-}
-
 std::int64_t shard_slab_bytes(const Partitioner& part, int rank, const WireFormat& wire) {
   const Shard& sh = part.shard(rank);
   // Gauge links ride the wire in the recon frame (docs/WIRE.md §3); spinors
@@ -443,13 +432,6 @@ std::int64_t shard_slab_bytes(const Partitioner& part, int rank, const WireForma
 }
 
 namespace {
-
-/// One grid abandoned by a shrink failover, kept so a later heal of the
-/// stickily-lost resource can rejoin it (newest on top of the stack).
-struct RejoinTarget {
-  PartitionGrid grid{};
-  std::string what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
-};
 
 /// Priced, checksummed, retransmitting wire transfer of one shard's slabs
 /// onto a spare or rejoining device.  Mirrors the hardened halo exchange:
@@ -503,6 +485,15 @@ struct Adoption {
   int src = 0;
   int rank = 0;
   std::string note;
+};
+
+/// One attempt's resource loss: a node group or a device, and the ranks of
+/// the grid it took down.
+struct Loss {
+  std::string what;  ///< heal-site grammar: "node n<j>" | "device r<k>"
+  int first = 0;     ///< the lost ranks are [first, first + count)
+  int count = 0;
+  bool node = false;
 };
 
 /// Re-replicate shard state onto a hot spare, a standby node or the ranks
@@ -746,7 +737,7 @@ std::string HaloPass::dslash_range(bool boundary) {
         sh.rank, name, fallback_requests(mreq_.req, count),
         [&](minisycl::queue& q, const RunRequest& r) {
           const VariantInfo& vi = variant_info(r.variant);
-          const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
+          const int ls = tune::pick_local_size(r.strategy, r.order, r.local_size, count);
           return with_dslash_kernel(args, r.strategy, r.order, vi.use_syclcplx,
                                     [&](const auto& kernel) {
                                       using K = std::decay_t<decltype(kernel)>;
@@ -987,17 +978,15 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequ
   const std::size_t log_mark = inj != nullptr ? inj->log().size() : 0;
   MultiDevResult res;
   PartitionGrid grid = mreq.grid;
-  // Hot-spare pool (elastic recovery): device spares per node group of the
+  // Hot-spare pools (elastic recovery): device spares per node group of the
   // *requested* topology, plus whole standby nodes behind the fabric.
   int device_spares = mreq.topo.spares.devices_per_node * std::max(1, mreq.topo.nodes);
   int node_spares = mreq.topo.spares.nodes;
   // Grids abandoned by shrink failovers, newest last; a heal of the lost
-  // resource pops one and rejoins.  Seeded from the request when a previous
-  // run (e.g. an earlier CG apply) already shrank.
-  std::vector<RejoinTarget> rejoinable;
-  if (mreq.rejoin_grid.total() > grid.total() && !mreq.rejoin_what.empty()) {
-    rejoinable.push_back(RejoinTarget{mreq.rejoin_grid, mreq.rejoin_what});
-  }
+  // resource pops one and rejoins.  Continues the caller's stack when a
+  // previous run (e.g. an earlier CG apply) already shrank.
+  std::vector<RejoinTarget>& rejoinable = res.rejoin;
+  rejoinable = mreq.rejoin;
   // Shrink onto `next`; a sticky resource loss (`lost` non-empty) stays
   // rejoinable should the fault plan heal it.
   const auto shrink = [&](const PartitionGrid& next, std::string reason, int attempt,
@@ -1045,76 +1034,51 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequ
         // Transfer budget spent: stay on the small grid.
       }
 
-      // Node health: one consult per node group per attempt, before the
-      // per-device checks — losing a node loses all its devices at once, so
-      // the grid must shrink below the survivor count in one failover.
-      int lost_node = -1;
-      if (topo.multi_node()) {
-        for (int n = 0; n < topo.nodes; ++n) {
-          if (inj->on_node_check("node n" + std::to_string(n) + " @ " + grid.label())) {
-            lost_node = n;
-            break;
-          }
-        }
+      // Resource health: one consult per node group (multi-node runs), then
+      // one per device, per attempt; the first hit is the attempt's loss.  A
+      // lost device has no spare on a 1x1x1x1 grid, so single-device runs
+      // skip the device consults (ResilientRunner is the single-device
+      // recovery story).
+      std::optional<Loss> loss;
+      for (int n = 0; topo.multi_node() && n < topo.nodes && !loss; ++n) {
+        std::string what = "node n" + std::to_string(n);
+        if (inj->on_node_check(what + " @ " + grid.label()))
+          loss = Loss{std::move(what), n * topo.devices_per_node, topo.devices_per_node, true};
       }
-      if (lost_node >= 0) {
-        const std::string node = "node n" + std::to_string(lost_node);
-        // A standby node adopts every lost shard over the fabric instead of
-        // shrinking below the survivor count.
-        if (node_spares > 0) {
+      for (int d = 0; ndev > 1 && d < ndev && !loss; ++d) {
+        std::string what = "device r" + std::to_string(d);
+        if (inj->on_device_check(what + " @ " + grid.label()))
+          loss = Loss{std::move(what), d, 1, false};
+      }
+      if (loss) {
+        // The spare pool of the loss's kind adopts every lost rank — a hot
+        // spare on the island, or a standby node over the fabric — and the
+        // grid keeps its full width.  Only when no spare (or no transfer
+        // budget) is left does the grid shrink below the survivor count, in
+        // one failover.
+        int& spares = loss->node ? node_spares : device_spares;
+        const std::string spare = loss->node ? "standby node" : "hot spare";
+        if (spares > 0) {
           std::vector<Adoption> adoptions;
-          for (int d = 0; d < topo.devices_per_node; ++d) {
-            const int r = lost_node * topo.devices_per_node + d;
-            adoptions.push_back({(r + topo.devices_per_node) % ndev,  // surviving node peer
-                                 r, "standby node adopts rank r" + std::to_string(r)});
+          for (int r = loss->first; r < loss->first + loss->count; ++r) {
+            // The survivor `count` ranks on re-sends the lost rank's slabs.
+            adoptions.push_back(
+                {(r + loss->count) % ndev, r, spare + " adopts rank r" + std::to_string(r)});
           }
           if (adopt_shards(inj, topo, layouts.get(problem, grid).part, adoptions,
-                           "replica verified on standby node", mreq, res)) {
-            --node_spares;
+                           "replica verified on " + spare, mreq, res)) {
+            --spares;
             ++res.spares_consumed;
             res.failovers.push_back(FailoverEvent{
-                grid, grid, node + " lost; re-replicated onto standby node", attempt});
+                grid, grid, loss->what + " lost; re-replicated onto " + spare, attempt});
             continue;
           }
         }
-        const int survivors = ndev - topo.devices_per_node;
         PartitionGrid next = grid;
-        while (next.total() > survivors && next.total() > 1) next = fallback_grid(next);
-        shrink(next,
-               node + " lost (" + std::to_string(topo.devices_per_node) + " devices)",
-               attempt, node);
-        continue;
-      }
-
-      // Device health: one consult per device per attempt.  A lost device
-      // has no spare on a 1x1x1x1 grid, so single-device runs skip the
-      // consult (ResilientRunner is the single-device recovery story).
-      int lost = -1;
-      if (ndev > 1) {
-        for (int d = 0; d < ndev; ++d) {
-          if (inj->on_device_check("device r" + std::to_string(d) + " @ " + grid.label())) {
-            lost = d;
-            break;
-          }
-        }
-      }
-      if (lost >= 0) {
-        const std::string device = "device r" + std::to_string(lost);
-        // A hot spare on the island adopts the lost shard and the grid keeps
-        // its full width; only when no spare (or no transfer budget) is left
-        // does the shrink failover run.
-        if (device_spares > 0 &&
-            adopt_shards(inj, topo, layouts.get(problem, grid).part,
-                         {{(lost + 1) % ndev, lost, "hot spare adopts rank r" +
-                                                        std::to_string(lost)}},
-                         "replica verified on spare", mreq, res)) {
-          --device_spares;
-          ++res.spares_consumed;
-          res.failovers.push_back(FailoverEvent{
-              grid, grid, device + " lost; shard re-replicated onto hot spare", attempt});
-          continue;
-        }
-        shrink(fallback_grid(grid), device + " lost", attempt, device);
+        while (next.total() > ndev - loss->count && next.total() > 1) next = fallback_grid(next);
+        std::string reason = loss->what + " lost";
+        if (loss->node) reason += " (" + std::to_string(loss->count) + " devices)";
+        shrink(next, std::move(reason), attempt, loss->what);
         continue;
       }
     }

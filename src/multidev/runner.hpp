@@ -55,9 +55,19 @@
 #include "gpusim/link.hpp"
 #include "ksan/sanitizer.hpp"
 #include "minisycl/queue.hpp"
+#include "multidev/elastic.hpp"
 #include "multidev/partition.hpp"
 
 namespace milc::multidev {
+
+/// One grid abandoned by a shrink failover, kept so a later heal of the
+/// stickily-lost resource can rejoin it: each hardened attempt on a smaller
+/// grid consults `heal/<what> @ <grid>` for the newest target, and on a heal
+/// re-replicates shard state onto the re-admitted ranks and continues on it.
+struct RejoinTarget {
+  PartitionGrid grid{};
+  std::string what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
+};
 
 /// A multi-device run: which grid, which kernel configuration, what fabric.
 struct MultiDevRequest {
@@ -78,14 +88,12 @@ struct MultiDevRequest {
   /// byte (checksums, aggregation frames, corruption and retransmission all
   /// operate on the encoded size); the convert is fused into pack/unpack.
   WireFormat wire{};
-  /// Live-rejoin target (elastic recovery).  When `rejoin_grid.total() >
-  /// grid.total()`, a previous run abandoned that larger grid in a shrink
-  /// failover; each hardened attempt consults `heal/<rejoin_what> @ <grid>`
-  /// and on a heal re-replicates shard state onto the re-admitted ranks and
-  /// continues on `rejoin_grid`.  The sharded CG solver threads its
-  /// pre-failover grid through here so capacity returns mid-solve.
-  PartitionGrid rejoin_grid{};
-  std::string rejoin_what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
+  /// Live-rejoin stack (elastic recovery), newest last: grids earlier runs
+  /// abandoned in shrink failovers.  run() continues this stack and returns
+  /// what is left of it in MultiDevResult::rejoin, so a caller that applies
+  /// many times (the sharded CG solver) hands it back to the next run and
+  /// capacity returns mid-solve, newest grid first.
+  std::vector<RejoinTarget> rejoin;
   /// Execution mode of the pipeline's per-device queues: profiled runs
   /// price the overlap timeline; functional runs (run_functional, the
   /// sharded CG's applies) execute the same pipeline with unpriced kernels.
@@ -161,7 +169,9 @@ struct ShardRecovery {
   double backoff_us = 0.0;
 };
 
-struct MultiDevResult {
+/// One run's outcome; its ElasticTally counts the run's spare adoptions,
+/// rejoins and re-replication traffic (whose time is also in recovery_us).
+struct MultiDevResult : ElasticTally {
   std::string label;
   int devices = 1;
   double per_iter_us = 0.0;  ///< slowest device's iteration time
@@ -193,14 +203,9 @@ struct MultiDevResult {
   ExchangeReport exchange;      ///< clean()/succeeded==false when fault-free
   std::vector<FailoverEvent> failovers;
   std::vector<ShardRecovery> shard_recoveries;
-
-  // --- elastic recovery accounting (hot spares and live rejoin) -----------
-  int spares_consumed = 0;    ///< hot spares drafted to adopt lost shards
-  int rejoins = 0;            ///< healed resources re-admitted mid-run
-  int capacity_restored = 0;  ///< devices of capacity regained by rejoins
-  std::int64_t rereplicated_bytes = 0;  ///< slab wire bytes incl. retransmits
-  /// Wire + backoff time of re-replication transfers (also in recovery_us).
-  double rereplication_us = 0.0;
+  /// The rejoin stack the run ends with (MultiDevRequest::rejoin, minus the
+  /// targets it rejoined, plus the grids it shrank away from on a loss).
+  std::vector<RejoinTarget> rejoin;
   /// Injector log entries observed during this run (fault enumeration).
   std::vector<faultsim::FaultEvent> faults;
 };
@@ -280,7 +285,7 @@ class MultiDeviceRunner {
 
   /// Autotuned profiled run: sweeps the paper pool of preferred local sizes
   /// for mreq.req's strategy/order on mreq's grid (each shard still coerces
-  /// through pick_local_size), consulting the installed tune::TuneSession
+  /// through tune::pick_local_size), consulting the installed tune::TuneSession
   /// under tune_key() first.  A hit re-prices the cached preferred size once
   /// and verifies its per-iteration time bit-for-bit (docs/TUNING.md).
   [[nodiscard]] MultiDevTunedResult run_tuned(DslashProblem& problem,
@@ -355,21 +360,11 @@ class MultiDeviceRunner {
 
 /// Bytes a spare or rejoining device must receive to adopt rank `rank` of
 /// the partitioner's grid: the gathered gauge slab (ShardLayout::links) plus
-/// the extended source spinor (owned + ghost slots).
-/// The fp64/recon-18 overload is the historical exact count; the wire-format
-/// overload prices the gauge slab at the recon scheme's encoded link size
-/// and the spinor at the spinor format's site size (docs/WIRE.md §3).
-[[nodiscard]] std::int64_t shard_slab_bytes(const Partitioner& part, int rank);
+/// the extended source spinor (owned + ghost slots), the gauge slab priced
+/// at the recon scheme's encoded link size and the spinor at the spinor
+/// format's site size (docs/WIRE.md §3).  The fp64/recon-18 default wire
+/// gives the historical exact count.
 [[nodiscard]] std::int64_t shard_slab_bytes(const Partitioner& part, int rank,
                                             const WireFormat& wire);
-
-/// Local size for a shard launch of `sites` sites: `preferred` when it
-/// qualifies, else the largest qualifying paper pool entry, else the
-/// largest qualifying multiple of the strategy's warp-aligned divisor,
-/// else (shard counts with no multiple-of-32 divisor, e.g. 2^4 * 3^4) the
-/// largest divisor that still respects the strategy's *algorithmic*
-/// multiple — the executor runs the partial last warp correctly.
-/// Throws std::invalid_argument only for an empty range.
-[[nodiscard]] int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites);
 
 }  // namespace milc::multidev

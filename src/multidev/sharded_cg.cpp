@@ -119,16 +119,11 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
   mreq.topo = cfg_.topo;
   mreq.wire = wire;
   mreq.mode = minisycl::ExecMode::functional;
-  mreq.rejoin_grid = rejoin_grid_;
-  mreq.rejoin_what = rejoin_what_;
+  mreq.rejoin = rejoin_;
   const MultiDevResult mres = runner_.run(problem, mreq, layouts);
   if (res != nullptr) {
     res->recovery_us += mres.recovery_us;
-    res->spares_consumed += mres.spares_consumed;
-    res->rejoins += mres.rejoins;
-    res->capacity_restored += mres.capacity_restored;
-    res->rereplicated_bytes += mres.rereplicated_bytes;
-    res->rereplication_us += mres.rereplication_us;
+    *res += mres;  // the apply's elastic tally
     if (!mres.failovers.empty()) {
       res->failovers_observed += static_cast<int>(mres.failovers.size());
       for (const FailoverEvent& f : mres.failovers) {
@@ -140,27 +135,12 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardLayouts& layouts,
   if (!mres.failovers.empty()) {
     // Adopt the surviving grid for every subsequent apply; the caller
     // restores the last snapshot and replays on it.
-    const PartitionGrid before = grid_;
     grid_ = mres.final_grid;
     failover_seen_ = true;
-    if (rejoin_grid_.total() > 1 && grid_.total() >= rejoin_grid_.total()) {
-      // A live rejoin restored the abandoned capacity mid-solve.
-      rejoin_grid_ = PartitionGrid{};
-      rejoin_what_.clear();
-    } else if (grid_.total() < before.total() && rejoin_grid_.total() <= 1) {
-      // First shrink of this solve: aim the heal consults of every
-      // subsequent apply back at the grid this apply started on.  Only
-      // sticky resource losses ("<what> lost") are healable; attempt-failure
-      // shrinks leave no resource to wait for.
-      for (const FailoverEvent& f : mres.failovers) {
-        const std::size_t pos = f.reason.find(" lost");
-        if (pos == std::string::npos) continue;
-        rejoin_grid_ = before;
-        rejoin_what_ = f.reason.substr(0, pos);
-        break;
-      }
-    }
   }
+  // The grids this apply (or an earlier one) shrank away from, for the heal
+  // consults of every later apply; a rejoin already popped its target.
+  rejoin_ = mres.rejoin;
   return mres.recovered;
 }
 

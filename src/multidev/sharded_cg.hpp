@@ -103,7 +103,8 @@ struct SolverEvent {
   std::string detail;
 };
 
-struct ShardedCgResult {
+/// One solve's outcome; its ElasticTally sums those of all its applies.
+struct ShardedCgResult : ElasticTally {
   CgResult cg{};
   bool recovered_all = true;  ///< false: a recovery budget was exhausted
   bool cancelled = false;     ///< solve stopped by the cancel hook
@@ -127,12 +128,6 @@ struct ShardedCgResult {
   int snapshots_staged = 0;    ///< async mode: states staged pending audit
   int snapshots_promoted = 0;  ///< async mode: staged states promoted durable
 
-  // --- elastic recovery accounting, summed over all applies ----------------
-  int spares_consumed = 0;    ///< hot spares drafted by re-replication
-  int rejoins = 0;            ///< healed resources re-admitted mid-solve
-  int capacity_restored = 0;  ///< devices of capacity regained by rejoins
-  std::int64_t rereplicated_bytes = 0;  ///< slab wire bytes moved to spares
-  double rereplication_us = 0.0;        ///< wire + backoff time of those moves
   std::vector<SolverEvent> events;
   /// Every injected fault observed during the solve (replayable enumeration).
   std::vector<faultsim::FaultEvent> faults;
@@ -206,12 +201,11 @@ class ShardedCgSolver {
   ShardLayouts layouts_e_;
   MultiDeviceRunner runner_;
   bool failover_seen_ = false;
-  /// Live-rejoin target threaded into every hardened apply: the grid the
-  /// solve abandoned in its first shrink failover (total() <= 1 when the
-  /// solve runs at full capacity) and the heal-site name of the lost
-  /// resource.  Cleared when a rejoin restores the capacity.
-  PartitionGrid rejoin_grid_{};
-  std::string rejoin_what_;
+  /// The runner's live-rejoin stack, threaded through every hardened apply:
+  /// the grids this solve abandoned in shrink failovers, newest last (empty
+  /// at full capacity).  Each apply hands it in and stores back what is
+  /// left, so heals restore capacity newest-first across applies.
+  std::vector<RejoinTarget> rejoin_;
 };
 
 }  // namespace milc::multidev

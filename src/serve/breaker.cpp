@@ -17,14 +17,16 @@ const char* to_string(BreakerState s) {
 void CircuitBreaker::transition(double now, BreakerState to, const std::string& why) {
   events_.push_back({now, resource_, state_, to, why});
   state_ = to;
+  // Every transition starts a fresh probe cycle: an in-flight probe's
+  // outcome, however late it lands, must not resolve against the new one.
+  half_open_successes_ = 0;
+  probe_outstanding_ = false;
+  live_probe_token_ = 0;
 }
 
 void CircuitBreaker::poll(double now) {
   if (state_ == BreakerState::open && now >= open_until_) {
     transition(now, BreakerState::half_open, "cooloff elapsed");
-    half_open_successes_ = 0;
-    probe_outstanding_ = false;
-    live_probe_token_ = 0;
   }
 }
 
@@ -35,11 +37,6 @@ void CircuitBreaker::reopen(double now, const std::string& why) {
       cfg_.cooloff_us * std::pow(cfg_.cooloff_factor, static_cast<double>(trips_ - 1)));
   open_until_ = now + cooloff;
   transition(now, BreakerState::open, why);
-  // Leaving half-open invalidates any in-flight probe: its outcome, however
-  // late it lands, must not resolve against the new open/half-open cycle.
-  probe_outstanding_ = false;
-  live_probe_token_ = 0;
-  half_open_successes_ = 0;
 }
 
 void CircuitBreaker::on_probe_success(double now, int token) {
@@ -78,13 +75,7 @@ void CircuitBreaker::on_failure(double now, const std::string& why) {
   }
   if (state_ == BreakerState::open) return;  // already routed around
   if (++consecutive_failures_ >= cfg_.failure_threshold) {
-    ++trips_;
-    const double cooloff = std::min(
-        cfg_.max_cooloff_us,
-        cfg_.cooloff_us * std::pow(cfg_.cooloff_factor, static_cast<double>(trips_ - 1)));
-    open_until_ = now + cooloff;
-    transition(now, BreakerState::open,
-               std::to_string(consecutive_failures_) + " consecutive failures: " + why);
+    reopen(now, std::to_string(consecutive_failures_) + " consecutive failures: " + why);
     consecutive_failures_ = 0;
   }
 }
@@ -93,9 +84,6 @@ void CircuitBreaker::begin_probation(double now, const std::string& why) {
   if (state_ == BreakerState::half_open) return;
   open_until_ = now;
   transition(now, BreakerState::half_open, why);
-  half_open_successes_ = 0;
-  probe_outstanding_ = false;
-  live_probe_token_ = 0;
   consecutive_failures_ = 0;
 }
 

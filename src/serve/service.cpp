@@ -100,7 +100,11 @@ void SolverService::price_catalog() {
         continue;
       const gpusim::NodeTopology etopo = multidev::effective_topology(topo_, k);
 
+      // The grid: a cached decision (warm start, no candidate scored) or the
+      // cheapest enumerated one.  Either way it is profiled once; a cached
+      // cost must then reproduce bit for bit, a fresh one is recorded.
       tune::TuneKey key;
+      const tune::TuneEntry* hit = nullptr;
       if (sess != nullptr) {
         key.arch = tune::arch_fingerprint(runner.machine());
         key.geom = tune::geom_signature(sp.dims[0], sp.dims[1], sp.dims[2], sp.dims[3],
@@ -110,54 +114,45 @@ void SolverService::price_catalog() {
                      tune::wire_fingerprint(etopo);
         key.devices = k;
         key.topo = tune::topo_signature(etopo.nodes, etopo.devices_per_node);
-        if (const tune::TuneEntry* hit = sess->lookup(key); hit != nullptr) {
-          // Warm start: adopt the cached grid without scoring any candidate,
-          // re-profile it once and hold the honesty rule on its cost.
-          PartitionGrid g;
-          if (!PartitionGrid::from_label(hit->grid, g) ||
-              !multidev::partition_error(prob.geom(), g).empty()) {
-            throw tune::ReplayMismatch(key.canonical() + " (grid '" + hit->grid + "')",
-                                       hit->per_iter_us, 0.0);
+        hit = sess->lookup(key);
+      }
+      PartitionGrid grid;
+      if (hit != nullptr) {
+        if (!PartitionGrid::from_label(hit->grid, grid) ||
+            !multidev::partition_error(prob.geom(), grid).empty()) {
+          throw tune::ReplayMismatch(key.canonical() + " (grid '" + hit->grid + "')",
+                                     hit->per_iter_us, 0.0);
+        }
+      } else {
+        const auto grids = multidev::enumerate_grids(prob.geom(), k);
+        if (grids.empty()) continue;
+        double best_cost = 0.0;
+        for (std::size_t g = 0; g < grids.size(); ++g) {
+          const double cost = multidev::score_grid(prob.geom(), grids[g], etopo).cost_us;
+          if (g == 0 || cost < best_cost) {
+            grid = grids[g];
+            best_cost = cost;
           }
-          MultiDevRequest mreq;
-          mreq.grid = g;
-          mreq.req.iterations = 1;
-          mreq.topo = etopo;
-          const auto res = runner.run(prob, mreq);
-          sess->verify(key, *hit, res.per_iter_us);
-          placements_[i].push_back({k, g, res.per_iter_us});
-          ++pricing_.placements_priced;
-          ++pricing_.cache_hits;
-          continue;
         }
+        pricing_.grids_scored += static_cast<int>(grids.size());
       }
-
-      const auto grids = multidev::enumerate_grids(prob.geom(), k);
-      if (grids.empty()) continue;
-      const PartitionGrid* best = nullptr;
-      double best_cost = 0.0;
-      for (const PartitionGrid& g : grids) {
-        const double cost = multidev::score_grid(prob.geom(), g, etopo).cost_us;
-        if (best == nullptr || cost < best_cost) {
-          best = &g;
-          best_cost = cost;
-        }
-      }
-      pricing_.grids_scored += static_cast<int>(grids.size());
       MultiDevRequest mreq;
-      mreq.grid = *best;
+      mreq.grid = grid;
       mreq.req.iterations = 1;
       mreq.topo = etopo;
-      const auto res = runner.run(prob, mreq);
-      placements_[i].push_back({k, *best, res.per_iter_us});
-      ++pricing_.placements_priced;
-      if (sess != nullptr) {
+      const double per_iter_us = runner.run(prob, mreq).per_iter_us;
+      if (hit != nullptr) {
+        sess->verify(key, *hit, per_iter_us);
+        ++pricing_.cache_hits;
+      } else if (sess != nullptr) {
         ++pricing_.cache_misses;
         tune::TuneEntry entry;
-        entry.grid = best->label();
-        entry.per_iter_us = res.per_iter_us;
+        entry.grid = grid.label();
+        entry.per_iter_us = per_iter_us;
         sess->record(key, entry);
       }
+      placements_[i].push_back({k, grid, per_iter_us});
+      ++pricing_.placements_priced;
     }
   }
 }
@@ -171,21 +166,18 @@ int SolverService::max_priced_devices(int spec) const {
 
 void SolverService::reset_runtime_state() {
   queue_ = AdmissionQueue(cfg_.queue);
-  devices_.clear();
-  nodes_.clear();
+  resources_.clear();
   inflight_.clear();
   tenant_busy_us_.clear();
-  const int dpn = cfg_.cluster.devices_per_node;
   for (int k = 0; k < cfg_.cluster.total(); ++k)
-    devices_.push_back({k, k / dpn, true, 0.0,
-                        CircuitBreaker("d" + std::to_string(k), BreakerConfig{})});
+    resources_.push_back({CircuitBreaker("d" + std::to_string(k), BreakerConfig{})});
   for (int j = 0; j < cfg_.cluster.nodes; ++j)
-    nodes_.push_back({j, true, CircuitBreaker("n" + std::to_string(j), BreakerConfig{})});
+    resources_.push_back({CircuitBreaker("n" + std::to_string(j), BreakerConfig{})});
 }
 
 int SolverService::alive_devices() const {
   int n = 0;
-  for (const DeviceState& d : devices_) n += d.alive ? 1 : 0;
+  for (int k = 0; k < cfg_.cluster.total(); ++k) n += device(k).alive ? 1 : 0;
   return n;
 }
 
@@ -240,8 +232,7 @@ SloReport SolverService::run(const std::string& scenario, std::vector<SolveReque
   };
 
   while (pending()) {
-    for (DeviceState& d : devices_) d.breaker.poll(now);
-    for (NodeState& n : nodes_) n.breaker.poll(now);
+    for (Resource& r : resources_) r.breaker.poll(now);
 
     // Completions due, earliest (then lowest id) first.
     for (;;) {
@@ -283,12 +274,9 @@ SloReport SolverService::run(const std::string& scenario, std::vector<SolveReque
   rep.makespan_us = now;
   if (inj != nullptr) rep.faults_injected = inj->log().size() - fault_mark;
 
-  for (const DeviceState& d : devices_)
-    rep.breaker_events.insert(rep.breaker_events.end(), d.breaker.events().begin(),
-                              d.breaker.events().end());
-  for (const NodeState& n : nodes_)
-    rep.breaker_events.insert(rep.breaker_events.end(), n.breaker.events().begin(),
-                              n.breaker.events().end());
+  for (const Resource& r : resources_)
+    rep.breaker_events.insert(rep.breaker_events.end(), r.breaker.events().begin(),
+                              r.breaker.events().end());
   std::stable_sort(rep.breaker_events.begin(), rep.breaker_events.end(),
                    [](const BreakerEvent& a, const BreakerEvent& b) {
                      if (a.at_us != b.at_us) return a.at_us < b.at_us;
@@ -345,9 +333,7 @@ void SolverService::process_cancel(SloReport& rep, const CancelEvent& ev, double
     if (inflight_[i].req.id != ev.id) continue;
     Inflight f = std::move(inflight_[i]);
     inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
-    for (int d : f.devs)
-      devices_[static_cast<std::size_t>(d)].busy_until =
-          std::min(devices_[static_cast<std::size_t>(d)].busy_until, now);
+    for (int d : f.devs) device(d).busy_until = std::min(device(d).busy_until, now);
     queue_.mark_done(f.req);
     RequestOutcome out = std::move(f.outcome);
     out.status = RequestOutcome::Status::cancelled;
@@ -364,31 +350,31 @@ void SolverService::process_cancel(SloReport& rep, const CancelEvent& ev, double
 void SolverService::health_checks(SloReport& rep, double now) {
   faultsim::Injector* inj = faultsim::Injector::current();
   if (inj == nullptr) return;
-  for (DeviceState& d : devices_) {
+  const int dpn = cfg_.cluster.devices_per_node;
+  const auto lose = [now](Resource& r) {
+    r.alive = false;
+    r.down_since = now;
+  };
+  for (int k = 0; k < cfg_.cluster.total(); ++k) {
+    Resource& d = device(k);
     if (!d.alive || d.busy_until > now) continue;
-    if (inj->on_device_check("serve/device d" + std::to_string(d.id))) {
-      d.alive = false;
-      d.down_since = now;
-      degrade(rep, now, 0, "device-lost", "d" + std::to_string(d.id) + " lost (serve-tier check)");
+    if (inj->on_device_check("serve/device " + d.breaker.resource())) {
+      lose(d);
+      degrade(rep, now, 0, "device-lost", d.breaker.resource() + " lost (serve-tier check)");
     }
   }
-  const int dpn = cfg_.cluster.devices_per_node;
-  for (NodeState& n : nodes_) {
+  for (int j = 0; j < cfg_.cluster.nodes; ++j) {
+    Resource& n = node(j);
     if (!n.alive) continue;
     bool all_idle = true;
-    for (int k = n.id * dpn; k < (n.id + 1) * dpn; ++k)
-      all_idle = all_idle && devices_[static_cast<std::size_t>(k)].busy_until <= now;
+    for (int k = j * dpn; k < (j + 1) * dpn; ++k)
+      all_idle = all_idle && device(k).busy_until <= now;
     if (!all_idle) continue;
-    if (inj->on_node_check("serve/node n" + std::to_string(n.id))) {
-      n.alive = false;
-      n.down_since = now;
-      for (int k = n.id * dpn; k < (n.id + 1) * dpn; ++k) {
-        DeviceState& d = devices_[static_cast<std::size_t>(k)];
-        d.alive = false;
-        d.down_since = now;
-      }
+    if (inj->on_node_check("serve/node " + n.breaker.resource())) {
+      lose(n);
+      for (int k = j * dpn; k < (j + 1) * dpn; ++k) lose(device(k));
       degrade(rep, now, 0, "node-lost",
-              "n" + std::to_string(n.id) + " lost with all its devices (serve-tier check)");
+              n.breaker.resource() + " lost with all its devices (serve-tier check)");
     }
   }
 
@@ -397,63 +383,49 @@ void SolverService::health_checks(SloReport& rep, double now) {
   // probation, so capacity returns through a rejoin probe (run_probes) that
   // must succeed first.  Heal draws come from the injector's dedicated heal
   // stream, so consulting them never perturbs the loss draws above.
-  const auto rejoin_device = [&](DeviceState& d) {
-    d.alive = true;
-    d.breaker.begin_probation(now, "rejoined after heal; probing before traffic");
-    if (d.down_since >= 0.0) rep.recovery_time_us += now - d.down_since;
-    d.down_since = -1.0;
-    ++rep.devices_rejoined;
+  const auto rejoin = [&rep, now](Resource& r, int& rejoined) {
+    r.alive = true;
+    r.breaker.begin_probation(now, "rejoined after heal; probing before traffic");
+    if (r.down_since >= 0.0) rep.recovery_time_us += now - r.down_since;
+    r.down_since = -1.0;
+    ++rejoined;
   };
-  for (DeviceState& d : devices_) {
+  for (int k = 0; k < cfg_.cluster.total(); ++k) {
+    Resource& d = device(k);
     // A device that died with its node returns with its node, not alone.
-    if (d.alive || d.down_since >= now) continue;
-    if (!nodes_[static_cast<std::size_t>(d.node)].alive) continue;
-    if (inj->on_heal_check("heal/device d" + std::to_string(d.id))) {
-      rejoin_device(d);
+    if (d.alive || d.down_since >= now || !node(k / dpn).alive) continue;
+    if (inj->on_heal_check("heal/device " + d.breaker.resource())) {
+      rejoin(d, rep.devices_rejoined);
       degrade(rep, now, 0, "device-rejoined",
-              "d" + std::to_string(d.id) + " healed; half-open probation");
+              d.breaker.resource() + " healed; half-open probation");
     }
   }
-  for (NodeState& n : nodes_) {
+  for (int j = 0; j < cfg_.cluster.nodes; ++j) {
+    Resource& n = node(j);
     if (n.alive || n.down_since >= now) continue;
-    if (inj->on_heal_check("heal/node n" + std::to_string(n.id))) {
-      n.alive = true;
-      n.breaker.begin_probation(now, "rejoined after heal; probing before traffic");
-      if (n.down_since >= 0.0) rep.recovery_time_us += now - n.down_since;
-      n.down_since = -1.0;
-      ++rep.nodes_rejoined;
-      for (int k = n.id * dpn; k < (n.id + 1) * dpn; ++k) {
-        DeviceState& d = devices_[static_cast<std::size_t>(k)];
-        if (!d.alive) rejoin_device(d);
-      }
+    if (inj->on_heal_check("heal/node " + n.breaker.resource())) {
+      rejoin(n, rep.nodes_rejoined);
+      for (int k = j * dpn; k < (j + 1) * dpn; ++k)
+        if (!device(k).alive) rejoin(device(k), rep.devices_rejoined);
       degrade(rep, now, 0, "node-rejoined",
-              "n" + std::to_string(n.id) + " healed with its devices; half-open probation");
+              n.breaker.resource() + " healed with its devices; half-open probation");
     }
   }
 }
 
 void SolverService::run_probes(SloReport& rep, double now) {
   faultsim::Injector* inj = faultsim::Injector::current();
-  const auto probe = [&](CircuitBreaker& b, const std::string& name) {
-    if (!b.probe_allowed()) return;
+  for (Resource& r : resources_) {
+    CircuitBreaker& b = r.breaker;
+    if (!r.alive || !b.probe_allowed()) continue;
     const int token = b.probe_started();
-    const bool failed =
-        inj != nullptr && inj->on_serve_check("serve/probe " + name);
-    if (failed) {
+    if (inj != nullptr && inj->on_serve_check("serve/probe " + b.resource())) {
       b.on_probe_failure(now, "injected probe fault", token);
-      degrade(rep, now, 0, "probe", name + " probe failed");
+      degrade(rep, now, 0, "probe", b.resource() + " probe failed");
     } else {
       b.on_probe_success(now, token);
-      degrade(rep, now, 0, "probe", name + " probe ok");
+      degrade(rep, now, 0, "probe", b.resource() + " probe ok");
     }
-  };
-  for (DeviceState& d : devices_) {
-    if (!d.alive) continue;
-    probe(d.breaker, "d" + std::to_string(d.id));
-  }
-  for (NodeState& n : nodes_) {
-    if (!n.alive) continue;
-    probe(n.breaker, "n" + std::to_string(n.id));
   }
 }
 
@@ -468,12 +440,13 @@ SolverService::PlacePick SolverService::pick_devices(int k, double now) const {
   const int dpn = cfg_.cluster.devices_per_node;
   if (k <= dpn) {
     bool saw_busy = false;
-    for (const NodeState& n : nodes_) {
+    for (int j = 0; j < cfg_.cluster.nodes; ++j) {
+      const Resource& n = node(j);
       if (!n.alive || !n.breaker.allow()) continue;
       int usable = 0;
       std::vector<int> free;
-      for (int id = n.id * dpn; id < (n.id + 1) * dpn; ++id) {
-        const DeviceState& d = devices_[static_cast<std::size_t>(id)];
+      for (int id = j * dpn; id < (j + 1) * dpn; ++id) {
+        const Resource& d = device(id);
         if (!d.alive || !d.breaker.allow()) continue;
         ++usable;
         if (d.busy_until <= now) free.push_back(id);
@@ -493,17 +466,18 @@ SolverService::PlacePick SolverService::pick_devices(int k, double now) const {
   const int need = k / dpn;
   std::vector<int> free_nodes;
   int usable_nodes = 0;
-  for (const NodeState& n : nodes_) {
+  for (int j = 0; j < cfg_.cluster.nodes; ++j) {
+    const Resource& n = node(j);
     if (!n.alive || !n.breaker.allow()) continue;
     bool whole = true, idle = true;
-    for (int id = n.id * dpn; id < (n.id + 1) * dpn; ++id) {
-      const DeviceState& d = devices_[static_cast<std::size_t>(id)];
+    for (int id = j * dpn; id < (j + 1) * dpn; ++id) {
+      const Resource& d = device(id);
       whole = whole && d.alive && d.breaker.allow();
       idle = idle && d.busy_until <= now;
     }
     if (!whole) continue;
     ++usable_nodes;
-    if (idle) free_nodes.push_back(n.id);
+    if (idle) free_nodes.push_back(j);
   }
   if (usable_nodes < need) return pick;
   if (static_cast<int>(free_nodes.size()) < need) {
@@ -649,11 +623,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
     f.outcome.faults_observed += sres.faults.size();
     f.outcome.worst_true_residual =
         std::max(f.outcome.worst_true_residual, sres.cg.true_relative_residual);
-    f.outcome.spares_consumed += sres.spares_consumed;
-    f.outcome.rejoins += sres.rejoins;
-    f.outcome.capacity_restored += sres.capacity_restored;
-    f.outcome.rereplicated_bytes += sres.rereplicated_bytes;
-    f.outcome.rereplication_us += sres.rereplication_us;
+    f.outcome += sres;  // the solve's elastic tally
     for (const faultsim::FaultEvent& e : sres.faults) {
       if (e.kind == faultsim::FaultKind::heal) continue;  // a return, not a fault
       if (e.kind == faultsim::FaultKind::node_loss) {
@@ -708,7 +678,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
   // solve is certified exactly when it completed with all recoveries intact.
   f.outcome.abft_certified = f.ok;
   f.complete_us = start + solve_us;
-  for (int d : f.devs) devices_[static_cast<std::size_t>(d)].busy_until = f.complete_us;
+  for (int d : f.devs) device(d).busy_until = f.complete_us;
   tenant_busy_us_[f.req.tenant] +=
       (f.complete_us - now) * static_cast<double>(placement.devices);
 }
@@ -728,7 +698,7 @@ void SolverService::process_completion(SloReport& rep, Inflight f, double now) {
     fault_hits[j] += count;
   }
   for (std::size_t j = 0; j < f.devs.size(); ++j) {
-    DeviceState& d = devices_[static_cast<std::size_t>(f.devs[j])];
+    Resource& d = device(f.devs[j]);
     if (!d.alive) continue;
     if (fault_hits[j] > 0)
       d.breaker.on_failure(now, std::to_string(fault_hits[j]) + " faults in solve of #" +
@@ -739,8 +709,7 @@ void SolverService::process_completion(SloReport& rep, Inflight f, double now) {
   for (const auto& [jn, count] : f.node_faults) {
     const std::size_t base = static_cast<std::size_t>(jn) * static_cast<std::size_t>(dpn);
     if (base >= f.devs.size()) continue;
-    NodeState& n = nodes_[static_cast<std::size_t>(
-        devices_[static_cast<std::size_t>(f.devs[base])].node)];
+    Resource& n = node(f.devs[base] / dpn);
     if (n.alive)
       n.breaker.on_failure(now, std::to_string(count) + " node faults in solve of #" +
                                     std::to_string(f.req.id));
@@ -802,16 +771,11 @@ double SolverService::next_event_time(double now, std::size_t next_arrival,
   for (const Inflight& f : inflight_) next = std::min(next, f.complete_us);
   if (!queue_.empty()) {
     next = std::min(next, queue_.next_ready_us(now));
-    for (const DeviceState& d : devices_) {
-      if (!d.alive) continue;
-      if (d.busy_until > now) next = std::min(next, d.busy_until);
-      if (d.breaker.state() == BreakerState::open && d.breaker.open_until() > now)
-        next = std::min(next, d.breaker.open_until());
-    }
-    for (const NodeState& n : nodes_) {
-      if (!n.alive) continue;
-      if (n.breaker.state() == BreakerState::open && n.breaker.open_until() > now)
-        next = std::min(next, n.breaker.open_until());
+    for (const Resource& r : resources_) {
+      if (!r.alive) continue;
+      if (r.busy_until > now) next = std::min(next, r.busy_until);
+      if (r.breaker.state() == BreakerState::open && r.breaker.open_until() > now)
+        next = std::min(next, r.breaker.open_until());
     }
     if (next == kNoDeadline) {
       // Queued work with nothing left to wake the scheduler would normally
@@ -824,8 +788,7 @@ double SolverService::next_event_time(double now, std::size_t next_arrival,
         for (const faultsim::ScheduledFault& sf : inj->plan().schedule)
           can_heal = can_heal || sf.kind == faultsim::FaultKind::heal;
       }
-      bool any_dead = false;
-      for (const DeviceState& d : devices_) any_dead = any_dead || !d.alive;
+      const bool any_dead = alive_devices() < cfg_.cluster.total();
       if (can_heal && any_dead) next = now + 1'000.0;  // heal-poll tick
     }
   }

@@ -128,19 +128,13 @@ class SolverService {
       Strategy strategy = Strategy::LP3_1) const;
 
  private:
-  struct DeviceState {
-    int id = 0;
-    int node = 0;
-    bool alive = true;
-    double busy_until = 0.0;
+  /// One device or node group.  Its breaker's name ("d<k>" | "n<j>") names
+  /// it in every probe, heal and degradation string.
+  struct Resource {
     CircuitBreaker breaker;
+    bool alive = true;
     double down_since = -1.0;  ///< clock at loss; -1 when alive (recovery time)
-  };
-  struct NodeState {
-    int id = 0;
-    bool alive = true;
-    CircuitBreaker breaker;
-    double down_since = -1.0;
+    double busy_until = 0.0;   ///< devices only: end of the current dispatch
   };
   /// A dispatched request: the solve executed eagerly at dispatch (the
   /// kernels are real), its *simulated* completion lands at `complete_us`.
@@ -165,6 +159,13 @@ class SolverService {
   void reset_runtime_state();
   void price_catalog();
   [[nodiscard]] int max_priced_devices(int spec) const;
+
+  [[nodiscard]] Resource& device(int k) { return resources_[static_cast<std::size_t>(k)]; }
+  [[nodiscard]] const Resource& device(int k) const {
+    return resources_[static_cast<std::size_t>(k)];
+  }
+  [[nodiscard]] Resource& node(int j) { return device(cfg_.cluster.total() + j); }
+  [[nodiscard]] const Resource& node(int j) const { return device(cfg_.cluster.total() + j); }
 
   [[nodiscard]] PlacePick pick_devices(int k, double now) const;
   [[nodiscard]] int alive_devices() const;
@@ -195,8 +196,7 @@ class SolverService {
 
   // --- per-run state (reset by run()) --------------------------------------
   AdmissionQueue queue_;
-  std::vector<DeviceState> devices_;
-  std::vector<NodeState> nodes_;
+  std::vector<Resource> resources_;  ///< the devices, then the node groups
   std::vector<Inflight> inflight_;
   std::map<std::string, double> tenant_busy_us_;
 };

@@ -34,9 +34,7 @@ void SloReport::finalize() {
   submitted = static_cast<int>(outcomes.size());
   admitted = rejected = completed = shed = cancelled = 0;
   deadline_met = deadline_missed = 0;
-  spares_consumed = rejoins = capacity_restored = 0;
-  rereplicated_bytes = 0;
-  rereplication_us = 0.0;
+  static_cast<multidev::ElasticTally&>(*this) = {};
 
   std::map<std::string, TenantSlo> by_tenant;
   std::map<std::string, std::vector<double>> tenant_lat;
@@ -46,11 +44,7 @@ void SloReport::finalize() {
     TenantSlo& t = by_tenant[o.req.tenant];
     t.tenant = o.req.tenant;
     ++t.submitted;
-    spares_consumed += o.spares_consumed;
-    rejoins += o.rejoins;
-    capacity_restored += o.capacity_restored;
-    rereplicated_bytes += o.rereplicated_bytes;
-    rereplication_us += o.rereplication_us;
+    *this += o;
     switch (o.status) {
       case RequestOutcome::Status::rejected:
         ++rejected;

@@ -14,13 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "multidev/elastic.hpp"
 #include "serve/breaker.hpp"
 #include "serve/request.hpp"
 
 namespace milc::serve {
 
-/// The fate of one request, filled in as the service processes it.
-struct RequestOutcome {
+/// The fate of one request, filled in as the service processes it.  Its
+/// ElasticTally sums the elastic recovery inside its solves, over RHS.
+struct RequestOutcome : multidev::ElasticTally {
   enum class Status { rejected, completed, shed, cancelled };
 
   SolveRequest req;
@@ -43,12 +45,6 @@ struct RequestOutcome {
   std::size_t faults_observed = 0;  ///< injected faults logged during the solves
   bool abft_certified = false;      ///< every apply ran under the ABFT identity
   double worst_true_residual = 0.0;
-  // Elastic recovery inside the solves (summed over RHS):
-  int spares_consumed = 0;              ///< hot spares drafted by re-replication
-  int rejoins = 0;                      ///< healed resources re-admitted mid-solve
-  int capacity_restored = 0;            ///< devices of capacity regained by rejoins
-  std::int64_t rereplicated_bytes = 0;  ///< slab bytes re-replicated to spares
-  double rereplication_us = 0.0;        ///< wire + backoff time of those moves
   /// FNV-1a checksum of each RHS solution's raw bytes — the bit-for-bit
   /// verification handle (compared against fault-free reference solves).
   std::vector<std::uint64_t> solution_fnv;
@@ -75,7 +71,9 @@ struct TenantSlo {
   double p50_latency_us = 0.0, p99_latency_us = 0.0;
 };
 
-struct SloReport {
+/// The run's account.  Its ElasticTally is the solver-level elastic recovery,
+/// summed over outcomes by finalize().
+struct SloReport : multidev::ElasticTally {
   std::string scenario;
   std::uint64_t fault_seed = 0;
   double makespan_us = 0.0;  ///< clock value when the last event settled
@@ -86,15 +84,8 @@ struct SloReport {
   int deadline_met = 0, deadline_missed = 0;
   double p50_latency_us = 0.0, p99_latency_us = 0.0, max_latency_us = 0.0;
 
-  // Elastic recovery accounting.  The solver-level counters are summed over
-  // outcomes by finalize(); the serve-tier counters (resources healed by the
-  // service's own heal checks, and their cumulative outage time) are filled
-  // by the service as heals land.
-  int spares_consumed = 0;
-  int rejoins = 0;
-  int capacity_restored = 0;
-  std::int64_t rereplicated_bytes = 0;
-  double rereplication_us = 0.0;
+  // Serve-tier elastic recovery: resources healed by the service's own heal
+  // checks, and their cumulative outage time, filled in as heals land.
   int devices_rejoined = 0;       ///< serve-tier device heals (probation via breaker)
   int nodes_rejoined = 0;         ///< serve-tier node heals
   double recovery_time_us = 0.0;  ///< summed loss-to-heal outage of rejoined resources

@@ -15,6 +15,7 @@
 
 #include "core/dslash_ref.hpp"
 #include "multidev/runner.hpp"
+#include "tune/candidates.hpp"
 
 namespace milc::multidev {
 namespace {
@@ -388,15 +389,15 @@ TEST(EnumerateGrids, FiltersSplitsTheHaloCannotSupport) {
 
 TEST(Multidev, PickLocalSizeFallsBackAndThrows) {
   // Preferred size is legal: returned unchanged.
-  EXPECT_EQ(pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 4096), 768);
+  EXPECT_EQ(tune::pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 4096), 768);
   // 768 does not divide 40 * 12 = 480: falls back to a legal pool entry.
-  EXPECT_EQ(pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 40), 96);
+  EXPECT_EQ(tune::pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 40), 96);
   // 81 sites under 1LP: no multiple of 32 divides 81, so the relaxed
   // (algorithmic-multiple-only) ladder kicks in with a partial last warp.
-  EXPECT_EQ(pick_local_size(Strategy::LP1, IndexOrder::kMajor, 128, 81), 81);
+  EXPECT_EQ(tune::pick_local_size(Strategy::LP1, IndexOrder::kMajor, 128, 81), 81);
   // A single 3LP site still launches: one group of the 12-item quartet fold.
-  EXPECT_EQ(pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 1), 12);
-  EXPECT_THROW((void)pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 0),
+  EXPECT_EQ(tune::pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 1), 12);
+  EXPECT_THROW((void)tune::pick_local_size(Strategy::LP3_1, IndexOrder::kMajor, 768, 0),
                std::invalid_argument);
 }
 

@@ -772,8 +772,7 @@ TEST(MultidevChaos, OneLayoutCacheServesEverySourceAndEveryGridVisited) {
   EXPECT_EQ(layouts.size(), 2u) << "the shrunk grid's layout is built once";
 
   mreq.grid = shrunk.final_grid;
-  mreq.rejoin_grid = full;
-  mreq.rejoin_what = "device r1";
+  mreq.rejoin = {{full, "device r1"}};
   const MultiDevResult rejoined = apply(5);
   EXPECT_EQ(rejoined.rejoins, 1);
   EXPECT_EQ(rejoined.final_grid.label(), "1x1x2x2");

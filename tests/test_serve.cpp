@@ -4,8 +4,9 @@
 // probe race guard), the deadline hooks on ShardedCgSolver (an apply
 // budget and a cooperative cancel, both through its cancel hook), and
 // SolverService end-to-end: cancellation after dispatch,
-// shrink-to-survivors placement, breaker recovery under a device storm, and
-// same-seed replay identity of the SloReport.
+// shrink-to-survivors placement, breaker recovery under a device storm, a
+// node heal returning through probation, and same-seed replay identity of
+// the SloReport.
 #include <gtest/gtest.h>
 
 #include "serve/service.hpp"
@@ -448,6 +449,63 @@ TEST(SolverService, ShedsWithRecoveryExhaustedWhenTheLadderFails) {
   EXPECT_TRUE(exhausted_detail);
   EXPECT_EQ(rep.shed, 1);
   EXPECT_EQ(rep.completed, 0);
+}
+
+TEST(SolverService, NodeHealRejoinsTheNodeAndItsDevicesThroughProbation) {
+  // Node n1 dies at its second idle health check and heals at its third heal
+  // consult.  The node and both of its devices return half-open, each probe
+  // closes its breaker, and only then does traffic land on d2+d3 again.
+  SolverService svc(catalog(), service_config());
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.schedule.push_back(ScheduledFault{FaultKind::node_loss, 1, 1, "serve/node n1"});
+  plan.schedule.push_back(ScheduledFault{FaultKind::heal, 2, 1, "heal/node n1"});
+  std::vector<SolveRequest> traffic;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    auto r = req(300 + i, i % 2 == 0 ? "a" : "b", 1, 3000.0 * static_cast<double>(i));
+    r.devices = 2;
+    traffic.push_back(r);
+  }
+  const auto run_once = [&] {
+    ScopedFaultInjection fi(plan);
+    return svc.run("unit-node-heal", traffic);
+  };
+  const SloReport rep = run_once();
+  EXPECT_EQ(rep.nodes_rejoined, 1);
+  EXPECT_EQ(rep.devices_rejoined, 2);
+  EXPECT_GT(rep.recovery_time_us, 0.0);
+
+  std::size_t lost = rep.degradations.size(), rejoined = rep.degradations.size();
+  for (std::size_t i = 0; i < rep.degradations.size(); ++i) {
+    if (rep.degradations[i].kind == "node-lost" && lost == rep.degradations.size()) lost = i;
+    if (rep.degradations[i].kind == "node-rejoined" && rejoined == rep.degradations.size())
+      rejoined = i;
+  }
+  ASSERT_LT(rejoined, rep.degradations.size());
+  EXPECT_LT(lost, rejoined);
+  const double healed_at = rep.degradations[rejoined].at_us;
+
+  for (const char* name : {"n1", "d2", "d3"}) {
+    bool half_open = false, closed_after = false;
+    for (const BreakerEvent& e : rep.breaker_events) {
+      if (e.resource != name) continue;
+      half_open = half_open || e.to == BreakerState::half_open;
+      closed_after = closed_after || (half_open && e.to == BreakerState::closed);
+    }
+    EXPECT_TRUE(half_open) << name;
+    EXPECT_TRUE(closed_after) << name;
+  }
+
+  bool back_on_n1 = false;
+  for (const RequestOutcome& o : rep.outcomes) {
+    back_on_n1 = back_on_n1 || (o.dispatch_us > healed_at && o.devices == "d2+d3");
+    if (o.status == RequestOutcome::Status::completed) {
+      EXPECT_EQ(o.solution_fnv, svc.reference_checksums(o.req.spec, o.req.rhs,
+                                                        o.req.source_seed, o.strategy_used));
+    }
+  }
+  EXPECT_TRUE(back_on_n1);
+  EXPECT_EQ(run_once().canonical(), rep.canonical());
 }
 
 TEST(SolverService, SameSeedReplayProducesIdenticalSloReport) {

@@ -1,6 +1,7 @@
 // test_sharded_cg.cpp — checkpointed CG over the sharded multi-device
 // Dslash: fault-free bit-identity with cg_solve, link-storm transparency,
-// device-loss failover with checkpoint restart, and seed replay.
+// device-loss failover with checkpoint restart, healing back newest-first
+// across applies, and seed replay.
 //
 // The strongest assertions lean on two exactness properties proved
 // elsewhere in the suite: the sharded functional Dslash equals the
@@ -243,6 +244,40 @@ TEST(ShardedCg, NodeLossMidSolveRestoresAndConvergesBitForBit) {
   EXPECT_EQ(res.final_grid.total(), 1);
   ASSERT_EQ(res.faults.size(), 1u);
   EXPECT_EQ(res.faults[0].kind, FaultKind::node_loss);
+  EXPECT_EQ(max_abs_diff(x, x_clean), 0.0);
+}
+
+TEST(ShardedCg, TwoShrinksInSeparateAppliesHealBackNewestFirst) {
+  // 1x1x2x2 loses r3 and shrinks to 1x1x1x2; a later apply loses r1 there
+  // and shrinks to 1x1x1x1.  The heals then come back in reverse order, r1
+  // first and r3 second, so the solve climbs 1x1x1x1 -> 1x1x1x2 -> 1x1x2x2
+  // across applies.  Each climb needs the grid the newest shrink abandoned,
+  // not only the one the first shrink abandoned.
+  const Coords dims{4, 4, 12, 12};
+  PartitionGrid full;
+  full.devices = {1, 1, 2, 2};
+  ShardedCgSolver clean(dims, kGaugeSeed, kMass, full, quick_config());
+  const ColorField b = make_source(clean.geom());
+  ColorField x_clean(clean.geom(), Parity::Even);
+  ASSERT_TRUE(clean.solve(b, x_clean).cg.converged);
+
+  ShardedCgSolver solver(dims, kGaugeSeed, kMass, full, quick_config());
+  ColorField x(solver.geom(), Parity::Even);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.schedule.push_back(
+      ScheduledFault{FaultKind::device_loss, 4, 1, "device r3 @ 1x1x2x2"});
+  plan.schedule.push_back(
+      ScheduledFault{FaultKind::device_loss, 4, 1, "device r1 @ 1x1x1x2"});
+  plan.schedule.push_back(ScheduledFault{FaultKind::heal, 1, 1, "heal/device r1 @ 1x1x1x1"});
+  plan.schedule.push_back(ScheduledFault{FaultKind::heal, 5, 1, "heal/device r3 @ 1x1x1x2"});
+  ScopedFaultInjection fi(plan);
+  const ShardedCgResult res = solver.solve(b, x);
+
+  ASSERT_TRUE(res.cg.converged) << res.summary();
+  EXPECT_TRUE(res.recovered_all);
+  EXPECT_EQ(res.rejoins, 2);
+  EXPECT_EQ(res.final_grid.label(), "1x1x2x2");
   EXPECT_EQ(max_abs_diff(x, x_clean), 0.0);
 }
 
