@@ -54,6 +54,15 @@ struct Options {
   std::exit(2);
 }
 
+/// Exit 2 with "<prog>: no warp-aligned local size for <config> on <n> sites"
+/// on stderr: the lattice admits no launch of that configuration.
+[[noreturn]] inline void no_local_size(const char* prog, const std::string& config,
+                                       std::int64_t sites) {
+  std::fprintf(stderr, "%s: no warp-aligned local size for %s on %lld sites\n", prog,
+               config.c_str(), static_cast<long long>(sites));
+  std::exit(2);
+}
+
 /// All of `text` as a decimal integer of type T that is at least `min`;
 /// anything else (trailing characters, overflow, a value below `min`) is a
 /// usage_error naming `flag`.

@@ -13,6 +13,10 @@ using namespace milc::bench;
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   DslashProblem problem(opt.L, opt.seed);
+  // The tuner's pool: powers of two from 64 that divide the sites.  When one
+  // does, 64 does too, so A2 below always finds a size at or under 256.
+  const std::vector<int> sizes = tune::quda_tuning_candidates(problem.sites());
+  if (sizes.empty()) no_local_size(argv[0], "QUDA staggered_dslash_test", problem.sites());
   print_header("QUDA staggered_dslash_test — gauge compression ladder", opt, problem.sites());
 
   qudaref::StaggeredDslashTest test(problem);
@@ -41,10 +45,8 @@ int main(int argc, char** argv) {
 
   // -- A2: per-scheme trade-off across fixed launch configs --------------------
   // Local 256, or the largest tuner candidate below it that divides the
-  // sites.  With none (e.g. L=10), run_at rejects 256 as it always did.
-  const std::vector<int> sizes = tune::quda_tuning_candidates(problem.sites());
-  const auto fits = std::upper_bound(sizes.begin(), sizes.end(), 256);
-  const int local = fits == sizes.begin() ? 256 : *std::prev(fits);
+  // sites.
+  const int local = *std::prev(std::upper_bound(sizes.begin(), sizes.end(), 256));
   std::printf("\nAblation A2 — traffic saved vs reconstruction FLOPs (local %d):\n", local);
   std::printf("%-10s %16s %18s %14s\n", "scheme", "gauge B/site", "recon FLOP/link",
               "kernel_us");

@@ -24,6 +24,7 @@ struct LaneAccess {
 
 /// Append the distinct 32 B sector addresses touched by `lanes` to `out`
 /// (sorted, deduplicated).  Accesses may straddle sector boundaries.
+/// `sector_bytes` must be a power of two (std::invalid_argument otherwise).
 void coalesce_sectors(std::span<const LaneAccess> lanes, int sector_bytes,
                       std::vector<std::uint64_t>& out);
 
@@ -37,7 +38,8 @@ struct BankAnalysis {
 
 /// Shared-memory conflict analysis for one warp instruction.  Lanes reading
 /// the *same* word broadcast; lanes touching different words in the same
-/// bank serialise.
+/// bank serialise.  `banks` and `bank_bytes` must be powers of two
+/// (std::invalid_argument otherwise).
 [[nodiscard]] BankAnalysis analyze_shared(std::span<const LaneAccess> lanes, int banks,
                                           int bank_bytes);
 

@@ -1,27 +1,29 @@
 #include "gpusim/dram.hpp"
 
+#include "gpusim/log2.hpp"
+
 namespace gpusim {
 
 DramModel::DramModel(const MachineModel& m, const Calibration& cal)
-    : interleave_(static_cast<std::uint64_t>(m.dram_interleave_bytes)),
-      row_bytes_(static_cast<std::uint64_t>(m.dram_row_bytes)),
-      channels_(static_cast<std::uint64_t>(m.dram_channels)),
-      banks_(static_cast<std::uint64_t>(m.dram_banks_per_channel)),
+    : interleave_shift_(exact_log2(m.dram_interleave_bytes, "DramModel: dram_interleave_bytes")),
+      row_shift_(exact_log2(m.dram_row_bytes, "DramModel: dram_row_bytes")),
+      channel_shift_(exact_log2(m.dram_channels, "DramModel: dram_channels")),
+      bank_shift_(exact_log2(m.dram_banks_per_channel, "DramModel: dram_banks_per_channel")),
       penalty_(cal.dram_row_miss_penalty),
-      open_row_(static_cast<std::size_t>(m.dram_channels * m.dram_banks_per_channel),
-                ~0ull) {}
+      open_row_(std::size_t{1} << (channel_shift_ + bank_shift_), ~0ull) {}
 
 bool DramModel::access(std::uint64_t byte_addr) {
-  const std::uint64_t chunk = byte_addr / interleave_;
-  const std::size_t channel = static_cast<std::size_t>(chunk % channels_);
+  const std::uint64_t chunk = byte_addr >> interleave_shift_;
+  const std::uint64_t channel = chunk & ((1ull << channel_shift_) - 1);
   // Row addressing is channel-local: dropping the interleave bits makes a
   // linear stream occupy one row per (channel, bank) for row_bytes/interleave
   // chunks; rows interleave across the channel's banks, so several concurrent
   // streams can keep their rows open simultaneously.
-  const std::uint64_t local = (chunk / channels_) * interleave_ + byte_addr % interleave_;
-  const std::uint64_t row = local / row_bytes_;
-  const std::size_t bank = static_cast<std::size_t>(row % banks_);
-  const std::size_t slot = channel * static_cast<std::size_t>(banks_) + bank;
+  const std::uint64_t local = ((chunk >> channel_shift_) << interleave_shift_) |
+                              (byte_addr & ((1ull << interleave_shift_) - 1));
+  const std::uint64_t row = local >> row_shift_;
+  const std::uint64_t bank = row & ((1ull << bank_shift_) - 1);
+  const auto slot = static_cast<std::size_t>((channel << bank_shift_) | bank);
   ++sectors_;
   if (open_row_[slot] == row) {
     ++row_hits_;

@@ -19,6 +19,9 @@ namespace gpusim {
 
 class DramModel {
  public:
+  /// The machine's dram_interleave_bytes, dram_row_bytes, dram_channels and
+  /// dram_banks_per_channel must be powers of two; throws
+  /// std::invalid_argument naming the offending field otherwise.
   DramModel(const MachineModel& m, const Calibration& cal);
 
   /// Service one 32 B sector (fill or write-back).  Returns true on row hit.
@@ -47,10 +50,10 @@ class DramModel {
   void reset();
 
  private:
-  std::uint64_t interleave_;
-  std::uint64_t row_bytes_;
-  std::uint64_t channels_;
-  std::uint64_t banks_;
+  int interleave_shift_;
+  int row_shift_;
+  int channel_shift_;
+  int bank_shift_;
   double penalty_;
   std::vector<std::uint64_t> open_row_;
   std::uint64_t sectors_ = 0;

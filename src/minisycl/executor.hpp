@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -144,74 +145,57 @@ inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration&
   gpusim::TraceCounters& ctr = pipe.counters();
   const EventKind kind = ev[0][pos].kind;
 
-  // Partition unmasked lanes by divergence path.
-  std::array<std::uint8_t, 32> paths{};
-  std::array<bool, 32> active{};
+  // One pass: the unmasked lanes in ascending order, each with the index of
+  // its divergence path in first-seen order.
+  struct ActiveLane {
+    const LaneEvent* e;
+    std::uint8_t lane;
+    std::uint8_t path;
+  };
+  std::array<ActiveLane, 32> active{};
+  std::array<std::uint8_t, 32> distinct{};
   int n_active = 0;
+  int n_paths = 0;
   for (int l = 0; l < lanes; ++l) {
     const LaneEvent& e = ev[static_cast<std::size_t>(l)][pos];
     assert(e.kind == kind && "lane event streams diverged structurally");
-    active[static_cast<std::size_t>(l)] = e.masked == 0;
-    paths[static_cast<std::size_t>(l)] = e.path;
-    if (e.masked == 0) ++n_active;
+    if (e.masked != 0) continue;
+    int d = 0;
+    while (d < n_paths && distinct[static_cast<std::size_t>(d)] != e.path) ++d;
+    if (d == n_paths) distinct[static_cast<std::size_t>(n_paths++)] = e.path;
+    active[static_cast<std::size_t>(n_active++)] =
+        ActiveLane{&e, static_cast<std::uint8_t>(l), static_cast<std::uint8_t>(d)};
   }
-
-  // Distinct paths among active lanes.
-  std::array<std::uint8_t, 32> distinct{};
-  int n_paths = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (!active[static_cast<std::size_t>(l)]) continue;
-    bool seen = false;
-    for (int d = 0; d < n_paths; ++d) {
-      if (distinct[static_cast<std::size_t>(d)] == paths[static_cast<std::size_t>(l)]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) distinct[static_cast<std::size_t>(n_paths++)] = paths[static_cast<std::size_t>(l)];
-  }
+  const std::span<const ActiveLane> act(active.data(), static_cast<std::size_t>(n_active));
 
   int slots = 0;
   switch (kind) {
     case EventKind::Flops: {
+      // One FP64 instruction stream per path, as long as its longest lane.
+      std::array<std::uint32_t, 32> max_n{};
+      std::uint64_t sum_n = 0;
+      for (const ActiveLane& a : act) {
+        std::uint32_t& m = max_n[a.path];
+        m = std::max(m, a.e->value);
+        sum_n += a.e->value;
+      }
       for (int d = 0; d < n_paths; ++d) {
-        std::uint32_t max_n = 0;
-        std::uint64_t sum_n = 0;
-        for (int l = 0; l < lanes; ++l) {
-          if (!active[static_cast<std::size_t>(l)] ||
-              paths[static_cast<std::size_t>(l)] != distinct[static_cast<std::size_t>(d)]) {
-            continue;
-          }
-          const std::uint32_t n = ev[static_cast<std::size_t>(l)][pos].value;
-          max_n = std::max(max_n, n);
-          sum_n += n;
-        }
-        const int group_slots = static_cast<int>((max_n + 1) / 2);  // FP64 FMA = 2 FLOP
+        const int group_slots =
+            static_cast<int>((max_n[static_cast<std::size_t>(d)] + 1) / 2);  // FP64 FMA = 2 FLOP
         slots += group_slots;
         ctr.fp64_warp_slots += static_cast<std::uint64_t>(group_slots);
-        ctr.flops += sum_n;
       }
+      ctr.flops += sum_n;
       break;
     }
     case EventKind::Branch: {
       slots = 1;
       ++ctr.branch_events;
       // Divergent when the active lanes chose more than one target.
-      std::array<std::uint32_t, 32> targets{};
-      int n_targets = 0;
-      for (int l = 0; l < lanes; ++l) {
-        if (!active[static_cast<std::size_t>(l)]) continue;
-        const std::uint32_t v = ev[static_cast<std::size_t>(l)][pos].value;
-        bool seen = false;
-        for (int d = 0; d < n_targets; ++d) {
-          if (targets[static_cast<std::size_t>(d)] == v) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) targets[static_cast<std::size_t>(n_targets++)] = v;
-      }
-      if (n_targets > 1) ++ctr.divergent_branches;
+      const bool divergent = std::any_of(act.begin(), act.end(), [&](const ActiveLane& a) {
+        return a.e->value != act.front().e->value;
+      });
+      if (divergent) ++ctr.divergent_branches;
       break;
     }
     default: {
@@ -222,21 +206,14 @@ inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration&
                                kind == EventKind::StoreGlobal ||
                                kind == EventKind::AtomicGlobal;
       std::array<gpusim::LaneAccess, 32> acc{};
-      for (int d = 0; d < std::max(1, n_paths); ++d) {
+      for (int d = 0; d < n_paths; ++d) {
         int n = 0;
-        for (int l = 0; l < lanes; ++l) {
-          if (!active[static_cast<std::size_t>(l)] ||
-              (n_paths > 0 &&
-               paths[static_cast<std::size_t>(l)] != distinct[static_cast<std::size_t>(d)])) {
-            continue;
-          }
-          const LaneEvent& e = ev[static_cast<std::size_t>(l)][pos];
+        for (const ActiveLane& a : act) {
+          if (a.path != d) continue;
           const std::uint64_t addr =
-              global_kind && amap != nullptr ? amap->translate(e.addr) : e.addr;
-          acc[static_cast<std::size_t>(n++)] =
-              gpusim::LaneAccess{addr, e.size, static_cast<std::uint8_t>(l)};
+              global_kind && amap != nullptr ? amap->translate(a.e->addr) : a.e->addr;
+          acc[static_cast<std::size_t>(n++)] = gpusim::LaneAccess{addr, a.e->size, a.lane};
         }
-        if (n == 0) continue;
         const std::span<const gpusim::LaneAccess> span(acc.data(), static_cast<std::size_t>(n));
         switch (kind) {
           case EventKind::LoadGlobal: pipe.global_load(sm, span); break;

@@ -1,6 +1,10 @@
 // Warp coalescer and shared-memory bank-conflict model tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <stdexcept>
+
 #include "gpusim/coalescer.hpp"
 
 namespace gpusim {
@@ -80,6 +84,86 @@ TEST(Coalescer, OutputSortedUnique) {
   EXPECT_EQ(out[0], 0u);
   EXPECT_EQ(out[1], 32u);
   EXPECT_EQ(out[2], 96u);
+}
+
+// The sort + unique reference both analyses must match: every unit of
+// `unit` bytes each access touches, divided out, sorted and deduplicated.
+std::vector<std::uint64_t> reference_units(const std::vector<LaneAccess>& lanes,
+                                           std::uint64_t unit) {
+  std::vector<std::uint64_t> out;
+  for (const LaneAccess& a : lanes) {
+    for (std::uint64_t u = a.addr / unit; u <= (a.addr + a.size - 1) / unit; ++u) {
+      out.push_back(u);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+BankAnalysis reference_banks(const std::vector<LaneAccess>& lanes, int banks, int bank_bytes) {
+  const std::vector<std::uint64_t> words =
+      reference_units(lanes, static_cast<std::uint64_t>(bank_bytes));
+  BankAnalysis res;
+  if (words.empty()) return res;
+  std::vector<std::uint32_t> per_bank(static_cast<std::size_t>(banks), 0);
+  for (std::uint64_t w : words) ++per_bank[w % static_cast<std::uint64_t>(banks)];
+  res.wavefronts = *std::max_element(per_bank.begin(), per_bank.end());
+  res.ideal = static_cast<std::uint32_t>((words.size() + static_cast<std::size_t>(banks) - 1) /
+                                         static_cast<std::size_t>(banks));
+  return res;
+}
+
+void expect_matches_reference(const std::vector<LaneAccess>& lanes) {
+  for (int sector_bytes : {16, 32, 64}) {
+    std::vector<std::uint64_t> want = reference_units(lanes, static_cast<std::uint64_t>(sector_bytes));
+    for (std::uint64_t& s : want) s *= static_cast<std::uint64_t>(sector_bytes);
+    std::vector<std::uint64_t> got;
+    coalesce_sectors(lanes, sector_bytes, got);
+    EXPECT_EQ(got, want) << "sector_bytes " << sector_bytes;
+  }
+  for (int banks : {16, 32}) {
+    for (int bank_bytes : {4, 8}) {
+      const BankAnalysis got = analyze_shared(lanes, banks, bank_bytes);
+      const BankAnalysis want = reference_banks(lanes, banks, bank_bytes);
+      EXPECT_EQ(got.wavefronts, want.wavefronts) << banks << " banks of " << bank_bytes << " B";
+      EXPECT_EQ(got.ideal, want.ideal) << banks << " banks of " << bank_bytes << " B";
+    }
+  }
+}
+
+TEST(Coalescer, MatchesSortUniqueReference) {
+  std::mt19937_64 rng(20261017);
+  const std::uint8_t sizes[] = {4, 8, 16};
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng() % 33);
+    const std::uint8_t size = sizes[rng() % 3];
+    const std::uint64_t base = 4096 + (rng() % 4096) * 4;
+    const std::uint64_t stride = size * (1 + rng() % 6);
+    std::vector<LaneAccess> random, ascending, descending, same, straddling;
+    for (int l = 0; l < n; ++l) {
+      const auto lane = static_cast<std::uint8_t>(l);
+      const auto ul = static_cast<std::uint64_t>(l);
+      random.push_back({base + (rng() % 512) * 4, size, lane});
+      ascending.push_back({base + ul * stride, size, lane});
+      descending.push_back({base + (32 - ul) * stride, size, lane});
+      same.push_back({base, size, lane});
+      // 20 B past a 24 B-strided base: lanes cross 16, 32 and 64 B units.
+      straddling.push_back({base + ul * 24 + 20, size, lane});
+    }
+    for (const auto* lanes : {&random, &ascending, &descending, &same, &straddling}) {
+      expect_matches_reference(*lanes);
+    }
+  }
+}
+
+TEST(Coalescer, RejectsNonPowerOfTwoSizes) {
+  const auto v = warp(0, 4, 4);
+  std::vector<std::uint64_t> out;
+  EXPECT_THROW(coalesce_sectors(v, 24, out), std::invalid_argument);
+  EXPECT_THROW(coalesce_sectors(v, 0, out), std::invalid_argument);
+  EXPECT_THROW((void)analyze_shared(v, 24, 4), std::invalid_argument);
+  EXPECT_THROW((void)analyze_shared(v, 32, 6), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- banks --

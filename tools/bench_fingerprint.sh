@@ -4,7 +4,10 @@
 # SloReport JSON (clean and seeded chaos), the bench_scaling --sanitize
 # report, and the stdout of the single-device benches at L=8
 # (bench_fig6 clean and under seeded faults, bench_quda_recon,
-# bench_precision, bench_compressed_3lp, bench_wilson, bench_roofline).
+# bench_precision, bench_compressed_3lp, bench_wilson, bench_roofline,
+# bench_arch_sweep).  bench_arch_sweep is the one document whose machines
+# include an L2 with a set count that is not a power of two (2 560 sets)
+# and a 216-SM device.
 # Every one of them depends only on its seeds, so two runs of one build must
 # print identical lines (ARCHITECTURE.md invariant 3), and a refactor that
 # claims "same behaviour" must print the lines of its parent.
@@ -20,7 +23,7 @@ if [[ $# -ne 1 ]]; then
 fi
 bench_dir="$(cd "$1" && pwd)/bench"
 for exe in bench_scaling bench_serve bench_fig6 bench_quda_recon bench_precision \
-           bench_compressed_3lp bench_wilson bench_roofline; do
+           bench_compressed_3lp bench_wilson bench_roofline bench_arch_sweep; do
   if [[ ! -x "$bench_dir/$exe" ]]; then
     echo "$0: $bench_dir/$exe not built" >&2
     exit 2
@@ -53,6 +56,7 @@ scaling scaling-wire-fp16r9 --nodes 2 --wire fp16+r9
 "$bench_dir/bench_compressed_3lp" --L 8 >"$out/compressed-3lp.txt"
 "$bench_dir/bench_wilson" --L 8 >"$out/wilson.txt"
 "$bench_dir/bench_roofline" --L 8 >"$out/roofline.txt"
+"$bench_dir/bench_arch_sweep" --L 8 >"$out/arch-sweep.txt"
 
 cd "$out"
 sha256sum -- *.json *.txt
