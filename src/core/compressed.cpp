@@ -33,12 +33,7 @@ CompressedArgs CompressedDslash::make_args(const ColorField& in, ColorField& out
   return args;
 }
 
-namespace {
-
-/// The recon-12 kernel's one launch, with its buffers in a fixed order —
-/// link families, source, target, neighbour table — for the profiler's
-/// canonical address map and ksan's valid memory.
-minisycl::LaunchSpec make_spec(const CompressedArgs& a, int local_size) {
+minisycl::LaunchSpec recon12_spec(const CompressedArgs& a, int local_size) {
   constexpr auto kVectorBytes = static_cast<std::int64_t>(sizeof(SU3Vector<dcomplex>));
   minisycl::LaunchSpec spec;
   spec.global_size = a.sites * 12;
@@ -57,12 +52,10 @@ minisycl::LaunchSpec make_spec(const CompressedArgs& a, int local_size) {
   return spec;
 }
 
-}  // namespace
-
 void CompressedDslash::apply(const ColorField& in, ColorField& out, int local_size) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
-  q.submit(make_spec(kernel.args, local_size), kernel);
+  q.submit(recon12_spec(kernel.args, local_size), kernel);
 }
 
 gpusim::KernelStats CompressedDslash::profile(const ColorField& in, ColorField& out,
@@ -71,7 +64,7 @@ gpusim::KernelStats CompressedDslash::profile(const ColorField& in, ColorField& 
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
   minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
                     cal);
-  return q.submit(make_spec(kernel.args, local_size), kernel,
+  return q.submit(recon12_spec(kernel.args, local_size), kernel,
                   "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 
@@ -79,7 +72,7 @@ ksan::SanitizerReport CompressedDslash::sanitize(const ColorField& in, ColorFiel
                                                  int local_size,
                                                  ksan::SanitizeConfig cfg) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
-  return ksan::sanitize_launch(make_spec(kernel.args, local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(recon12_spec(kernel.args, local_size), kernel, std::move(cfg),
                                "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 

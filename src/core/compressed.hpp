@@ -78,6 +78,11 @@ struct Dslash3LP1Recon12Kernel {
   void operator()(Lane& lane, int phase) const;
 };
 
+/// The recon-12 kernel's one launch, with its buffers in a fixed order —
+/// link families, source, target, neighbour table — for the profiler's
+/// canonical address map and ksan's valid memory.
+[[nodiscard]] minisycl::LaunchSpec recon12_spec(const CompressedArgs& a, int local_size);
+
 /// Convenience wrapper mirroring FloatDslash: owns the compressed gauge,
 /// applies / profiles the kernel.
 class CompressedDslash {

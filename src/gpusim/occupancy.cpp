@@ -67,7 +67,9 @@ OccupancyInfo compute_occupancy(const MachineModel& m, const Calibration& cal,
   const std::int64_t groups = cfg.global_size / cfg.local_size;
   const std::int64_t wave_capacity =
       static_cast<std::int64_t>(info.groups_per_sm) * m.num_sms;
+  // An empty nd-range (SYCL 2020 allows one) runs no wave and occupies nothing.
   info.waves = static_cast<int>((groups + wave_capacity - 1) / wave_capacity);
+  if (info.waves == 0) return info;
   const double fill = static_cast<double>(groups) /
                       (static_cast<double>(info.waves) * static_cast<double>(wave_capacity));
   info.achieved = info.theoretical * fill * cal.occupancy_ramp_factor;

@@ -2,18 +2,114 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace gpusim {
 
-PerfPipeline::PerfPipeline(const MachineModel& m, const Calibration& cal)
-    : machine_(m),
-      cal_(cal),
-      l2_(m.l2_bytes, m.line_bytes, m.sector_bytes, m.l2_ways),
-      dram_(m, cal) {
-  l1_.reserve(static_cast<std::size_t>(m.num_sms));
-  for (int s = 0; s < m.num_sms; ++s) {
+namespace {
+
+int checked_sector_bytes(const MachineModel& m) {
+  if (m.sector_bytes < 4) {
+    throw std::invalid_argument(
+        "pipeline: sector_bytes must be at least 4 (L2 requests carry two flag bits), got " +
+        std::to_string(m.sector_bytes));
+  }
+  return m.sector_bytes;
+}
+
+}  // namespace
+
+L1FrontEnd::L1FrontEnd(const MachineModel& m, TraceCounters& ctr, int first_sm, int sm_stride)
+    : sector_bytes_(checked_sector_bytes(m)),
+      shared_banks_(m.shared_banks),
+      shared_bank_bytes_(m.shared_bank_bytes),
+      sm_stride_(sm_stride),
+      ctr_(ctr) {
+  assert(sm_stride >= 1 && first_sm >= 0 && first_sm < sm_stride);
+  for (int s = first_sm; s < m.num_sms; s += sm_stride) {
     l1_.emplace_back(m.l1_bytes, m.line_bytes, m.sector_bytes, m.l1_ways);
   }
+}
+
+void L1FrontEnd::global_load(int sm, std::span<const LaneAccess> lanes) {
+  ++ctr_.global_load_ops;
+  coalesce_sectors(lanes, sector_bytes_, sectors_);
+  SectoredCache& cache = l1(sm);
+  for (std::uint64_t s : sectors_) {
+    ++ctr_.l1_tag_requests_global;
+    const SectoredCache::Outcome out = cache.access(s, /*write=*/false, /*allocate=*/true);
+    if (out.hit) {
+      ++ctr_.l1_sector_hits;
+    } else {
+      ++ctr_.l1_sector_misses;
+      requests_.push_back(s | kL2DramFill);
+    }
+  }
+}
+
+void L1FrontEnd::global_store(int sm, std::span<const LaneAccess> lanes) {
+  ++ctr_.global_store_ops;
+  coalesce_sectors(lanes, sector_bytes_, sectors_);
+  SectoredCache& cache = l1(sm);
+  for (std::uint64_t s : sectors_) {
+    // Write-through / no-allocate at L1: the access still consumes an L1 tag
+    // lookup (and updates the sector if present), then writes into L2.
+    ++ctr_.l1_tag_requests_global;
+    cache.access(s, /*write=*/false, /*allocate=*/false);
+    // Write-allocate in L2 without a DRAM fetch (write-combined sectors).
+    requests_.push_back(s | kL2Write);
+  }
+}
+
+void L1FrontEnd::global_atomic(std::span<const LaneAccess> lanes) {
+  ++ctr_.atomic_ops;
+  ctr_.atomic_lane_updates += lanes.size();
+
+  // Same-address lane updates within one instruction serialise at the L2
+  // atomic unit; distinct addresses proceed in parallel across slices.
+  addrs_.clear();
+  for (const LaneAccess& a : lanes) addrs_.push_back(a.addr);
+  std::sort(addrs_.begin(), addrs_.end());
+  std::size_t i = 0;
+  while (i < addrs_.size()) {
+    std::size_t j = i + 1;
+    while (j < addrs_.size() && addrs_[j] == addrs_[i]) ++j;
+    ctr_.atomic_serial_replays += static_cast<std::uint64_t>(j - i - 1);
+    i = j;
+  }
+
+  // Each distinct sector is a read-modify-write in L2 (bypasses L1).
+  coalesce_sectors(lanes, sector_bytes_, sectors_);
+  for (std::uint64_t s : sectors_) requests_.push_back(s | kL2Write | kL2DramFill);
+}
+
+void L1FrontEnd::shared_access(std::span<const LaneAccess> lanes) {
+  ++ctr_.shared_ops;
+  const BankAnalysis res = analyze_shared(lanes, shared_banks_, shared_bank_bytes_);
+  ctr_.shared_wavefronts += res.wavefronts;
+  ctr_.shared_wavefronts_ideal += res.ideal;
+}
+
+void L1FrontEnd::reset() {
+  for (auto& c : l1_) c.reset();
+  requests_.clear();
+}
+
+PerfPipeline::PerfPipeline(const MachineModel& m, const Calibration& cal)
+    : machine_(m),
+      l2_(m.l2_bytes, m.line_bytes, checked_sector_bytes(m), m.l2_ways),
+      dram_(m, cal) {}
+
+L1FrontEnd& PerfPipeline::front() {
+  if (!front_) front_ = std::make_unique<L1FrontEnd>(machine_, ctr_);
+  return *front_;
+}
+
+void PerfPipeline::replay_front() {
+  std::vector<L2Request>& requests = front_->l2_requests();
+  replay_l2(requests);
+  requests.clear();
 }
 
 void PerfPipeline::l2_fill_path(std::uint64_t sector_addr, bool write, bool count_dram_fill) {
@@ -36,65 +132,29 @@ void PerfPipeline::l2_fill_path(std::uint64_t sector_addr, bool write, bool coun
   }
 }
 
-void PerfPipeline::global_load(int sm, std::span<const LaneAccess> lanes) {
-  ++ctr_.global_load_ops;
-  coalesce_sectors(lanes, machine_.sector_bytes, sectors_);
-  SectoredCache& l1 = l1_[static_cast<std::size_t>(sm)];
-  for (std::uint64_t s : sectors_) {
-    ++ctr_.l1_tag_requests_global;
-    const SectoredCache::Outcome out = l1.access(s, /*write=*/false, /*allocate=*/true);
-    if (out.hit) {
-      ++ctr_.l1_sector_hits;
-    } else {
-      ++ctr_.l1_sector_misses;
-      l2_fill_path(s, /*write=*/false, /*count_dram_fill=*/true);
-    }
+void PerfPipeline::replay_l2(std::span<const L2Request> requests) {
+  for (const L2Request r : requests) {
+    l2_fill_path(r & ~(kL2Write | kL2DramFill), (r & kL2Write) != 0, (r & kL2DramFill) != 0);
   }
+}
+
+void PerfPipeline::global_load(int sm, std::span<const LaneAccess> lanes) {
+  front().global_load(sm, lanes);
+  replay_front();
 }
 
 void PerfPipeline::global_store(int sm, std::span<const LaneAccess> lanes) {
-  ++ctr_.global_store_ops;
-  coalesce_sectors(lanes, machine_.sector_bytes, sectors_);
-  SectoredCache& l1 = l1_[static_cast<std::size_t>(sm)];
-  for (std::uint64_t s : sectors_) {
-    // Write-through / no-allocate at L1: the access still consumes an L1 tag
-    // lookup (and updates the sector if present), then writes into L2.
-    ++ctr_.l1_tag_requests_global;
-    l1.access(s, /*write=*/false, /*allocate=*/false);
-    // Write-allocate in L2 without a DRAM fetch (write-combined sectors).
-    l2_fill_path(s, /*write=*/true, /*count_dram_fill=*/false);
-  }
+  front().global_store(sm, lanes);
+  replay_front();
 }
 
 void PerfPipeline::global_atomic(int /*sm*/, std::span<const LaneAccess> lanes) {
-  ++ctr_.atomic_ops;
-  ctr_.atomic_lane_updates += lanes.size();
-
-  // Same-address lane updates within one instruction serialise at the L2
-  // atomic unit; distinct addresses proceed in parallel across slices.
-  thread_local std::vector<std::uint64_t> addrs;
-  addrs.clear();
-  for (const LaneAccess& a : lanes) addrs.push_back(a.addr);
-  std::sort(addrs.begin(), addrs.end());
-  std::size_t i = 0;
-  while (i < addrs.size()) {
-    std::size_t j = i + 1;
-    while (j < addrs.size() && addrs[j] == addrs[i]) ++j;
-    ctr_.atomic_serial_replays += static_cast<std::uint64_t>(j - i - 1);
-    i = j;
-  }
-
-  // Each distinct sector is a read-modify-write in L2 (bypasses L1).
-  coalesce_sectors(lanes, machine_.sector_bytes, sectors_);
-  for (std::uint64_t s : sectors_) l2_fill_path(s, /*write=*/true, /*count_dram_fill=*/true);
+  front().global_atomic(lanes);
+  replay_front();
 }
 
 void PerfPipeline::shared_access(std::span<const LaneAccess> lanes, bool /*write*/) {
-  ++ctr_.shared_ops;
-  const BankAnalysis res =
-      analyze_shared(lanes, machine_.shared_banks, machine_.shared_bank_bytes);
-  ctr_.shared_wavefronts += res.wavefronts;
-  ctr_.shared_wavefronts_ideal += res.ideal;
+  front().shared_access(lanes);
 }
 
 void PerfPipeline::finalize() {
@@ -107,7 +167,7 @@ void PerfPipeline::finalize() {
 }
 
 void PerfPipeline::reset() {
-  for (auto& c : l1_) c.reset();
+  if (front_) front_->reset();
   l2_.reset();
   dram_.reset();
   ctr_ = TraceCounters{};

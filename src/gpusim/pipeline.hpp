@@ -5,8 +5,17 @@
 // Write policies mirror the A100: L1 is write-through/no-allocate for global
 // stores, L2 is write-back/write-allocate; atomics bypass L1 and
 // read-modify-write in L2.  Loads allocate in both levels.
+//
+// The hierarchy splits at L1.  An L1FrontEnd owns the L1s of a set of SMs
+// and decides everything that is per SM: coalescing, L1 lookups,
+// shared-bank conflicts and atomic replays.  What leaves an SM — L1 misses,
+// stores and atomics — becomes a list of L2 requests, which PerfPipeline's
+// back end (L2 + DRAM) replays in order.  The profiled executor runs one
+// front end per host worker and replays their lists in schedule order on
+// one thread; PerfPipeline's one-call methods do both halves at once.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,9 +29,19 @@
 
 namespace gpusim {
 
-class PerfPipeline {
+/// One request from an SM to L2: a sector address with two flags in its low
+/// bits (sectors are at least 4 B, so the bits are free).
+using L2Request = std::uint64_t;
+inline constexpr L2Request kL2Write = 1;      ///< the access dirties the sector
+inline constexpr L2Request kL2DramFill = 2;   ///< an L2 miss fetches from DRAM
+
+/// The per-SM half of the hierarchy.
+class L1FrontEnd {
  public:
-  PerfPipeline(const MachineModel& m, const Calibration& cal);
+  /// Owns the L1s of SMs first_sm, first_sm + sm_stride, ... < m.num_sms
+  /// (0 <= first_sm < sm_stride) and adds the counters it decides to `ctr`.
+  /// Throws std::invalid_argument for a sector below 4 B.
+  L1FrontEnd(const MachineModel& m, TraceCounters& ctr, int first_sm = 0, int sm_stride = 1);
 
   /// One warp-level global load instruction (one divergence path group).
   void global_load(int sm, std::span<const LaneAccess> lanes);
@@ -31,10 +50,50 @@ class PerfPipeline {
   void global_store(int sm, std::span<const LaneAccess> lanes);
 
   /// One warp-level global atomic read-modify-write (relaxed add).
-  void global_atomic(int sm, std::span<const LaneAccess> lanes);
+  void global_atomic(std::span<const LaneAccess> lanes);
 
   /// One warp-level shared (work-group local) memory instruction.
+  void shared_access(std::span<const LaneAccess> lanes);
+
+  [[nodiscard]] TraceCounters& counters() { return ctr_; }
+
+  /// The L2 requests issued since the list was last emptied, in issue order.
+  [[nodiscard]] std::vector<L2Request>& l2_requests() { return requests_; }
+
+  void reset();
+
+ private:
+  SectoredCache& l1(int sm) { return l1_[static_cast<std::size_t>(sm / sm_stride_)]; }
+
+  int sector_bytes_;
+  int shared_banks_;
+  int shared_bank_bytes_;
+  int sm_stride_;
+  TraceCounters& ctr_;
+  std::vector<SectoredCache> l1_;
+  std::vector<L2Request> requests_;
+  std::vector<std::uint64_t> sectors_;  // scratch
+  std::vector<std::uint64_t> addrs_;    // scratch
+};
+
+/// The L2 + DRAM back end, and the whole hierarchy through its one-call
+/// methods.
+class PerfPipeline {
+ public:
+  /// Throws std::invalid_argument for a sector below 4 B.
+  PerfPipeline(const MachineModel& m, const Calibration& cal);
+  // The front end adds to ctr_ through a reference.
+  PerfPipeline(const PerfPipeline&) = delete;
+  PerfPipeline& operator=(const PerfPipeline&) = delete;
+
+  // One warp instruction through L1 and then L2/DRAM (see L1FrontEnd).
+  void global_load(int sm, std::span<const LaneAccess> lanes);
+  void global_store(int sm, std::span<const LaneAccess> lanes);
+  void global_atomic(int sm, std::span<const LaneAccess> lanes);
   void shared_access(std::span<const LaneAccess> lanes, bool write);
+
+  /// Run L1FrontEnd requests through L2 and DRAM, in order.
+  void replay_l2(std::span<const L2Request> requests);
 
   /// Flush dirty L2 sectors to DRAM (end of kernel).
   void finalize();
@@ -46,15 +105,17 @@ class PerfPipeline {
   void reset();
 
  private:
+  /// The one-call methods' L1s, built on first use: a launch that replays
+  /// its workers' front ends never pays for them.
+  L1FrontEnd& front();
+  void replay_front();
   void l2_fill_path(std::uint64_t sector_addr, bool write, bool count_dram_fill);
 
   MachineModel machine_;
-  Calibration cal_;
-  std::vector<SectoredCache> l1_;  // one per SM
   SectoredCache l2_;
   DramModel dram_;
   TraceCounters ctr_;
-  std::vector<std::uint64_t> sectors_;  // scratch
+  std::unique_ptr<L1FrontEnd> front_;
 };
 
 }  // namespace gpusim

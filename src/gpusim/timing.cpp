@@ -9,6 +9,7 @@ TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
                                const OccupancyInfo& occ, const TraceCounters& ctr,
                                double dram_cost_units, double codegen_slowdown) {
   TimingBreakdown t;
+  if (occ.achieved <= 0.0) return t;  // no group resident: an empty launch takes no time
   const double clock = m.clock_hz();
   const double sms = static_cast<double>(m.num_sms);
   const double occ_a = occ.achieved;

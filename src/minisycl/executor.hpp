@@ -8,21 +8,33 @@
 //    (per-SM L1), resident groups of a wave interleave their warps
 //    round-robin (shared L2/DRAM), and each warp's 32 event streams are
 //    merged position-by-position into warp instructions for the performance
-//    pipeline.
+//    pipeline.  The launch uses every host CPU the process may run on:
+//    worker threads own disjoint sets of SMs and run those SMs' warps
+//    through L1, while the launching thread replays the L2 requests in the
+//    serial schedule's order, so every statistic is the one a single thread
+//    computes (docs/SIMULATOR.md §1 "Scheduling").
 //
 // Barrier semantics: a kernel declares `num_phases`; the executor runs phase
 // p for every work-item of a group before phase p+1 — precisely what
 // group_barrier guarantees (DESIGN.md §5 "phase-split barriers").
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <exception>
+#include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gpusim/machine.hpp"
@@ -68,10 +80,28 @@ concept PhasedKernel = requires(const K& k, FastLane& f, TraceLane& t) {
   k(t, 0);
 };
 
+namespace detail {
+
+/// The nd-range rules both executors enforce; throws std::invalid_argument.
+/// compute_occupancy adds the machine's limits for profiled launches.
+inline void check_launch(const LaunchSpec& spec) {
+  if (spec.local_size < 1) throw std::invalid_argument("launch: invalid work-group size");
+  if (spec.global_size < 0 || spec.global_size % spec.local_size != 0) {
+    throw std::invalid_argument(
+        "launch: global size must be divisible by local size (SYCL nd_range rule)");
+  }
+  if (spec.num_phases < 1) throw std::invalid_argument("launch: a kernel has at least one phase");
+  if (spec.shared_bytes < 0) {
+    throw std::invalid_argument("launch: shared bytes per group must not be negative");
+  }
+}
+
+}  // namespace detail
+
 /// Correctness-only execution.
 template <PhasedKernel Kernel>
 void execute_functional(const LaunchSpec& spec, const Kernel& kernel) {
-  assert(spec.global_size % spec.local_size == 0);
+  detail::check_launch(spec);
   const std::int64_t groups = spec.global_size / spec.local_size;
   std::vector<std::byte> local(static_cast<std::size_t>(spec.shared_bytes));
   for (std::int64_t g = 0; g < groups; ++g) {
@@ -91,7 +121,9 @@ namespace detail {
 /// declared regions.  Canonical bases are assigned by *declaration order*
 /// (a pure function of the launch), 256-byte aligned with a guard gap, so
 /// two buffers never share a cache line whatever the host heap did.
-/// Addresses outside every declared region pass through unchanged.
+/// Addresses outside every declared region pass through unchanged.  The
+/// last-hit cursor makes translate() unsafe to share between threads: each
+/// worker builds its own map.
 class AddressMap {
  public:
   static constexpr std::uint64_t kCanonicalBase = 1ull << 40;
@@ -137,12 +169,13 @@ class AddressMap {
 };
 
 /// Merge one event position of a warp into warp instructions and feed the
-/// pipeline.  Returns issue slots consumed at this position.
-inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration& cal, int sm,
+/// SM's front end; counts one `mem_paths` per memory instruction issued.
+/// Returns issue slots consumed at this position.
+inline int merge_position(gpusim::L1FrontEnd& front, int sm,
                           const std::array<std::vector<LaneEvent>, 32>& ev, int lanes,
-                          std::size_t pos, double& control_slots,
+                          std::size_t pos, std::uint64_t& mem_paths,
                           const AddressMap* amap = nullptr) {
-  gpusim::TraceCounters& ctr = pipe.counters();
+  gpusim::TraceCounters& ctr = front.counters();
   const EventKind kind = ev[0][pos].kind;
 
   // One pass: the unmasked lanes in ascending order, each with the index of
@@ -216,15 +249,15 @@ inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration&
         }
         const std::span<const gpusim::LaneAccess> span(acc.data(), static_cast<std::size_t>(n));
         switch (kind) {
-          case EventKind::LoadGlobal: pipe.global_load(sm, span); break;
-          case EventKind::StoreGlobal: pipe.global_store(sm, span); break;
-          case EventKind::AtomicGlobal: pipe.global_atomic(sm, span); break;
-          case EventKind::LoadShared: pipe.shared_access(span, false); break;
-          case EventKind::StoreShared: pipe.shared_access(span, true); break;
+          case EventKind::LoadGlobal: front.global_load(sm, span); break;
+          case EventKind::StoreGlobal: front.global_store(sm, span); break;
+          case EventKind::AtomicGlobal: front.global_atomic(span); break;
+          case EventKind::LoadShared:
+          case EventKind::StoreShared: front.shared_access(span); break;
           default: break;
         }
         slots += 1;
-        control_slots += cal.control_slots_per_mem_op;
+        ++mem_paths;
       }
       break;
     }
@@ -237,13 +270,166 @@ inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration&
   return slots;
 }
 
-}  // namespace detail
+/// Worker threads for a profiled launch: the CPUs in this process's
+/// affinity mask, less one for the launching thread, which replays L2 and
+/// DRAM; at least one.
+inline int host_workers() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+  return std::max(1, cpus - 1);
+}
 
-/// Profiled execution: returns the full Nsight-style statistics record.
+/// The hand-off of warp steps from the workers to the replaying thread: step
+/// s's L2 requests travel in slot s % size.  A slot's word counts its
+/// hand-overs — 2t while it waits for its t-th step (s / size == t), 2t + 1
+/// while it holds that step — until a failed launch stores kFailed, which
+/// nothing overwrites, so every waiter wakes and gives up.
+class StepRing {
+ public:
+  /// `size` slots, each with room for `requests` L2 requests.
+  StepRing(std::size_t size, std::size_t requests) : slots_(size) {
+    for (Slot& slot : slots_) slot.requests.reserve(requests);
+  }
+
+  /// Worker: hand step s's requests over, taking back an emptied list.
+  /// False once the launch failed.
+  bool publish(std::int64_t s, std::vector<gpusim::L2Request>& requests) {
+    Slot& slot = slot_of(s);
+    const std::uint32_t empty = 2 * turn_of(s);
+    if (!await(slot, empty)) return false;
+    slot.requests.swap(requests);
+    return advance(slot, empty, empty + 1);
+  }
+
+  /// Replayer: step s's requests, or nullptr once the launch failed.  Empty
+  /// the list, then release(s).
+  std::vector<gpusim::L2Request>* take(std::int64_t s) {
+    Slot& slot = slot_of(s);
+    return await(slot, 2 * turn_of(s) + 1) ? &slot.requests : nullptr;
+  }
+
+  /// Replayer: the slot of step s now waits for step s + size.
+  void release(std::int64_t s) {
+    const std::uint32_t full = 2 * turn_of(s) + 1;
+    advance(slot_of(s), full, full + 1);
+  }
+
+  /// Keep the launch's first failure and wake every waiter.
+  void fail(std::exception_ptr e) {
+    {
+      const std::lock_guard lock(mu_);
+      if (!error_) error_ = std::move(e);
+    }
+    for (Slot& slot : slots_) {
+      slot.word.store(kFailed, std::memory_order_release);
+      slot.word.notify_all();
+    }
+  }
+
+  /// The first failure; read it once every thread has been joined.
+  [[nodiscard]] std::exception_ptr error() const { return error_; }
+
+ private:
+  static constexpr std::uint32_t kFailed = ~std::uint32_t{0};
+
+  struct alignas(64) Slot {
+    std::atomic<std::uint32_t> word{0};
+    std::vector<gpusim::L2Request> requests;
+  };
+
+  Slot& slot_of(std::int64_t s) { return slots_[static_cast<std::size_t>(s) % slots_.size()]; }
+  std::uint32_t turn_of(std::int64_t s) const {
+    return static_cast<std::uint32_t>(static_cast<std::size_t>(s) / slots_.size());
+  }
+
+  static bool await(Slot& slot, std::uint32_t want) {
+    for (;;) {
+      const std::uint32_t v = slot.word.load(std::memory_order_acquire);
+      if (v == want) return true;
+      if (v == kFailed) return false;
+      slot.word.wait(v, std::memory_order_acquire);
+    }
+  }
+
+  static bool advance(Slot& slot, std::uint32_t from, std::uint32_t to) {
+    if (!slot.word.compare_exchange_strong(from, to, std::memory_order_acq_rel)) return false;
+    slot.word.notify_all();
+    return true;
+  }
+
+  std::vector<Slot> slots_;
+  std::mutex mu_;
+  std::exception_ptr error_;
+};
+
+/// Room for one warp step's L2 requests in each list the workers and the
+/// replayer pass around, reserved on the launching thread: a list a worker
+/// thread has to grow is memory that stays with that thread's allocator
+/// arena, and those arenas gave milcbench's fig6-sweep peak RSS outliers of
+/// +17 MB in about one run in four.
+inline constexpr std::size_t kStepRequests = 4096;
+
+/// One profiled-launch worker: the SMs with sm % n_workers == index, its
+/// counters, their front end, its own AddressMap cursor, 32 lane event
+/// streams and the local memory of its groups in a wave.  The launching
+/// thread builds it, for the reason given at kStepRequests.
+struct Worker {
+  Worker(const gpusim::MachineModel& m, const LaunchSpec& spec, int w, int n,
+         std::int64_t first_wave)
+      : index(w),
+        n_workers(n),
+        num_sms(m.num_sms),
+        shared_bytes(static_cast<std::size_t>(spec.shared_bytes)),
+        front(m, ctr, w, n),
+        amap(spec.regions) {
+    for (auto& v : ev) v.reserve(512);
+    front.l2_requests().reserve(kStepRequests);
+    start_wave(first_wave);  // the largest wave sizes owned and local_mem
+  }
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  /// This worker's groups gi of a wave of wave_n, each with zeroed local
+  /// memory.
+  void start_wave(std::int64_t wave_n) {
+    owned.clear();
+    for (std::int64_t gi = 0; gi < wave_n; ++gi) {
+      if (gi % num_sms % n_workers == index) owned.push_back(gi);
+    }
+    local_mem.resize(std::max(local_mem.size(), owned.size()));
+    for (std::size_t k = 0; k < owned.size(); ++k) local_mem[k].assign(shared_bytes, std::byte{0});
+  }
+
+  [[nodiscard]] const AddressMap* amap_ptr() const { return amap.empty() ? nullptr : &amap; }
+
+  int index;
+  int n_workers;
+  int num_sms;
+  std::size_t shared_bytes;
+  gpusim::TraceCounters ctr;
+  gpusim::L1FrontEnd front;  // adds to ctr
+  AddressMap amap;
+  std::array<std::vector<LaneEvent>, 32> ev;
+  std::vector<std::int64_t> owned;
+  std::vector<std::vector<std::byte>> local_mem;
+  std::uint64_t mem_paths = 0;
+};
+
+/// Warp steps in flight between the workers and the replayer.  Each holds
+/// one warp's L2 requests, so peak memory is bounded by the ring, not the
+/// lattice.  On a 4-CPU host milcbench's fig6-sweep ran as fast with 64 as
+/// with 128 steps, at 2 MB less peak RSS.
+inline constexpr std::size_t kRingSteps = 64;
+
+/// execute_profiled on `worker_count` worker threads (clamped to the SMs
+/// the launch occupies; an empty launch starts none).  Every statistic and
+/// every output is independent of `worker_count`.
 template <PhasedKernel Kernel>
-gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
+gpusim::KernelStats execute_profiled(int worker_count, const gpusim::MachineModel& m,
                                      const gpusim::Calibration& cal, const LaunchSpec& spec,
                                      const Kernel& kernel, std::string stats_name) {
+  check_launch(spec);
   gpusim::LaunchConfig cfg;
   cfg.global_size = spec.global_size;
   cfg.local_size = spec.local_size;
@@ -252,80 +438,132 @@ gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
   cfg.num_phases = spec.num_phases;
 
   const gpusim::OccupancyInfo occ = gpusim::compute_occupancy(m, cal, cfg);
-  gpusim::PerfPipeline pipe(m, cal);
-  gpusim::TraceCounters& ctr = pipe.counters();
-  ctr.work_items = static_cast<std::uint64_t>(spec.global_size);
 
+  // The serial schedule: waves of groups_per_sm x num_sms groups, group gi
+  // of a wave on SM gi % num_sms; within a wave, round r runs warp
+  // r % warps_per_group of phase r / warps_per_group of every group in gi
+  // order.  Step (wave, r, gi) is the warp steps of earlier waves plus
+  // r * wave_n + gi.
   const int warp = m.warp_size;
   const int warps_per_group = (spec.local_size + warp - 1) / warp;
+  const int rounds = spec.num_phases * warps_per_group;
   const std::int64_t groups = spec.global_size / spec.local_size;
   const std::int64_t wave_cap = static_cast<std::int64_t>(occ.groups_per_sm) * m.num_sms;
+  const std::int64_t sms_used = std::min({groups, wave_cap, std::int64_t{m.num_sms}});
+  const int n_workers =
+      static_cast<int>(std::min<std::int64_t>(std::max(worker_count, 1), sms_used));
 
-  std::array<std::vector<LaneEvent>, 32> ev;
-  for (auto& v : ev) v.reserve(512);
-  double control_slots = 0.0;
-  const detail::AddressMap amap(spec.regions);
-  const detail::AddressMap* amap_ptr = amap.empty() ? nullptr : &amap;
+  // Worker w runs, in schedule order, every step of the groups on its SMs
+  // (sm % n_workers == w): the kernel's lanes, the warp merge and L1.
+  std::deque<Worker> workers;
+  const std::int64_t first_wave = std::min(groups, wave_cap);
+  for (int w = 0; w < n_workers; ++w) workers.emplace_back(m, spec, w, n_workers, first_wave);
+  StepRing ring(kRingSteps, kStepRequests);
+  // L2 and DRAM, built after the workers so that they are freed first: the
+  // next launch then finds the L2's block (5 MB on the A100) whole, where
+  // freed in the other order it let fig6-sweep's heap grow by as much again
+  // over a few passes.
+  gpusim::PerfPipeline pipe(m, cal);
 
-  struct GroupState {
-    int phase = 0;
-    int next_warp = 0;
-  };
-  std::vector<GroupState> states;
-  std::vector<std::vector<std::byte>> local_mem;
+  auto run_worker = [&](Worker& wk) {
+    std::int64_t wave_first_step = 0;
+    for (std::int64_t wave_start = 0; wave_start < groups; wave_start += wave_cap) {
+      const std::int64_t wave_n = std::min<std::int64_t>(wave_cap, groups - wave_start);
+      wk.start_wave(wave_n);
 
-  for (std::int64_t wave_start = 0; wave_start < groups; wave_start += wave_cap) {
-    const std::int64_t wave_n = std::min<std::int64_t>(wave_cap, groups - wave_start);
-    states.assign(static_cast<std::size_t>(wave_n), GroupState{});
-    local_mem.assign(static_cast<std::size_t>(wave_n),
-                     std::vector<std::byte>(static_cast<std::size_t>(spec.shared_bytes)));
+      for (int r = 0; r < rounds; ++r) {
+        const int phase = r / warps_per_group;
+        const int wi = r % warps_per_group;
+        const int lanes = std::min(warp, spec.local_size - wi * warp);
+        for (std::size_t k = 0; k < wk.owned.size(); ++k) {
+          const std::int64_t gi = wk.owned[k];
+          const std::int64_t g = wave_start + gi;
+          const int sm = static_cast<int>(gi % m.num_sms);
 
-    std::int64_t done = 0;
-    while (done < wave_n) {
-      for (std::int64_t gi = 0; gi < wave_n; ++gi) {
-        GroupState& st = states[static_cast<std::size_t>(gi)];
-        if (st.phase >= spec.num_phases) continue;
-        const std::int64_t g = wave_start + gi;
-        const int sm = static_cast<int>(gi % m.num_sms);
-
-        // Execute one warp of this group's current phase.
-        const int w = st.next_warp;
-        const int lanes = std::min(warp, spec.local_size - w * warp);
-        for (int l = 0; l < lanes; ++l) {
-          ev[static_cast<std::size_t>(l)].clear();
-          const int lid = w * warp + l;
-          ItemIds ids{g * spec.local_size + lid, lid, g, spec.local_size};
-          TraceLane lane(ids, local_mem[static_cast<std::size_t>(gi)].data(),
-                         &ev[static_cast<std::size_t>(l)]);
-          kernel(lane, st.phase);
-        }
-        const std::size_t n_events = ev[0].size();
-        for (int l = 1; l < lanes; ++l) {
-          assert(ev[static_cast<std::size_t>(l)].size() == n_events &&
-                 "kernel lanes must record positionally aligned event streams");
-        }
-        for (std::size_t pos = 0; pos < n_events; ++pos) {
-          detail::merge_position(pipe, cal, sm, ev, lanes, pos, control_slots, amap_ptr);
-        }
-        if (st.phase == 0) ++ctr.warps;
-
-        // Advance the cursor; charge barrier events at phase boundaries.
-        if (++st.next_warp == warps_per_group) {
-          st.next_warp = 0;
-          ++st.phase;
-          if (st.phase < spec.num_phases) {
-            ctr.barrier_warp_events += static_cast<std::uint64_t>(warps_per_group);
+          // Execute one warp of this group's current phase.
+          for (int l = 0; l < lanes; ++l) {
+            std::vector<LaneEvent>& events = wk.ev[static_cast<std::size_t>(l)];
+            events.clear();
+            const int lid = wi * warp + l;
+            ItemIds ids{g * spec.local_size + lid, lid, g, spec.local_size};
+            TraceLane lane(ids, wk.local_mem[k].data(), &events);
+            kernel(lane, phase);
           }
-          if (st.phase >= spec.num_phases) ++done;
+          const std::size_t n_events = wk.ev[0].size();
+          for (int l = 1; l < lanes; ++l) {
+            assert(wk.ev[static_cast<std::size_t>(l)].size() == n_events &&
+                   "kernel lanes must record positionally aligned event streams");
+          }
+          for (std::size_t pos = 0; pos < n_events; ++pos) {
+            merge_position(wk.front, sm, wk.ev, lanes, pos, wk.mem_paths, wk.amap_ptr());
+          }
+          if (phase == 0) ++wk.ctr.warps;
+          // Charge barrier events at phase boundaries.
+          if (wi == warps_per_group - 1 && phase + 1 < spec.num_phases) {
+            wk.ctr.barrier_warp_events += static_cast<std::uint64_t>(warps_per_group);
+          }
+          if (!ring.publish(wave_first_step + r * wave_n + gi, wk.front.l2_requests())) return;
         }
       }
+      wave_first_step += rounds * wave_n;
     }
-  }
+  };
 
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(n_workers));
+    try {
+      for (int w = 0; w < n_workers; ++w) {
+        threads.emplace_back([&ring, &run_worker, &wk = workers[static_cast<std::size_t>(w)]] {
+          try {
+            run_worker(wk);
+          } catch (...) {
+            ring.fail(std::current_exception());
+          }
+        });
+      }
+      // L2 and DRAM see the steps in schedule order, each in its own order.
+      const std::int64_t steps = groups * rounds;
+      for (std::int64_t s = 0; s < steps; ++s) {
+        std::vector<gpusim::L2Request>* requests = ring.take(s);
+        if (requests == nullptr) break;
+        pipe.replay_l2(*requests);
+        requests->clear();
+        ring.release(s);
+      }
+    } catch (...) {
+      ring.fail(std::current_exception());
+    }
+  }  // joins the workers
+  if (const std::exception_ptr e = ring.error()) std::rethrow_exception(e);
+
+  gpusim::TraceCounters& ctr = pipe.counters();
+  ctr.work_items = static_cast<std::uint64_t>(spec.global_size);
+  std::uint64_t mem_paths = 0;
+  for (const Worker& wk : workers) {
+    ctr.add(wk.ctr);
+    mem_paths += wk.mem_paths;
+  }
   pipe.finalize();
+  // control_slots_per_mem_op is added once per memory instruction, as one
+  // running double sum; its addends are all equal, so adding them in a loop
+  // gives that sum exactly (mem_paths * control_slots_per_mem_op would not).
+  double control_slots = 0.0;
+  for (std::uint64_t i = 0; i < mem_paths; ++i) control_slots += cal.control_slots_per_mem_op;
   ctr.warp_issue_slots += static_cast<std::uint64_t>(control_slots);
   return gpusim::make_stats(m, cal, std::move(stats_name), cfg, occ, ctr,
                             pipe.dram().cost_units(), spec.traits.codegen_slowdown);
+}
+
+}  // namespace detail
+
+/// Profiled execution: returns the full Nsight-style statistics record.
+template <PhasedKernel Kernel>
+gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
+                                     const gpusim::Calibration& cal, const LaunchSpec& spec,
+                                     const Kernel& kernel, std::string stats_name) {
+  return detail::execute_profiled(detail::host_workers(), m, cal, spec, kernel,
+                                  std::move(stats_name));
 }
 
 }  // namespace minisycl

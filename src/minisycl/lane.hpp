@@ -15,6 +15,7 @@
 // like predicated-off SIMT lanes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -127,9 +128,12 @@ class TraceLane {
     record(EventKind::StoreGlobal, sizeof(T), reinterpret_cast<std::uint64_t>(p), 0);
     if (!masked_) *p = v;
   }
+  /// Relaxed-order atomic add.  The profiled executor runs work-groups on
+  /// several host threads at once, so updates from different groups need a
+  /// real atomic.
   void atomic_add(double* p, double v) {
     record(EventKind::AtomicGlobal, sizeof(double), reinterpret_cast<std::uint64_t>(p), 0);
-    if (!masked_) *p += v;
+    if (!masked_) std::atomic_ref<double>(*p).fetch_add(v, std::memory_order_relaxed);
   }
 
   template <typename T>

@@ -33,13 +33,6 @@ QudaArgs StaggeredDslashTest::make_args(Reconstruct scheme) {
   return a;
 }
 
-namespace {
-
-/// The QUDA kernel's one launch — run_at, sanitize and run_functional all
-/// use it — with its buffers in a fixed order (gauge, source, target,
-/// neighbours) for the profiler's canonical address map and ksan's valid
-/// memory: the profiled time is a pure function of the launch, which the
-/// tuner's bit-for-bit replay verification requires.
 minisycl::LaunchSpec quda_spec(const QudaArgs& a, int local_size) {
   const std::int64_t n = a.sites;
   const auto cbytes = static_cast<std::int64_t>(sizeof(dcomplex));
@@ -57,8 +50,6 @@ minisycl::LaunchSpec quda_spec(const QudaArgs& a, int local_size) {
                   {a.neighbors, n * kNeighbors * ibytes}};
   return spec;
 }
-
-}  // namespace
 
 std::vector<int> StaggeredDslashTest::tuning_candidates() const {
   return tune::quda_tuning_candidates(problem_.sites());

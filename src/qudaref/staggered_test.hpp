@@ -29,6 +29,13 @@ struct StaggeredResult {
   gpusim::KernelStats stats;
 };
 
+/// The QUDA kernel's one launch — run_at, sanitize and run_functional all
+/// use it — with its buffers in a fixed order (gauge, source, target,
+/// neighbours) for the profiler's canonical address map and ksan's valid
+/// memory: the profiled time is a pure function of the launch, which the
+/// tuner's bit-for-bit replay verification requires.
+[[nodiscard]] minisycl::LaunchSpec quda_spec(const QudaArgs& a, int local_size);
+
 class StaggeredDslashTest {
  public:
   explicit StaggeredDslashTest(DslashProblem& problem,

@@ -137,11 +137,6 @@ WilsonArgs WilsonDslash::make_args(const WilsonField& in, WilsonField& out) cons
   return args;
 }
 
-namespace {
-
-/// The Wilson kernel's one launch, with its buffers in a fixed order —
-/// forward links, backward links, source, target, neighbour table — for
-/// the profiler's canonical address map and ksan's valid memory.
 minisycl::LaunchSpec wilson_spec(const WilsonArgs& a, int local_size) {
   constexpr auto kLinkBytes =
       static_cast<std::int64_t>(kNdim * kColors * kColors * sizeof(dcomplex));
@@ -160,8 +155,6 @@ minisycl::LaunchSpec wilson_spec(const WilsonArgs& a, int local_size) {
                    a.sites * kNeighbors * static_cast<std::int64_t>(sizeof(std::int32_t))}};
   return spec;
 }
-
-}  // namespace
 
 void WilsonDslash::apply(const WilsonField& in, WilsonField& out, int local_size) const {
   WilsonDslashKernel kernel{make_args(in, out)};

@@ -116,6 +116,11 @@ struct WilsonDslashKernel {
   void operator()(Lane& lane, int phase) const;
 };
 
+/// The Wilson kernel's one launch, with its buffers in a fixed order —
+/// forward links, backward links, source, target, neighbour table — for
+/// the profiler's canonical address map and ksan's valid memory.
+[[nodiscard]] minisycl::LaunchSpec wilson_spec(const WilsonArgs& a, int local_size);
+
 /// Owner/driver mirroring FloatDslash / CompressedDslash.
 class WilsonDslash {
  public:

@@ -2,7 +2,9 @@
 // tracing counters and divergence accounting.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "minisycl/device.hpp"
@@ -199,6 +201,58 @@ TEST(ProfiledExecutor, AtomicSerializationCounted) {
   EXPECT_EQ(st.counters.atomic_lane_updates, 256u);
   EXPECT_EQ(st.counters.atomic_serial_replays, 256u - 8u);  // 31 replays per warp
   EXPECT_GT(st.timing.atomic_s, 0.0);
+}
+
+// The nd-range rules hold in every build, not only where assert() is
+// compiled in: a partial group or a zero local size is an error, not a
+// silently shortened launch or a division by zero.
+TEST(Executor, FunctionalRejectsPartialGroup) {
+  double sum = 0.0;
+  LaunchSpec spec{100, 64, 0, 1, {}};
+  EXPECT_THROW(execute_functional(spec, AtomicSumKernel{&sum}), std::invalid_argument);
+  EXPECT_EQ(sum, 0.0);
+  EXPECT_THROW((void)execute_profiled(gpusim::a100(), gpusim::Calibration{}, spec,
+                                      AtomicSumKernel{&sum}, "partial"),
+               std::invalid_argument);
+}
+
+TEST(Executor, FunctionalRejectsZeroLocalSize) {
+  double sum = 0.0;
+  for (const LaunchSpec& spec : {LaunchSpec{64, 0, 0, 1, {}}, LaunchSpec{64, -32, 0, 1, {}},
+                                 LaunchSpec{64, 32, 0, 0, {}}, LaunchSpec{64, 32, -8, 1, {}},
+                                 LaunchSpec{-64, 32, 0, 1, {}}}) {
+    EXPECT_THROW(execute_functional(spec, AtomicSumKernel{&sum}), std::invalid_argument)
+        << spec.global_size << "/" << spec.local_size << " phases " << spec.num_phases
+        << " shared " << spec.shared_bytes;
+  }
+  EXPECT_EQ(sum, 0.0);
+}
+
+// SYCL 2020 allows an empty nd-range: it runs nothing and costs only the
+// queue's launch overhead.
+TEST(ProfiledExecutor, EmptyRangeIsFiniteAndFree) {
+  double sum = 0.0;
+  const LaunchSpec spec{0, 64, 0, 1, {}};
+  const auto st =
+      execute_profiled(gpusim::a100(), gpusim::Calibration{}, spec, AtomicSumKernel{&sum}, "empty");
+  EXPECT_EQ(sum, 0.0);
+  EXPECT_EQ(st.occupancy.waves, 0);
+  EXPECT_EQ(st.occupancy.achieved, 0.0);
+  EXPECT_EQ(st.duration_us, 0.0);
+  EXPECT_EQ(st.timing.total_s, 0.0);
+  EXPECT_EQ(st.gflops, 0.0);
+  for (const double v : {st.occupancy.theoretical, st.timing.dram_s, st.timing.latency_s,
+                         st.timing.l1_s, st.timing.shared_s, st.timing.issue_s,
+                         st.timing.atomic_s, st.timing.barrier_s, st.sm_throughput_pct,
+                         st.peak_pct, st.l1_throughput_pct, st.l1_miss_pct, st.l2_miss_pct,
+                         st.avg_divergent_branches}) {
+    EXPECT_TRUE(std::isfinite(v)) << v;
+  }
+  EXPECT_EQ(st.counters.warps, 0u);
+
+  queue q(ExecMode::profiled, QueueOrder::in_order);
+  (void)q.submit(spec, AtomicSumKernel{&sum});
+  EXPECT_EQ(q.sim_time_us(), q.launch_overhead_us());
 }
 
 TEST(Queue, InOrderHasLowerLaunchOverhead) {

@@ -10,7 +10,10 @@
 # and a 216-SM device.
 # Every one of them depends only on its seeds, so two runs of one build must
 # print identical lines (ARCHITECTURE.md invariant 3), and a refactor that
-# claims "same behaviour" must print the lines of its parent.
+# claims "same behaviour" must print the lines of its parent.  A profiled
+# launch runs on one worker thread per CPU of the process's affinity mask,
+# less one, so `taskset -c 0 tools/bench_fingerprint.sh <build-dir>` computes
+# every document with one worker and must print the lines of an unpinned run.
 #
 # Usage: tools/bench_fingerprint.sh <build-dir>
 # Prints one "<sha256>  <document>" line per document; exits non-zero when a
