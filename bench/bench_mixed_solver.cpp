@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   RunRequest req{.strategy = Strategy::LP3_1, .order = IndexOrder::kMajor, .local_size = 96,
                  .variant = Variant::SYCL};
   const double dslash_double_us = runner.run(probe, req).kernel_us;
-  FloatDslash fprobe(probe.device_gauge(), probe.neighbors());
+  FloatDslash fprobe(probe.view(), probe.neighbors());
   FloatColorField fin(probe.b()), fout(probe.geom(), probe.target_parity());
   const double dslash_float_us = fprobe.profile(fin, fout, 96).duration_us;
 
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
   // -- mixed precision: float inner solves + double corrections ---------------
   GaugeView ve(geom, cfg, Parity::Even), vo(geom, cfg, Parity::Odd);
   NeighborTable ne(geom, Parity::Even), no(geom, Parity::Odd);
-  DeviceGaugeLayout ge(ve), go(vo);
-  FloatDslash feo(ge, ne), foe(go, no);
+  FloatDslash feo(ve, ne), foe(vo, no);
 
   ColorField xm(geom, Parity::Even), r(geom, Parity::Even), Ax(geom, Parity::Even);
   xm.zero();

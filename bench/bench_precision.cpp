@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   print_header("Precision ablation: double vs float 3LP-1 (extension X1)", opt,
                problem.sites());
 
-  FloatDslash fd(problem.device_gauge(), problem.neighbors());
+  FloatDslash fd(problem.view(), problem.neighbors());
   FloatColorField fin(problem.b()), fout(problem.geom(), problem.target_parity());
 
   std::printf("\n%-22s %10s %12s %14s %14s %10s\n", "kernel", "GF/s", "kernel_us", "L1 tags",

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   // Float 3LP-1 (same FLOPs, half the bytes -> double the intensity).
   {
-    FloatDslash fd(problem.device_gauge(), problem.neighbors());
+    FloatDslash fd(problem.view(), problem.neighbors());
     FloatColorField fin(problem.b()), fout(problem.geom(), problem.target_parity());
     const auto st = fd.profile(fin, fout, 768);
     print_point("3LP-1 float", gpusim::roofline_analyze(machine, st));
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     wilson::WilsonField win(problem.geom(), opposite(problem.target_parity()));
     win.fill_random(opt.seed + 2);
     wilson::WilsonField wout(problem.geom(), problem.target_parity());
-    wilson::WilsonDslash wd(problem.device_gauge(), problem.neighbors());
+    wilson::WilsonDslash wd(problem.view(), problem.neighbors());
     const auto st = wd.profile(win, wout, 128);
     print_point("Wilson site/thread", gpusim::roofline_analyze(machine, st));
   }

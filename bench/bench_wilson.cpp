@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   wilson::WilsonField win(problem.geom(), opposite(problem.target_parity()));
   win.fill_random(opt.seed + 1);
   wilson::WilsonField wout(problem.geom(), problem.target_parity());
-  wilson::WilsonDslash wd(problem.device_gauge(), problem.neighbors());
+  wilson::WilsonDslash wd(problem.view(), problem.neighbors());
   const auto wstats = wd.profile(win, wout, 128);
 
   const double wilson_flops =

@@ -22,11 +22,11 @@ namespace {
 
 /// One parity's worth of Dslash machinery.
 struct HalfOperator {
-  DeviceGaugeLayout gauge;
+  GaugeView gauge;
   NeighborTable nbr;
 
   HalfOperator(const LatticeGeom& geom, const GaugeConfiguration& cfg, Parity target)
-      : gauge(GaugeView(geom, cfg, target)), nbr(geom, target) {}
+      : gauge(geom, cfg, target), nbr(geom, target) {}
 
   /// out(target parity) = Dslash x in(source parity), via the 3LP-1 kernel.
   void apply(minisycl::queue& q, const ColorField& in, ColorField& out) const {
@@ -93,11 +93,9 @@ int main(int argc, char** argv) {
   std::printf("converged in %d iterations: relative residual %.3e\n", it, std::sqrt(rr / b2));
 
   // Independent verification: ||A x - b|| with the serial reference Dslash.
-  GaugeView ve(geom, cfg, Parity::Even), vo(geom, cfg, Parity::Odd);
-  NeighborTable ne(geom, Parity::Even), no(geom, Parity::Odd);
   ColorField t1(geom, Parity::Odd), t2(geom, Parity::Even);
-  dslash_reference(vo, no, x, t1);
-  dslash_reference(ve, ne, t1, t2);
+  dslash_reference(D_oe.gauge, D_oe.nbr, x, t1);
+  dslash_reference(D_eo.gauge, D_eo.nbr, t1, t2);
   scale(-1.0, t2);
   axpy(mass * mass, x, t2);
   axpy(-1.0, b, t2);

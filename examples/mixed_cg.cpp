@@ -22,7 +22,6 @@ struct Operators {
   const LatticeGeom& geom;
   GaugeView ve, vo;
   NeighborTable ne, no;
-  DeviceGaugeLayout ge, go;
   FloatDslash feo, foe;
   double mass;
 
@@ -32,10 +31,8 @@ struct Operators {
         vo(g, cfg, Parity::Odd),
         ne(g, Parity::Even),
         no(g, Parity::Odd),
-        ge(ve),
-        go(vo),
-        feo(ge, ne),
-        foe(go, no),
+        feo(ve, ne),
+        foe(vo, no),
         mass(m) {}
 
   /// Double-precision A x = m^2 x - D_eo D_oe x (serial reference kernels).

@@ -8,11 +8,10 @@ CompressedGaugeDevice::CompressedGaugeDevice(const GaugeView& view) : sites_(vie
     fam.resize(static_cast<std::size_t>(sites_ * kNdim * 6));
     for (std::int64_t s = 0; s < sites_; ++s) {
       for (int k = 0; k < kNdim; ++k) {
-        const SU3Matrix<dcomplex>& m = view.link(l, s, k);
         for (int j = 0; j < kColors; ++j) {
           for (int i = 0; i < 2; ++i) {
             fam[static_cast<std::size_t>(((s * kNdim + k) * kColors + j) * 2 + i)] =
-                m.e[i][j];
+                view.at(l, s, k, i, j);
           }
         }
       }
@@ -72,7 +71,7 @@ ksan::SanitizerReport CompressedDslash::sanitize(const ColorField& in, ColorFiel
                                                  int local_size,
                                                  ksan::SanitizeConfig cfg) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
-  return ksan::sanitize_launch(recon12_spec(kernel.args, local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(recon12_spec(kernel.args, local_size), kernel, cfg,
                                "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 

@@ -41,14 +41,14 @@ void dslash_from_configuration(const LatticeGeom& geom, const GaugeConfiguration
   }
 }
 
-DslashArgs<dcomplex> make_dslash_args(const DeviceGaugeLayout& gauge, const NeighborTable& nbr,
+DslashArgs<dcomplex> make_dslash_args(const GaugeView& view, const NeighborTable& nbr,
                                       const ColorField& b, ColorField& c) {
   DslashArgs<dcomplex> args;
-  for (int l = 0; l < kNlinks; ++l) args.links[l] = gauge.family(l);
+  for (int l = 0; l < kNlinks; ++l) args.links[l] = view.family(l);
   args.b = b.data();
   args.c_out = c.data();
   args.neighbors = nbr.data();
-  args.sites = gauge.sites();
+  args.sites = view.sites();
   return args;
 }
 

@@ -23,7 +23,7 @@ void dslash_from_configuration(const LatticeGeom& geom, const GaugeConfiguration
 
 /// Build the kernel argument block for a prepared problem.  The caller keeps
 /// ownership of all buffers.
-[[nodiscard]] DslashArgs<dcomplex> make_dslash_args(const DeviceGaugeLayout& gauge,
+[[nodiscard]] DslashArgs<dcomplex> make_dslash_args(const GaugeView& view,
                                                     const NeighborTable& nbr,
                                                     const ColorField& b, ColorField& c);
 

@@ -70,25 +70,17 @@ void xpay(const FloatColorField& x, double alpha, FloatColorField& y) {
   }
 }
 
-FloatGaugeDevice::FloatGaugeDevice(const DeviceGaugeLayout& g) : sites_(g.sites()) {
+FloatGaugeDevice::FloatGaugeDevice(const GaugeView& view) : sites_(view.sites()) {
+  // Same [site][k][j][i] order as the view: an element-wise narrowing.
+  const std::int64_t elems = sites_ * kNdim * kColors * kColors;
   for (int l = 0; l < kNlinks; ++l) {
-    auto& fam = data_[static_cast<std::size_t>(l)];
-    fam.resize(static_cast<std::size_t>(sites_ * kNdim * kColors * kColors));
-    for (std::int64_t s = 0; s < sites_; ++s) {
-      for (int k = 0; k < kNdim; ++k) {
-        for (int j = 0; j < kColors; ++j) {
-          for (int i = 0; i < kColors; ++i) {
-            fam[static_cast<std::size_t>(((s * kNdim + k) * kColors + j) * kColors + i)] =
-                scomplex(g.at(l, s, k, i, j));
-          }
-        }
-      }
-    }
+    data_[static_cast<std::size_t>(l)] =
+        std::vector<scomplex>(view.family(l), view.family(l) + elems);
   }
 }
 
-FloatDslash::FloatDslash(const DeviceGaugeLayout& gauge, const NeighborTable& nbr)
-    : gauge_(gauge), nbr_(&nbr) {}
+FloatDslash::FloatDslash(const GaugeView& view, const NeighborTable& nbr)
+    : gauge_(view), nbr_(&nbr) {}
 
 DslashArgs<scomplex> FloatDslash::make_args(const FloatColorField& in,
                                             FloatColorField& out) const {

@@ -54,12 +54,12 @@ class FloatColorField {
 void axpy(double alpha, const FloatColorField& x, FloatColorField& y);
 void xpay(const FloatColorField& x, double alpha, FloatColorField& y);
 
-/// Single-precision device gauge layout (column-major, like
-/// DeviceGaugeLayout, at half the bytes).
+/// Single-precision device gauge layout (column-major, like GaugeView, at
+/// half the bytes).
 class FloatGaugeDevice {
  public:
   FloatGaugeDevice() = default;
-  explicit FloatGaugeDevice(const DeviceGaugeLayout& g);
+  explicit FloatGaugeDevice(const GaugeView& view);
 
   [[nodiscard]] const scomplex* family(int l) const {
     return data_[static_cast<std::size_t>(l)].data();
@@ -76,7 +76,7 @@ class FloatGaugeDevice {
 /// alive), and owns the float gauge copy.
 class FloatDslash {
  public:
-  FloatDslash(const DeviceGaugeLayout& gauge, const NeighborTable& nbr);
+  FloatDslash(const GaugeView& view, const NeighborTable& nbr);
 
   /// out = Dslash x in (functional execution).
   void apply(const FloatColorField& in, FloatColorField& out, int local_size = 96) const;

@@ -10,20 +10,18 @@ DslashProblem::DslashProblem(int L, std::uint64_t seed, Parity target)
 DslashProblem::DslashProblem(const Coords& dims, std::uint64_t seed, Parity target)
     : geom_(dims),
       target_(target),
-      cfg_(geom_),
-      view_(),
       nbr_(geom_, target),
       b_(geom_, opposite(target)),
       c_(geom_, target) {
-  cfg_.fill_random(seed);
-  view_ = GaugeView(geom_, cfg_, target);
-  dev_gauge_ = DeviceGaugeLayout(view_);
+  GaugeConfiguration cfg(geom_);
+  cfg.fill_random(seed);
+  view_ = GaugeView(geom_, cfg, target);
   b_.fill_random(seed ^ 0x9e3779b97f4a7c15ull);
   c_.zero();
 }
 
 DslashArgs<dcomplex> DslashProblem::args() {
-  return make_dslash_args(dev_gauge_, nbr_, b_, c_);
+  return make_dslash_args(view_, nbr_, b_, c_);
 }
 
 }  // namespace milc

@@ -9,11 +9,11 @@
 
 namespace milc {
 
-/// Owns everything one Dslash application needs: geometry, random gauge
-/// configuration, the gathered kernel view, neighbour table and the quark
-/// fields.  Building the random SU(3) configuration is the expensive part,
-/// so benches construct one problem per lattice size and reuse it across
-/// strategy/variant sweeps.
+/// Owns everything one Dslash application needs: geometry, the gathered
+/// gauge field, neighbour table and the quark fields.  The random SU(3)
+/// configuration it gathers from lives only while the problem is built.
+/// Building it is the expensive part, so benches construct one problem per
+/// lattice size and reuse it across strategy/variant sweeps.
 class DslashProblem {
  public:
   /// Hypercubic L^4 lattice (paper: L = 32; benches default to 16 so the
@@ -25,9 +25,7 @@ class DslashProblem {
                          Parity target = Parity::Even);
 
   [[nodiscard]] const LatticeGeom& geom() const { return geom_; }
-  [[nodiscard]] const GaugeConfiguration& configuration() const { return cfg_; }
   [[nodiscard]] const GaugeView& view() const { return view_; }
-  [[nodiscard]] const DeviceGaugeLayout& device_gauge() const { return dev_gauge_; }
   [[nodiscard]] const NeighborTable& neighbors() const { return nbr_; }
   [[nodiscard]] const ColorField& b() const { return b_; }
   [[nodiscard]] ColorField& b() { return b_; }
@@ -45,9 +43,7 @@ class DslashProblem {
  private:
   LatticeGeom geom_;
   Parity target_;
-  GaugeConfiguration cfg_;
   GaugeView view_;
-  DeviceGaugeLayout dev_gauge_;
   NeighborTable nbr_;
   ColorField b_;
   ColorField c_;

@@ -156,7 +156,7 @@ ksan::SanitizerReport DslashRunner::sanitize(DslashProblem& problem, Strategy s,
   return with_kernel(problem, s, o, local_size, use_syclcplx, [&](const auto& kernel) {
     using K = std::decay_t<decltype(kernel)>;
     return ksan::sanitize_launch(dslash_launch<K>(args, args.sites, s, local_size), kernel,
-                                 std::move(cfg), config_label(s, o, local_size));
+                                 cfg, config_label(s, o, local_size));
   });
 }
 

@@ -14,17 +14,15 @@ StaggeredOperator::StaggeredOperator(const LatticeGeom& geom, const GaugeConfigu
       mass_(mass),
       view_e_(geom, cfg, Parity::Even),
       view_o_(geom, cfg, Parity::Odd),
-      dev_e_(view_e_),
-      dev_o_(view_o_),
       nbr_e_(geom, Parity::Even),
       nbr_o_(geom, Parity::Odd),
       tmp_odd_(geom, Parity::Odd) {}
 
 void StaggeredOperator::apply_half(Parity target, const ColorField& in, ColorField& out) const {
   assert(out.parity() == target && in.parity() == opposite(target));
-  const DeviceGaugeLayout& dev = target == Parity::Even ? dev_e_ : dev_o_;
+  const GaugeView& view = target == Parity::Even ? view_e_ : view_o_;
   const NeighborTable& nbr = target == Parity::Even ? nbr_e_ : nbr_o_;
-  const DslashArgs<dcomplex> args = make_dslash_args(dev, nbr, in, out);
+  const DslashArgs<dcomplex> args = make_dslash_args(view, nbr, in, out);
   using Kernel = Dslash3LP1Kernel<Order3::kMajor>;
   Kernel kernel{args};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);

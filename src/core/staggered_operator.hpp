@@ -47,7 +47,6 @@ class StaggeredOperator {
   const LatticeGeom* geom_;
   double mass_;
   GaugeView view_e_, view_o_;
-  DeviceGaugeLayout dev_e_, dev_o_;
   NeighborTable nbr_e_, nbr_o_;
   mutable ColorField tmp_odd_;  // scratch for apply_normal
 };

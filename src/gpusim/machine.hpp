@@ -59,6 +59,6 @@ struct MachineModel {
 };
 
 /// The NVIDIA A100-40GB model used throughout the paper's evaluation.
-[[nodiscard]] inline MachineModel a100() { return MachineModel{}; }
+[[nodiscard]] constexpr MachineModel a100() { return MachineModel{}; }
 
 }  // namespace gpusim

@@ -97,20 +97,7 @@ void L1FrontEnd::reset() {
 }
 
 PerfPipeline::PerfPipeline(const MachineModel& m, const Calibration& cal)
-    : machine_(m),
-      l2_(m.l2_bytes, m.line_bytes, checked_sector_bytes(m), m.l2_ways),
-      dram_(m, cal) {}
-
-L1FrontEnd& PerfPipeline::front() {
-  if (!front_) front_ = std::make_unique<L1FrontEnd>(machine_, ctr_);
-  return *front_;
-}
-
-void PerfPipeline::replay_front() {
-  std::vector<L2Request>& requests = front_->l2_requests();
-  replay_l2(requests);
-  requests.clear();
-}
+    : l2_(m.l2_bytes, m.line_bytes, checked_sector_bytes(m), m.l2_ways), dram_(m, cal) {}
 
 void PerfPipeline::l2_fill_path(std::uint64_t sector_addr, bool write, bool count_dram_fill) {
   ++ctr_.l2_sector_requests;
@@ -138,25 +125,6 @@ void PerfPipeline::replay_l2(std::span<const L2Request> requests) {
   }
 }
 
-void PerfPipeline::global_load(int sm, std::span<const LaneAccess> lanes) {
-  front().global_load(sm, lanes);
-  replay_front();
-}
-
-void PerfPipeline::global_store(int sm, std::span<const LaneAccess> lanes) {
-  front().global_store(sm, lanes);
-  replay_front();
-}
-
-void PerfPipeline::global_atomic(int /*sm*/, std::span<const LaneAccess> lanes) {
-  front().global_atomic(lanes);
-  replay_front();
-}
-
-void PerfPipeline::shared_access(std::span<const LaneAccess> lanes, bool /*write*/) {
-  front().shared_access(lanes);
-}
-
 void PerfPipeline::finalize() {
   const std::int64_t dirty = l2_.flush();
   if (dirty > 0) {
@@ -167,7 +135,6 @@ void PerfPipeline::finalize() {
 }
 
 void PerfPipeline::reset() {
-  if (front_) front_->reset();
   l2_.reset();
   dram_.reset();
   ctr_ = TraceCounters{};

@@ -9,14 +9,13 @@
 // The hierarchy splits at L1.  An L1FrontEnd owns the L1s of a set of SMs
 // and decides everything that is per SM: coalescing, L1 lookups,
 // shared-bank conflicts and atomic replays.  What leaves an SM — L1 misses,
-// stores and atomics — becomes a list of L2 requests, which PerfPipeline's
-// back end (L2 + DRAM) replays in order.  The profiled executor runs one
-// front end per host worker and replays their lists in schedule order on
-// one thread; PerfPipeline's one-call methods do both halves at once.
+// stores and atomics — becomes a list of L2 requests, which PerfPipeline
+// (L2 + DRAM) replays in order.  That is the only way through the
+// hierarchy: the profiled executor runs one front end per host worker and
+// replays their lists in schedule order on one thread.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -76,21 +75,11 @@ class L1FrontEnd {
   std::vector<std::uint64_t> addrs_;    // scratch
 };
 
-/// The L2 + DRAM back end, and the whole hierarchy through its one-call
-/// methods.
+/// The L2 + DRAM back end.
 class PerfPipeline {
  public:
   /// Throws std::invalid_argument for a sector below 4 B.
   PerfPipeline(const MachineModel& m, const Calibration& cal);
-  // The front end adds to ctr_ through a reference.
-  PerfPipeline(const PerfPipeline&) = delete;
-  PerfPipeline& operator=(const PerfPipeline&) = delete;
-
-  // One warp instruction through L1 and then L2/DRAM (see L1FrontEnd).
-  void global_load(int sm, std::span<const LaneAccess> lanes);
-  void global_store(int sm, std::span<const LaneAccess> lanes);
-  void global_atomic(int sm, std::span<const LaneAccess> lanes);
-  void shared_access(std::span<const LaneAccess> lanes, bool write);
 
   /// Run L1FrontEnd requests through L2 and DRAM, in order.
   void replay_l2(std::span<const L2Request> requests);
@@ -105,17 +94,11 @@ class PerfPipeline {
   void reset();
 
  private:
-  /// The one-call methods' L1s, built on first use: a launch that replays
-  /// its workers' front ends never pays for them.
-  L1FrontEnd& front();
-  void replay_front();
   void l2_fill_path(std::uint64_t sector_addr, bool write, bool count_dram_fill);
 
-  MachineModel machine_;
   SectoredCache l2_;
   DramModel dram_;
   TraceCounters ctr_;
-  std::unique_ptr<L1FrontEnd> front_;
 };
 
 }  // namespace gpusim

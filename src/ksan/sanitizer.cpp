@@ -4,11 +4,24 @@
 #include <cstdio>
 #include <span>
 
+#include "gpusim/machine.hpp"
 #include "minisycl/usm.hpp"
 
 namespace ksan {
 
 namespace {
+
+/// Offences recorded verbatim per launch (counts are always exact).
+constexpr int kMaxRecords = 16;
+
+/// The uncoalesced lint fires when a warp op needs more than this many times
+/// the ideal sector count (2.0 tolerates the gauge layout's constant 2-word
+/// gap, which the paper considers coalesced, §IV-D7).
+constexpr double kCoalesceSlack = 2.0;
+
+/// The memory geometry the lints model: the simulator's, so a lint flags
+/// exactly what gpusim charges for.
+constexpr gpusim::MachineModel kMachine = gpusim::a100();
 
 /// Pack (phase, warp, op position) into one warp-instruction key.  Positions
 /// are per-lane op counters; the executor's event-stream alignment invariant
@@ -29,24 +42,21 @@ namespace {
 }  // namespace
 
 LaunchContext::LaunchContext(const minisycl::LaunchSpec& spec, std::string name,
-                             SanitizeConfig cfg)
-    : cfg_(std::move(cfg)) {
+                             const SanitizeConfig& cfg) {
   report_.kernel = std::move(name);
   report_.global_size = spec.global_size;
   report_.local_size = spec.local_size;
   report_.shared_bytes = spec.shared_bytes;
   report_.num_phases = spec.num_phases;
-  if (cfg_.use_registry) {
-    auto& reg = minisycl::usm::Registry::instance();
-    for (const auto& r : reg.live_snapshot()) live_[r.base] = std::max(live_[r.base], r.bytes);
-    for (const auto& r : reg.freed_snapshot()) freed_[r.base] = r.bytes;
-  }
+  auto& reg = minisycl::usm::Registry::instance();
+  for (const auto& r : reg.live_snapshot()) live_[r.base] = std::max(live_[r.base], r.bytes);
+  for (const auto& r : reg.freed_snapshot()) freed_[r.base] = r.bytes;
   auto declare = [this](const minisycl::AddressRegion& r) {
     const auto base = reinterpret_cast<std::uint64_t>(r.base);
     live_[base] = std::max(live_[base], static_cast<std::uint64_t>(r.bytes));
   };
   for (const minisycl::AddressRegion& r : spec.regions) declare(r);
-  for (const minisycl::AddressRegion& r : cfg_.regions) declare(r);
+  for (const minisycl::AddressRegion& r : cfg.regions) declare(r);
   shared_init_.assign(static_cast<std::size_t>(spec.shared_bytes), 0);
 }
 
@@ -63,7 +73,7 @@ void LaunchContext::end_group() {
 }
 
 void LaunchContext::record(Offence o) {
-  if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+  if (static_cast<int>(report_.records.size()) < kMaxRecords) {
     report_.records.push_back(std::move(o));
   }
 }
@@ -113,7 +123,7 @@ void LaunchContext::check_cell(std::unordered_map<std::uint64_t, CellState>& cel
     if (reported) return;  // one finding per access
     reported = true;
     count(cat);
-    if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+    if (static_cast<int>(report_.records.size()) < kMaxRecords) {
       Offence o;
       o.category = cat;
       o.kind = kind;
@@ -231,7 +241,7 @@ bool LaunchContext::global_access(const minisycl::ItemIds& ids, int phase, Acces
     const Category cat =
         st == RegionStatus::Freed ? Category::GlobalUseAfterFree : Category::GlobalOOB;
     count(cat);
-    if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+    if (static_cast<int>(report_.records.size()) < kMaxRecords) {
       Offence o;
       o.category = cat;
       o.kind = kind;
@@ -280,7 +290,7 @@ bool LaunchContext::shared_access(const minisycl::ItemIds& ids, int phase, Acces
                          static_cast<std::int64_t>(report_.shared_bytes);
   if (!in_bounds) {
     count(Category::SharedOOB);
-    if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+    if (static_cast<int>(report_.records.size()) < kMaxRecords) {
       Offence o;
       o.category = Category::SharedOOB;
       o.kind = kind;
@@ -307,7 +317,7 @@ bool LaunchContext::shared_access(const minisycl::ItemIds& ids, int phase, Acces
     }
     if (uninit) {
       count(Category::UninitSharedRead);
-      if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+      if (static_cast<int>(report_.records.size()) < kMaxRecords) {
         Offence o;
         o.category = Category::UninitSharedRead;
         o.kind = kind;
@@ -337,8 +347,8 @@ bool LaunchContext::shared_access(const minisycl::ItemIds& ids, int phase, Acces
 
 void LaunchContext::branch_event(const minisycl::ItemIds& ids, int phase, std::uint32_t target,
                                  bool masked, int op_pos) {
-  if (!cfg_.perf_lints || masked) return;
-  const int warp = ids.local_id / cfg_.warp_size;
+  if (masked) return;
+  const int warp = ids.local_id / kMachine.warp_size;
   WarpOp& op = warp_ops_[warp_op_key(phase, warp, op_pos)];
   op.space = 3;
   op.phase = phase;
@@ -354,8 +364,8 @@ void LaunchContext::branch_event(const minisycl::ItemIds& ids, int phase, std::u
 void LaunchContext::note_warp_op(std::uint8_t space, const minisycl::ItemIds& ids, int phase,
                                  AccessKind kind, std::uint64_t addr, std::uint32_t size,
                                  bool masked, int op_pos) {
-  if (!cfg_.perf_lints || masked) return;
-  const int warp = ids.local_id / cfg_.warp_size;
+  if (masked) return;
+  const int warp = ids.local_id / kMachine.warp_size;
   WarpOp& op = warp_ops_[warp_op_key(phase, warp, op_pos)];
   op.space = space;
   op.kind = kind;
@@ -364,18 +374,17 @@ void LaunchContext::note_warp_op(std::uint8_t space, const minisycl::ItemIds& id
   if (op.item < 0) op.item = ids.global_id;
   op.accesses.push_back(gpusim::LaneAccess{addr, static_cast<std::uint8_t>(size),
                                            static_cast<std::uint8_t>(ids.local_id %
-                                                                     cfg_.warp_size)});
+                                                                     kMachine.warp_size)});
 }
 
 void LaunchContext::flush_warp_ops() {
-  if (!cfg_.perf_lints) return;
   std::vector<std::uint64_t> sectors;
   for (auto& [key, op] : warp_ops_) {
     (void)key;
     if (op.space == 3) {
       if (op.divergent) {
         count(Category::DivergentBranch);
-        if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+        if (static_cast<int>(report_.records.size()) < kMaxRecords) {
           Offence o;
           o.category = Category::DivergentBranch;
           o.phase = op.phase;
@@ -390,15 +399,14 @@ void LaunchContext::flush_warp_ops() {
     if (op.accesses.empty()) continue;
     const std::span<const gpusim::LaneAccess> span(op.accesses.data(), op.accesses.size());
     if (op.space == 1) {
-      gpusim::coalesce_sectors(span, cfg_.sector_bytes, sectors);
+      gpusim::coalesce_sectors(span, kMachine.sector_bytes, sectors);
       std::uint64_t bytes = 0;
       for (const gpusim::LaneAccess& a : op.accesses) bytes += a.size;
-      const std::uint64_t ideal =
-          std::max<std::uint64_t>(1, (bytes + static_cast<std::uint64_t>(cfg_.sector_bytes) - 1) /
-                                         static_cast<std::uint64_t>(cfg_.sector_bytes));
-      if (static_cast<double>(sectors.size()) > cfg_.coalesce_slack * static_cast<double>(ideal)) {
+      constexpr auto sector = static_cast<std::uint64_t>(kMachine.sector_bytes);
+      const std::uint64_t ideal = std::max<std::uint64_t>(1, (bytes + sector - 1) / sector);
+      if (static_cast<double>(sectors.size()) > kCoalesceSlack * static_cast<double>(ideal)) {
         count(Category::UncoalescedAccess);
-        if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+        if (static_cast<int>(report_.records.size()) < kMaxRecords) {
           Offence o;
           o.category = Category::UncoalescedAccess;
           o.kind = op.kind;
@@ -416,10 +424,10 @@ void LaunchContext::flush_warp_ops() {
       }
     } else {
       const gpusim::BankAnalysis ba =
-          gpusim::analyze_shared(span, cfg_.shared_banks, cfg_.shared_bank_bytes);
+          gpusim::analyze_shared(span, kMachine.shared_banks, kMachine.shared_bank_bytes);
       if (ba.excessive() > 0) {
         count(Category::SharedBankConflict);
-        if (static_cast<int>(report_.records.size()) < cfg_.max_records) {
+        if (static_cast<int>(report_.records.size()) < kMaxRecords) {
           Offence o;
           o.category = Category::SharedBankConflict;
           o.kind = op.kind;

@@ -24,7 +24,6 @@
 // trap handler.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -47,33 +46,22 @@ template <typename T>
   return {p, static_cast<std::int64_t>(count * sizeof(T))};
 }
 
+/// The one setting of a sanitized launch.  Everything else is fixed in
+/// sanitizer.cpp: the valid/freed region sets are seeded from the USM
+/// Registry, the perf lints always run on the simulator's memory geometry,
+/// and at most 16 offences are recorded verbatim (counts are always exact).
 struct SanitizeConfig {
-  /// Seed the valid/freed region sets from the USM Registry (live and freed
-  /// allocations at launch time).
-  bool use_registry = true;
   /// Valid regions beyond the launch's own buffers (LaunchSpec::regions,
   /// always valid): a tighter list for a region-free spec, or extra memory
   /// a test kernel touches.
   std::vector<minisycl::AddressRegion> regions;
-  bool perf_lints = true;
-  /// Offences recorded verbatim (counts are always exact).
-  int max_records = 16;
-  /// Uncoalesced lint fires when a warp op needs more than `coalesce_slack`
-  /// x the ideal sector count (2.0 tolerates the gauge layout's constant
-  /// 2-word gap, which the paper considers coalesced, §IV-D7).
-  double coalesce_slack = 2.0;
-  // Memory geometry (A100 defaults, matching gpusim::MachineModel).
-  int warp_size = 32;
-  int sector_bytes = 32;
-  int shared_banks = 32;
-  int shared_bank_bytes = 4;
 };
 
 /// Per-launch checking state.  Non-template: all kernel-type knowledge stays
 /// in SanitizeLane / sanitize_launch.
 class LaunchContext {
  public:
-  LaunchContext(const minisycl::LaunchSpec& spec, std::string name, SanitizeConfig cfg);
+  LaunchContext(const minisycl::LaunchSpec& spec, std::string name, const SanitizeConfig& cfg);
 
   void begin_group(std::int64_t group);
   void end_group();
@@ -145,7 +133,6 @@ class LaunchContext {
                     int op_pos);
   void flush_warp_ops();
 
-  SanitizeConfig cfg_;
   SanitizerReport report_;
   std::map<std::uint64_t, std::uint64_t> live_;   ///< base -> bytes
   std::map<std::uint64_t, std::uint64_t> freed_;  ///< base -> bytes
@@ -235,14 +222,16 @@ class SanitizeLane {
 /// Sanitized launch mode: replay `kernel` over the nd_range exactly like
 /// execute_functional (same side effects for valid accesses) while checking
 /// every access.  Usable with any PhasedKernel — the same kernel objects the
-/// queue submits.
+/// queue submits.  A malformed nd-range throws std::invalid_argument, as in
+/// both executors.
 template <minisycl::PhasedKernel Kernel>
 [[nodiscard]] SanitizerReport sanitize_launch(const minisycl::LaunchSpec& spec,
-                                              const Kernel& kernel, SanitizeConfig cfg = {},
+                                              const Kernel& kernel,
+                                              const SanitizeConfig& cfg = {},
                                               std::string name = {}) {
-  assert(spec.local_size > 0 && spec.global_size % spec.local_size == 0);
+  minisycl::detail::check_launch(spec);
   if (name.empty()) name = spec.traits.name;
-  LaunchContext ctx(spec, std::move(name), std::move(cfg));
+  LaunchContext ctx(spec, std::move(name), cfg);
   const std::int64_t groups = spec.global_size / spec.local_size;
   std::vector<std::byte> local(static_cast<std::size_t>(spec.shared_bytes));
   for (std::int64_t g = 0; g < groups; ++g) {

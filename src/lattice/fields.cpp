@@ -61,39 +61,27 @@ void GaugeConfiguration::fill_random(std::uint64_t seed) {
   for (auto& m : lng_) m = random_su3(rng);
 }
 
-DeviceGaugeLayout::DeviceGaugeLayout(const GaugeView& view) : sites_(view.sites()) {
-  for (int l = 0; l < kNlinks; ++l) {
-    auto& fam = data_[static_cast<std::size_t>(l)];
-    fam.resize(static_cast<std::size_t>(sites_ * kNdim * kColors * kColors));
-    for (std::int64_t s = 0; s < sites_; ++s) {
-      for (int k = 0; k < kNdim; ++k) {
-        const SU3Matrix<dcomplex>& m = view.link(l, s, k);
-        for (int j = 0; j < kColors; ++j) {
-          for (int i = 0; i < kColors; ++i) {
-            fam[static_cast<std::size_t>(((s * kNdim + k) * kColors + j) * kColors + i)] =
-                m.e[i][j];
-          }
-        }
-      }
-    }
-  }
-}
-
 GaugeView::GaugeView(const LatticeGeom& geom, const GaugeConfiguration& cfg, Parity target)
     : target_(target), sites_(geom.half_volume()) {
-  for (auto& fam : links_) fam.resize(static_cast<std::size_t>(sites_ * kNdim));
+  for (auto& fam : data_) fam.resize(static_cast<std::size_t>(sites_ * kNdim * kColors * kColors));
   for (std::int64_t s = 0; s < sites_; ++s) {
     const std::int64_t f = geom.full_index_of(target, s);
     const Coords c = geom.coords(f);
     for (int k = 0; k < kNdim; ++k) {
       const std::int64_t back1 = geom.full_index(geom.displace(c, k, -1));
       const std::int64_t back3 = geom.full_index(geom.displace(c, k, -3));
-      const std::size_t at = static_cast<std::size_t>(s * kNdim + k);
-      links_[0][at] = cfg.fat(f, k);
-      links_[1][at] = cfg.lng(f, k);
-      links_[2][at] = adjoint(cfg.fat(back1, k));
-      links_[3][at] = adjoint(cfg.lng(back3, k));
+      store(0, s, k, cfg.fat(f, k));
+      store(1, s, k, cfg.lng(f, k));
+      store(2, s, k, adjoint(cfg.fat(back1, k)));
+      store(3, s, k, adjoint(cfg.lng(back3, k)));
     }
+  }
+}
+
+void GaugeView::store(int l, std::int64_t s, int k, const SU3Matrix<dcomplex>& m) {
+  auto& fam = data_[static_cast<std::size_t>(l)];
+  for (int j = 0; j < kColors; ++j) {
+    for (int i = 0; i < kColors; ++i) fam[offset(s, k, i, j)] = m.e[i][j];
   }
 }
 

@@ -8,6 +8,9 @@
 //    long-links along with their respective adjoints, which leads us to have
 //    |l| = 4 instead of |l| = 2" (paper §II).  Each stored matrix is read
 //    exactly once per Dslash application.
+//  * one type holds that gathered set, GaugeView, in the kernels' layout
+//    (per family a flat complex array in [site][k][col j][row i] order);
+//    host code reads a matrix through `link()`, which returns it by value.
 #pragma once
 
 #include <cstdint>
@@ -92,12 +95,16 @@ class GaugeConfiguration {
   std::vector<SU3Matrix<dcomplex>> lng_;
 };
 
-/// The kernel-facing gathered view for one target parity: the four link
-/// arrays of the paper's l-loop, each [target_site*4 + k].
+/// The gathered gauge field for one target parity: the four link arrays of
+/// the paper's l-loop, each [target_site*4 + k].
 ///   l = 0: fat(s, k)                     (forward +1, sign +)
 ///   l = 1: long(s, k)                    (forward +3, sign +)
 ///   l = 2: fat(s - k_hat, k)^dagger      (backward -1, sign -)
 ///   l = 3: long(s - 3 k_hat, k)^dagger   (backward -3, sign -)
+/// Each family is stored as the SYCL kernels read it: a flat complex array
+/// in [site][k][col j][row i] order — matrices column-major, so work-items
+/// with consecutive row index i access adjacent complex elements (the
+/// coalescing-friendly layout of paper §IV-D7).
 class GaugeView {
  public:
   GaugeView() = default;
@@ -106,47 +113,33 @@ class GaugeView {
   [[nodiscard]] Parity target_parity() const { return target_; }
   [[nodiscard]] std::int64_t sites() const { return sites_; }
 
-  /// Matrix for link family l at (target site, dim k).
-  [[nodiscard]] const SU3Matrix<dcomplex>& link(int l, std::int64_t s, int k) const {
-    return links_[static_cast<std::size_t>(l)][static_cast<std::size_t>(s * kNdim + k)];
-  }
-
   /// Raw base pointer of link family l (for kernels).
-  [[nodiscard]] const SU3Matrix<dcomplex>* family(int l) const {
-    return links_[static_cast<std::size_t>(l)].data();
-  }
-  [[nodiscard]] std::size_t family_bytes() const {
-    return links_[0].size() * sizeof(SU3Matrix<dcomplex>);
-  }
-
- private:
-  Parity target_ = Parity::Even;
-  std::int64_t sites_ = 0;
-  std::array<std::vector<SU3Matrix<dcomplex>>, kNlinks> links_{};
-};
-
-/// The device-resident gauge layout the SYCL kernels read: per link family a
-/// flat complex array in [site][k][col j][row i] order — matrices stored
-/// column-major, so work-items with consecutive row index i access adjacent
-/// complex elements (the coalescing-friendly layout of paper §IV-D7).
-class DeviceGaugeLayout {
- public:
-  DeviceGaugeLayout() = default;
-  explicit DeviceGaugeLayout(const GaugeView& view);
-
   [[nodiscard]] const dcomplex* family(int l) const {
     return data_[static_cast<std::size_t>(l)].data();
   }
-  [[nodiscard]] std::int64_t sites() const { return sites_; }
-  [[nodiscard]] std::size_t family_bytes() const { return data_[0].size() * sizeof(dcomplex); }
 
-  /// Element (i, j) of the family-l matrix at (site, k) — for tests.
+  /// Element (i, j) of the family-l matrix at (target site, dim k).
   [[nodiscard]] const dcomplex& at(int l, std::int64_t s, int k, int i, int j) const {
-    return data_[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(((s * kNdim + k) * kColors + j) * kColors + i)];
+    return data_[static_cast<std::size_t>(l)][offset(s, k, i, j)];
+  }
+
+  /// Matrix for link family l at (target site, dim k), assembled by value:
+  /// no row-major matrix is stored to return a reference to.
+  [[nodiscard]] SU3Matrix<dcomplex> link(int l, std::int64_t s, int k) const {
+    SU3Matrix<dcomplex> m;
+    for (int j = 0; j < kColors; ++j) {
+      for (int i = 0; i < kColors; ++i) m.e[i][j] = at(l, s, k, i, j);
+    }
+    return m;
   }
 
  private:
+  [[nodiscard]] static std::size_t offset(std::int64_t s, int k, int i, int j) {
+    return static_cast<std::size_t>(((s * kNdim + k) * kColors + j) * kColors + i);
+  }
+  void store(int l, std::int64_t s, int k, const SU3Matrix<dcomplex>& m);
+
+  Parity target_ = Parity::Even;
   std::int64_t sites_ = 0;
   std::array<std::vector<dcomplex>, kNlinks> data_{};
 };

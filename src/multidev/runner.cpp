@@ -23,7 +23,7 @@ namespace milc::multidev {
 namespace {
 
 /// Complex values of one site's links in one family: kNdim column-major
-/// SU(3) matrices, contiguous in DeviceGaugeLayout and in ShardLinks.
+/// SU(3) matrices, contiguous in GaugeView and in ShardLinks.
 constexpr std::int64_t kSiteLinkElems = kNdim * kColors * kColors;
 
 // The hardened path's recovery budgets (docs/RESILIENCE.md "The hardened
@@ -38,13 +38,13 @@ constexpr int kPackLocalSize = 96;  ///< work-group size of the pack/unpack kern
 /// 50 us doubling per retry.
 double backoff_us(int n) { return 50.0 * std::pow(2.0, n); }
 
-/// One shard's links, copied block by block out of the problem's
-/// DeviceGaugeLayout at each target's global eo index — bit-exact, which is
-/// what makes multi-device output identical to single-device.
-ShardLinks gather_links(const DslashProblem& p, const Shard& sh) {
+/// One shard's links, copied block by block out of the problem's GaugeView
+/// at each target's global eo index — bit-exact, which is what makes
+/// multi-device output identical to single-device.
+ShardLinks gather_links(const GaugeView& view, const Shard& sh) {
   ShardLinks links;
   for (int l = 0; l < kNlinks; ++l) {
-    const dcomplex* fam = p.device_gauge().family(l);
+    const dcomplex* fam = view.family(l);
     auto& out = links[static_cast<std::size_t>(l)];
     out.resize(static_cast<std::size_t>(sh.targets() * kSiteLinkElems));
     for (std::int64_t t = 0; t < sh.targets(); ++t) {
@@ -295,7 +295,7 @@ std::vector<ksan::SanitizerReport> sanitize_flow(DslashProblem& problem,
 ShardLayout::ShardLayout(const DslashProblem& problem, const PartitionGrid& grid)
     : part(problem.geom(), grid, problem.target_parity()) {
   links.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) links.push_back(gather_links(problem, sh));
+  for (const Shard& sh : part.shards()) links.push_back(gather_links(problem.view(), sh));
 }
 
 const ShardLayout& ShardLayouts::get(const DslashProblem& problem, const PartitionGrid& grid) {

@@ -211,8 +211,8 @@ struct MultiDevResult : ElasticTally {
 };
 
 /// One shard's gauge links: per family, the 36 complex values of every
-/// target in the kernels' [target][k][j][i] order — DeviceGaugeLayout's
-/// per-site blocks, gathered over the shard's targets.
+/// target in the kernels' [target][k][j][i] order — GaugeView's per-site
+/// blocks, gathered over the shard's targets.
 using ShardLinks = std::array<std::vector<dcomplex>, kNlinks>;
 
 /// The halo pipeline's state for one (problem, grid): the partition and

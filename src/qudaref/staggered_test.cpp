@@ -119,7 +119,7 @@ StaggeredResult StaggeredDslashTest::run(Reconstruct scheme) {
 ksan::SanitizerReport StaggeredDslashTest::sanitize(Reconstruct scheme, int local_size,
                                                     ksan::SanitizeConfig cfg) {
   QudaStaggeredKernel kernel{make_args(scheme)};
-  return ksan::sanitize_launch(quda_spec(kernel.args, local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(quda_spec(kernel.args, local_size), kernel, cfg,
                                std::string("staggered_dslash_test ") + to_string(scheme) +
                                    " /" + std::to_string(local_size));
 }

@@ -82,7 +82,7 @@ void wilson_reference(const GaugeView& view, const NeighborTable& nbr, const Wil
             for (int c = 0; c < kColors; ++c) phi.s[d].c[c] += cmul(w, psi.s[e].c[c]);
           }
         }
-        const SU3Matrix<dcomplex>& u = view.link(link_l, x, mu);
+        const SU3Matrix<dcomplex> u = view.link(link_l, x, mu);
         for (int d = 0; d < kSpins; ++d) acc.s[d] += matvec(u, phi.s[d]);
       }
     }
@@ -100,7 +100,7 @@ void wilson_projected(const GaugeView& view, const NeighborTable& nbr, const Wil
       for (int mu = 0; mu < kNdim; ++mu) {
         const Projector& p = projector(mu, sign);
         const WilsonSpinor& psi = in[nbr.at(x, mu, link_l)];
-        const SU3Matrix<dcomplex>& u = view.link(link_l, x, mu);
+        const SU3Matrix<dcomplex> u = view.link(link_l, x, mu);
         // Project + colour-multiply the two independent spin components.
         SU3Vector<dcomplex> g[2];
         for (int s = 0; s < 2; ++s) {
@@ -123,8 +123,8 @@ void wilson_projected(const GaugeView& view, const NeighborTable& nbr, const Wil
   }
 }
 
-WilsonDslash::WilsonDslash(const DeviceGaugeLayout& gauge, const NeighborTable& nbr)
-    : gauge_(&gauge), nbr_(&nbr) {}
+WilsonDslash::WilsonDslash(const GaugeView& view, const NeighborTable& nbr)
+    : gauge_(&view), nbr_(&nbr) {}
 
 WilsonArgs WilsonDslash::make_args(const WilsonField& in, WilsonField& out) const {
   WilsonArgs args;
@@ -175,7 +175,7 @@ gpusim::KernelStats WilsonDslash::profile(const WilsonField& in, WilsonField& ou
 ksan::SanitizerReport WilsonDslash::sanitize(const WilsonField& in, WilsonField& out,
                                              int local_size, ksan::SanitizeConfig cfg) const {
   WilsonDslashKernel kernel{make_args(in, out)};
-  return ksan::sanitize_launch(wilson_spec(kernel.args, local_size), kernel, std::move(cfg),
+  return ksan::sanitize_launch(wilson_spec(kernel.args, local_size), kernel, cfg,
                                "wilson /" + std::to_string(local_size));
 }
 

@@ -16,8 +16,8 @@
 // comparison (extension experiment X3, bench_wilson).
 //
 // The gauge field reuses the "fat" link family of a GaugeConfiguration and
-// the l = 0 / l = 2 slots of the gathered GaugeView / DeviceGaugeLayout
-// (forward links and gathered backward adjoints at distance 1).
+// the l = 0 / l = 2 slots of the gathered GaugeView (forward links and
+// gathered backward adjoints at distance 1).
 #pragma once
 
 #include <cstdint>
@@ -92,7 +92,7 @@ void wilson_projected(const GaugeView& view, const NeighborTable& nbr, const Wil
 
 /// Kernel arguments for the device kernel.
 struct WilsonArgs {
-  const dcomplex* fwd = nullptr;   ///< DeviceGaugeLayout family 0 ([s][k][j][i])
+  const dcomplex* fwd = nullptr;   ///< GaugeView family 0 ([s][k][j][i])
   const dcomplex* bck = nullptr;   ///< family 2 (gathered adjoints)
   const WilsonSpinor* in = nullptr;
   WilsonSpinor* out = nullptr;
@@ -124,7 +124,7 @@ struct WilsonDslashKernel {
 /// Owner/driver mirroring FloatDslash / CompressedDslash.
 class WilsonDslash {
  public:
-  WilsonDslash(const DeviceGaugeLayout& gauge, const NeighborTable& nbr);
+  WilsonDslash(const GaugeView& view, const NeighborTable& nbr);
 
   void apply(const WilsonField& in, WilsonField& out, int local_size = 128) const;
   [[nodiscard]] gpusim::KernelStats profile(const WilsonField& in, WilsonField& out,
@@ -141,7 +141,7 @@ class WilsonDslash {
 
  private:
   WilsonArgs make_args(const WilsonField& in, WilsonField& out) const;
-  const DeviceGaugeLayout* gauge_;
+  const GaugeView* gauge_;
   const NeighborTable* nbr_;
 };
 

@@ -12,12 +12,10 @@ WilsonOperator::WilsonOperator(const LatticeGeom& geom, const GaugeConfiguration
       mass_(mass),
       view_e_(geom, cfg, Parity::Even),
       view_o_(geom, cfg, Parity::Odd),
-      dev_e_(view_e_),
-      dev_o_(view_o_),
       nbr_e_(geom, Parity::Even),
       nbr_o_(geom, Parity::Odd),
-      deo_(dev_e_, nbr_e_),
-      doe_(dev_o_, nbr_o_),
+      deo_(view_e_, nbr_e_),
+      doe_(view_o_, nbr_o_),
       tmp_o_(geom, Parity::Odd),
       tmp_e_(geom, Parity::Even) {}
 

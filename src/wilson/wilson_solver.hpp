@@ -39,7 +39,6 @@ class WilsonOperator {
   const LatticeGeom* geom_;
   double mass_;
   GaugeView view_e_, view_o_;
-  DeviceGaugeLayout dev_e_, dev_o_;
   NeighborTable nbr_e_, nbr_o_;
   WilsonDslash deo_, doe_;
   mutable WilsonField tmp_o_, tmp_e_;

@@ -173,7 +173,7 @@ TEST(WorkerInvariance, Recon12Dslash) {
 
 TEST(WorkerInvariance, FloatDslash) {
   DslashProblem& p = problem();
-  const FloatGaugeDevice gauge(p.device_gauge());
+  const FloatGaugeDevice gauge(p.view());
   const FloatColorField b(p.b());
   FloatColorField c(p.geom(), p.target_parity());
   DslashArgs<scomplex> a;
@@ -192,8 +192,8 @@ TEST(WorkerInvariance, WilsonDslash) {
   wilson::WilsonField in(p.geom(), opposite(p.target_parity()));
   wilson::WilsonField out(p.geom(), p.target_parity());
   in.fill_random(11);
-  const wilson::WilsonArgs a{.fwd = p.device_gauge().family(0),
-                             .bck = p.device_gauge().family(2),
+  const wilson::WilsonArgs a{.fwd = p.view().family(0),
+                             .bck = p.view().family(2),
                              .in = in.data(),
                              .out = out.data(),
                              .neighbors = p.neighbors().data(),
@@ -446,11 +446,12 @@ TEST(L1FrontEnd, RejectsSectorsBelowFourBytes) {
 }
 
 /// Two front ends owning alternate SMs, their requests replayed in issue
-/// order, count exactly what the one-call pipeline counts.
+/// order, count exactly what one front end owning every SM counts.
 TEST(L1FrontEnd, SplitReplayMatchesOneCallPipeline) {
   const gpusim::MachineModel m = gpusim::a100();
   const gpusim::Calibration cal = gpusim::default_calibration();
   gpusim::PerfPipeline whole(m, cal);
+  gpusim::L1FrontEnd all(m, whole.counters());
   gpusim::PerfPipeline back(m, cal);
   std::array<gpusim::TraceCounters, 2> ctr{};
   gpusim::L1FrontEnd even(m, ctr[0], 0, 2);
@@ -473,18 +474,20 @@ TEST(L1FrontEnd, SplitReplayMatchesOneCallPipeline) {
     gpusim::L1FrontEnd& front = sm % 2 == 0 ? even : odd;
     switch (next() % 3) {
       case 0:
-        whole.global_load(sm, lanes);
+        all.global_load(sm, lanes);
         front.global_load(sm, lanes);
         break;
       case 1:
-        whole.global_store(sm, lanes);
+        all.global_store(sm, lanes);
         front.global_store(sm, lanes);
         break;
       default:
-        whole.global_atomic(sm, lanes);
+        all.global_atomic(lanes);
         front.global_atomic(lanes);
         break;
     }
+    whole.replay_l2(all.l2_requests());
+    all.l2_requests().clear();
     back.replay_l2(front.l2_requests());
     front.l2_requests().clear();
   }

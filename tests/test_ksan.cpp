@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -302,6 +303,17 @@ TEST(KsanErrors, LocalMemoryOverrunIsSharedOOB) {
   EXPECT_FALSE(rep.clean());
 }
 
+TEST(KsanErrors, MalformedLaunchIsRejected) {
+  // The nd-range rules both executors enforce: 100 items do not split into
+  // groups of 32, and a group of 0 items is no group.
+  std::vector<double> out(100);
+  const DivergentKernel kernel{out.data()};
+  EXPECT_THROW((void)ksan::sanitize_launch(spec_for(100, 32, 0, 1), kernel),
+               std::invalid_argument);
+  EXPECT_THROW((void)ksan::sanitize_launch(spec_for(100, 0, 0, 1), kernel),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------------------
 // perf lints (advisory: kernels stay `clean()`)
 // ------------------------------------------------------------------------
@@ -408,12 +420,11 @@ TEST(KsanClean, WilsonDslashSanitizesClean) {
   cfg.fill_random(91);
   const GaugeView view(geom, cfg, Parity::Even);
   const NeighborTable nbr(geom, Parity::Even);
-  const DeviceGaugeLayout dev(view);
   wilson::WilsonField in(geom, Parity::Odd);
   in.fill_random(92);
   wilson::WilsonField out(geom, Parity::Even);
 
-  wilson::WilsonDslash d(dev, nbr);
+  wilson::WilsonDslash d(view, nbr);
   const auto rep = d.sanitize(in, out, 128);
   EXPECT_EQ(rep.error_count(), 0u) << rep.summary();
   EXPECT_GT(rep.checked_global, 0u);

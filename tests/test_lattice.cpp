@@ -1,6 +1,8 @@
 // Lattice geometry, neighbour-table and field-layout tests.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "lattice/fields.hpp"
 #include "lattice/geometry.hpp"
 #include "lattice/soa.hpp"
@@ -181,6 +183,18 @@ TEST(GaugeView, GathersAdjointsCorrectly) {
       const auto lb = adjoint(cfg.lng(g.full_index(g.displace(c, k, -3)), k));
       EXPECT_LT(max_abs_diff(view.link(2, s, k), fb), 1e-15);
       EXPECT_LT(max_abs_diff(view.link(3, s, k), lb), 1e-15);
+      // Element by element, and in the kernels' column-major
+      // [site][k][col j][row i] store.
+      const std::array<SU3Matrix<dcomplex>, kNlinks> want{cfg.fat(f, k), cfg.lng(f, k), fb, lb};
+      for (int l = 0; l < kNlinks; ++l) {
+        const SU3Matrix<dcomplex>& m = want[static_cast<std::size_t>(l)];
+        for (int i = 0; i < kColors; ++i) {
+          for (int j = 0; j < kColors; ++j) {
+            EXPECT_EQ(view.at(l, s, k, i, j), m.e[i][j]);
+            EXPECT_EQ(view.family(l)[((s * kNdim + k) * kColors + j) * kColors + i], m.e[i][j]);
+          }
+        }
+      }
     }
   }
 }

@@ -52,7 +52,7 @@ TEST(FloatField, BlasMatchesDouble) {
 
 TEST(FloatDslashKernel, MatchesDoubleReferenceAtFloatAccuracy) {
   DslashProblem p(4, 73);
-  FloatDslash fd(p.device_gauge(), p.neighbors());
+  FloatDslash fd(p.view(), p.neighbors());
   FloatColorField in(p.b()), out(p.geom(), p.target_parity());
   fd.apply(in, out);
 
@@ -73,7 +73,7 @@ TEST(FloatDslashKernel, MatchesDoubleReferenceAtFloatAccuracy) {
 
 TEST(FloatDslashKernel, ProfiledTrafficIsRoughlyHalf) {
   DslashProblem p(8, 74);
-  FloatDslash fd(p.device_gauge(), p.neighbors());
+  FloatDslash fd(p.view(), p.neighbors());
   FloatColorField in(p.b()), out(p.geom(), p.target_parity());
   const auto fstats = fd.profile(in, out, 96);
 
@@ -99,7 +99,7 @@ TEST(FloatDslashKernel, ProfiledTrafficIsRoughlyHalf) {
 
 TEST(FloatDslashKernel, LinearInSource) {
   DslashProblem p(4, 75);
-  FloatDslash fd(p.device_gauge(), p.neighbors());
+  FloatDslash fd(p.view(), p.neighbors());
   FloatColorField in(p.b()), out1(p.geom(), p.target_parity()),
       out2(p.geom(), p.target_parity());
   fd.apply(in, out1);

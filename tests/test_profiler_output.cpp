@@ -101,7 +101,7 @@ std::vector<ProfiledBits> profile_every_family() {
                              .local_size = 96};
   out.push_back(bits_of(milc::DslashRunner{}.run(p, req).stats));
 
-  const milc::FloatDslash fd(p.device_gauge(), p.neighbors());
+  const milc::FloatDslash fd(p.view(), p.neighbors());
   milc::FloatColorField fin(p.b());
   milc::FloatColorField fout(p.geom(), p.target_parity());
   out.push_back(bits_of(fd.profile(fin, fout, 96)));
@@ -111,7 +111,7 @@ std::vector<ProfiledBits> profile_every_family() {
 
   const milc::wilson::WilsonField win(p.geom(), milc::opposite(p.target_parity()));
   milc::wilson::WilsonField wout(p.geom(), p.target_parity());
-  const milc::wilson::WilsonDslash wd(p.device_gauge(), p.neighbors());
+  const milc::wilson::WilsonDslash wd(p.view(), p.neighbors());
   out.push_back(bits_of(wd.profile(win, wout, 128)));
 
   milc::qudaref::StaggeredDslashTest quda(p);

@@ -116,14 +116,12 @@ struct WilsonSetup {
   GaugeConfiguration cfg{geom};
   GaugeView view;
   NeighborTable nbr;
-  DeviceGaugeLayout dev;
   WilsonField in{geom, Parity::Odd};
 
   WilsonSetup() : geom(4), cfg(geom) {
     cfg.fill_random(91);
     view = GaugeView(geom, cfg, Parity::Even);
     nbr = NeighborTable(geom, Parity::Even);
-    dev = DeviceGaugeLayout(view);
     in.fill_random(92);
   }
 };
@@ -141,7 +139,7 @@ TEST(WilsonDslash, DeviceKernelMatchesReference) {
   WilsonSetup w;
   WilsonField ref(w.geom, Parity::Even), out(w.geom, Parity::Even);
   wilson_reference(w.view, w.nbr, w.in, ref);
-  WilsonDslash d(w.dev, w.nbr);
+  WilsonDslash d(w.view, w.nbr);
   d.apply(w.in, out, 128);
   EXPECT_LT(max_abs_diff(out, ref), 1e-11);
 }
@@ -201,7 +199,7 @@ TEST(WilsonDslash, HigherArithmeticIntensityThanStaggered) {
 TEST(WilsonDslash, ProfiledRunProducesStats) {
   WilsonSetup w;
   WilsonField out(w.geom, Parity::Even);
-  WilsonDslash d(w.dev, w.nbr);
+  WilsonDslash d(w.view, w.nbr);
   const auto st = d.profile(w.in, out, 128);
   EXPECT_GT(st.duration_us, 0.0);
   EXPECT_EQ(st.counters.divergent_branches, 0u);
