@@ -69,9 +69,8 @@ int main(int argc, char** argv) {
   const double t_double = 2.0 * rd.iterations * dslash_double_us;
 
   // -- mixed precision: float inner solves + double corrections ---------------
-  GaugeView ve(geom, cfg, Parity::Even), vo(geom, cfg, Parity::Odd);
-  NeighborTable ne(geom, Parity::Even), no(geom, Parity::Odd);
-  FloatDslash feo(ve, ne), foe(vo, no);
+  FloatDslash feo(op.view(Parity::Even), op.neighbors(Parity::Even));
+  FloatDslash foe(op.view(Parity::Odd), op.neighbors(Parity::Odd));
 
   ColorField xm(geom, Parity::Even), r(geom, Parity::Even), Ax(geom, Parity::Even);
   xm.zero();

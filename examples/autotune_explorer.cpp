@@ -6,10 +6,9 @@
 //   ./examples/autotune_explorer [--L 12] [--top 10]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
 
@@ -17,10 +16,7 @@ using namespace milc;
 
 int main(int argc, char** argv) {
   int L = 12, top = 10;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) top = std::atoi(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}, {"--top", top, 1}});
 
   DslashProblem problem(L, 123);
   DslashRunner runner;

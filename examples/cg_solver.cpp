@@ -8,12 +8,13 @@
 // exactly how MILC's su3_rhmd_hisq spends most of its cycles.
 //
 //   ./examples/cg_solver [--L 8] [--mass 0.1] [--tol 1e-8]
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "core/kernels_3lp.hpp"
+#include "cli.hpp"
+#include "core/dispatch.hpp"
 #include "core/dslash_ref.hpp"
+#include "core/solver.hpp"
 #include "minisycl/queue.hpp"
 
 using namespace milc;
@@ -31,14 +32,9 @@ struct HalfOperator {
   /// out(target parity) = Dslash x in(source parity), via the 3LP-1 kernel.
   void apply(minisycl::queue& q, const ColorField& in, ColorField& out) const {
     const DslashArgs<dcomplex> args = make_dslash_args(gauge, nbr, in, out);
-    Dslash3LP1Kernel<Order3::kMajor> kernel{args};
-    minisycl::LaunchSpec spec;
-    spec.global_size = gauge.sites() * 12;
-    spec.local_size = 96;
-    spec.shared_bytes = Dslash3LP1Kernel<Order3::kMajor>::shared_bytes(96);
-    spec.num_phases = 2;
-    spec.traits = Dslash3LP1Kernel<Order3::kMajor>::traits();
-    q.submit(spec, kernel);
+    using Kernel = Dslash3LP1Kernel<Order3::kMajor>;
+    Kernel kernel{args};
+    q.submit(dslash_launch<Kernel>(args, args.sites, Strategy::LP3_1, 96), kernel);
   }
 };
 
@@ -47,11 +43,7 @@ struct HalfOperator {
 int main(int argc, char** argv) {
   int L = 8;
   double mass = 0.1, tol = 1e-8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--mass") == 0 && i + 1 < argc) mass = std::atof(argv[++i]);
-    if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) tol = std::atof(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}, {"--mass", mass}, {"--tol", tol}});
 
   LatticeGeom geom(L);
   GaugeConfiguration cfg(geom);
@@ -64,7 +56,7 @@ int main(int argc, char** argv) {
   b.fill_random(11);
   x.zero();
 
-  ColorField tmp_o(geom, Parity::Odd), tmp_e(geom, Parity::Even);
+  ColorField tmp_o(geom, Parity::Odd);
   // A x = m^2 x - D_eo (D_oe x)
   auto apply_A = [&](const ColorField& in, ColorField& out) {
     D_oe.apply(q, in, tmp_o);
@@ -81,13 +73,7 @@ int main(int argc, char** argv) {
   int it = 0;
   for (; it < 2000 && rr / b2 > tol * tol; ++it) {
     apply_A(p, Ap);
-    const double pAp = dot(p, Ap).re;
-    const double alpha = rr / pAp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);  // p = r + beta p
-    rr = rr_new;
+    if (!cg_step(Ap, x, r, p, rr)) break;
     if (it % 10 == 0) std::printf("  iter %4d  relative residual %.3e\n", it, std::sqrt(rr / b2));
   }
   std::printf("converged in %d iterations: relative residual %.3e\n", it, std::sqrt(rr / b2));

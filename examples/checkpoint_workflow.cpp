@@ -5,9 +5,8 @@
 //
 //   ./examples/checkpoint_workflow [--L 6] [--mass 0.25]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "cli.hpp"
 #include "core/solver.hpp"
 #include "lattice/io.hpp"
 
@@ -16,10 +15,7 @@ using namespace milc;
 int main(int argc, char** argv) {
   int L = 6;
   double mass = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--mass") == 0 && i + 1 < argc) mass = std::atof(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}, {"--mass", mass}});
 
   LatticeGeom geom(L);
 

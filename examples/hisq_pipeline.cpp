@@ -10,9 +10,8 @@
 //
 //   ./examples/hisq_pipeline [--L 6] [--beta 6.0] [--mass 0.2] [--sweeps 8]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "cli.hpp"
 #include "core/solver.hpp"
 #include "lattice/hisq.hpp"
 #include "lattice/metropolis.hpp"
@@ -22,12 +21,8 @@ using namespace milc;
 int main(int argc, char** argv) {
   int L = 6, sweeps = 8;
   double beta = 6.0, mass = 0.2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--beta") == 0 && i + 1 < argc) beta = std::atof(argv[++i]);
-    if (std::strcmp(argv[i], "--mass") == 0 && i + 1 < argc) mass = std::atof(argv[++i]);
-    if (std::strcmp(argv[i], "--sweeps") == 0 && i + 1 < argc) sweeps = std::atoi(argv[++i]);
-  }
+  examples::parse_flags(
+      argc, argv, {{"--L", L, 2}, {"--beta", beta}, {"--mass", mass}, {"--sweeps", sweeps, 0}});
 
   LatticeGeom geom(L);
 

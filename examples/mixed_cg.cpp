@@ -7,9 +7,8 @@
 //
 //   ./examples/mixed_cg [--L 8] [--mass 0.1] [--tol 1e-10]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "cli.hpp"
 #include "core/dslash_ref.hpp"
 #include "core/precision.hpp"
 #include "core/solver.hpp"
@@ -78,11 +77,7 @@ int float_cg(const Operators& ops, const FloatColorField& rhs, FloatColorField& 
 int main(int argc, char** argv) {
   int L = 8;
   double mass = 0.1, tol = 1e-10;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--mass") == 0 && i + 1 < argc) mass = std::atof(argv[++i]);
-    if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) tol = std::atof(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}, {"--mass", mass}, {"--tol", tol}});
 
   LatticeGeom geom(L);
   GaugeConfiguration cfg(geom);

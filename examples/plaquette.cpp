@@ -7,9 +7,8 @@
 //
 //   ./examples/plaquette [--L 8]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "cli.hpp"
 #include "lattice/metropolis.hpp"
 
 using namespace milc;
@@ -17,9 +16,7 @@ using namespace milc;
 
 int main(int argc, char** argv) {
   int L = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}});
   LatticeGeom geom(L);
 
   // Ordered start: every link is the identity.

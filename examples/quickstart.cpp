@@ -5,10 +5,9 @@
 //
 //   ./examples/quickstart [--L 16]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
+#include "cli.hpp"
 #include "core/dslash_ref.hpp"
 #include "core/problem.hpp"
 #include "core/runner.hpp"
@@ -18,9 +17,7 @@
 int main(int argc, char** argv) {
   using namespace milc;
   int L = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) L = std::atoi(argv[++i]);
-  }
+  examples::parse_flags(argc, argv, {{"--L", L, 2}});
 
   // 1. The simulated device.
   minisycl::device dev;

@@ -58,20 +58,17 @@ void CompressedDslash::apply(const ColorField& in, ColorField& out, int local_si
 }
 
 gpusim::KernelStats CompressedDslash::profile(const ColorField& in, ColorField& out,
-                                              int local_size, gpusim::MachineModel machine,
-                                              gpusim::Calibration cal) const {
+                                              int local_size) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
-  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
-                    cal);
+  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order);
   return q.submit(recon12_spec(kernel.args, local_size), kernel,
                   "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 
 ksan::SanitizerReport CompressedDslash::sanitize(const ColorField& in, ColorField& out,
-                                                 int local_size,
-                                                 ksan::SanitizeConfig cfg) const {
+                                                 int local_size) const {
   Dslash3LP1Recon12Kernel kernel{make_args(in, out)};
-  return ksan::sanitize_launch(recon12_spec(kernel.args, local_size), kernel, cfg,
+  return ksan::sanitize_launch(recon12_spec(kernel.args, local_size), kernel, {},
                                "3LP-1 recon-12 /" + std::to_string(local_size));
 }
 

@@ -92,16 +92,12 @@ class CompressedDslash {
   void apply(const ColorField& in, ColorField& out, int local_size = 96) const;
 
   [[nodiscard]] gpusim::KernelStats profile(const ColorField& in, ColorField& out,
-                                            int local_size,
-                                            gpusim::MachineModel machine = gpusim::a100(),
-                                            gpusim::Calibration cal =
-                                                gpusim::default_calibration()) const;
+                                            int local_size) const;
 
   /// Replay the kernel under ksan; the launch declares the compressed gauge
   /// extents.
   [[nodiscard]] ksan::SanitizerReport sanitize(const ColorField& in, ColorField& out,
-                                               int local_size = 96,
-                                               ksan::SanitizeConfig cfg = {}) const;
+                                               int local_size = 96) const;
 
   [[nodiscard]] std::int64_t sites() const { return gauge_.sites(); }
 

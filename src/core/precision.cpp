@@ -115,11 +115,9 @@ void FloatDslash::apply(const FloatColorField& in, FloatColorField& out,
 }
 
 gpusim::KernelStats FloatDslash::profile(const FloatColorField& in, FloatColorField& out,
-                                         int local_size, gpusim::MachineModel machine,
-                                         gpusim::Calibration cal) const {
+                                         int local_size) const {
   FloatKernel kernel{make_args(in, out)};
-  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
-                    cal);
+  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order);
   return q.submit(float_launch(kernel.args, local_size), kernel,
                   "3LP-1 float /" + std::to_string(local_size));
 }

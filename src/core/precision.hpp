@@ -83,10 +83,7 @@ class FloatDslash {
 
   /// Profiled execution for benches; output still computed.
   [[nodiscard]] gpusim::KernelStats profile(const FloatColorField& in, FloatColorField& out,
-                                            int local_size,
-                                            gpusim::MachineModel machine = gpusim::a100(),
-                                            gpusim::Calibration cal =
-                                                gpusim::default_calibration()) const;
+                                            int local_size) const;
 
   [[nodiscard]] std::int64_t sites() const { return gauge_.sites(); }
 

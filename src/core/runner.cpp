@@ -62,7 +62,7 @@ std::vector<RunRequest> fallback_requests(const RunRequest& req, std::int64_t si
 
 RunResult DslashRunner::run(DslashProblem& problem, const RunRequest& req) const {
   const VariantInfo& vi = variant_info(req.variant);
-  minisycl::queue q(minisycl::ExecMode::profiled, vi.queue_order, machine_, cal_);
+  minisycl::queue q(minisycl::ExecMode::profiled, vi.queue_order, machine_);
   return run_on(q, problem, req);
 }
 
@@ -144,19 +144,17 @@ TunedRunResult DslashRunner::run_tuned(DslashProblem& problem, Strategy s, Varia
 
 void DslashRunner::run_functional(DslashProblem& problem, Strategy s, IndexOrder o,
                                   int local_size, bool use_syclcplx) const {
-  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
-                    cal_);
+  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_);
   dispatch(q, problem, s, o, local_size, use_syclcplx, nullptr, {});
 }
 
 ksan::SanitizerReport DslashRunner::sanitize(DslashProblem& problem, Strategy s, IndexOrder o,
-                                             int local_size, bool use_syclcplx,
-                                             ksan::SanitizeConfig cfg) const {
+                                             int local_size, bool use_syclcplx) const {
   const DslashArgs<dcomplex> args = problem.args();
   return with_kernel(problem, s, o, local_size, use_syclcplx, [&](const auto& kernel) {
     using K = std::decay_t<decltype(kernel)>;
     return ksan::sanitize_launch(dslash_launch<K>(args, args.sites, s, local_size), kernel,
-                                 cfg, config_label(s, o, local_size));
+                                 {}, config_label(s, o, local_size));
   });
 }
 

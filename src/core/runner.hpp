@@ -58,12 +58,9 @@ struct TunedRunResult {
 
 class DslashRunner {
  public:
-  explicit DslashRunner(gpusim::MachineModel machine = gpusim::a100(),
-                        gpusim::Calibration cal = gpusim::default_calibration())
-      : machine_(machine), cal_(cal) {}
+  explicit DslashRunner(gpusim::MachineModel machine = gpusim::a100()) : machine_(machine) {}
 
   [[nodiscard]] const gpusim::MachineModel& machine() const { return machine_; }
-  [[nodiscard]] const gpusim::Calibration& calibration() const { return cal_; }
 
   /// Profiled run: full simulation, Table-I statistics, paper-convention
   /// GFLOP/s.  Throws std::invalid_argument for configurations that violate
@@ -102,12 +99,10 @@ class DslashRunner {
   /// init-check, perf lints).  Same kernel object and LaunchSpec the other
   /// modes launch; the spec's buffer list is ksan's valid memory.
   [[nodiscard]] ksan::SanitizerReport sanitize(DslashProblem& problem, Strategy s, IndexOrder o,
-                                               int local_size, bool use_syclcplx = false,
-                                               ksan::SanitizeConfig cfg = {}) const;
+                                               int local_size, bool use_syclcplx = false) const;
 
  private:
   gpusim::MachineModel machine_;
-  gpusim::Calibration cal_;
 };
 
 }  // namespace milc

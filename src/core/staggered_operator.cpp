@@ -20,9 +20,7 @@ StaggeredOperator::StaggeredOperator(const LatticeGeom& geom, const GaugeConfigu
 
 void StaggeredOperator::apply_half(Parity target, const ColorField& in, ColorField& out) const {
   assert(out.parity() == target && in.parity() == opposite(target));
-  const GaugeView& view = target == Parity::Even ? view_e_ : view_o_;
-  const NeighborTable& nbr = target == Parity::Even ? nbr_e_ : nbr_o_;
-  const DslashArgs<dcomplex> args = make_dslash_args(view, nbr, in, out);
+  const DslashArgs<dcomplex> args = make_dslash_args(view(target), neighbors(target), in, out);
   using Kernel = Dslash3LP1Kernel<Order3::kMajor>;
   Kernel kernel{args};
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);

@@ -27,6 +27,14 @@ class StaggeredOperator {
   [[nodiscard]] const LatticeGeom& geom() const { return *geom_; }
   [[nodiscard]] double mass() const { return mass_; }
 
+  /// The gathered links and the neighbour table of a hop into `target`.
+  [[nodiscard]] const GaugeView& view(Parity target) const {
+    return target == Parity::Even ? view_e_ : view_o_;
+  }
+  [[nodiscard]] const NeighborTable& neighbors(Parity target) const {
+    return target == Parity::Even ? nbr_e_ : nbr_o_;
+  }
+
   /// out(even) = D_eo in(odd)
   void dslash_eo(const ColorField& in, ColorField& out) const;
   /// out(odd) = D_oe in(even)

@@ -68,10 +68,8 @@ class ThreadCtx {
 /// SYCLomatic/CUDA launch-overhead advantage, §IV-D6).
 class Stream {
  public:
-  explicit Stream(minisycl::ExecMode mode = minisycl::ExecMode::profiled,
-                  gpusim::MachineModel machine = gpusim::a100(),
-                  gpusim::Calibration cal = gpusim::default_calibration())
-      : queue_(mode, minisycl::QueueOrder::in_order, machine, cal) {}
+  explicit Stream(minisycl::ExecMode mode = minisycl::ExecMode::profiled)
+      : queue_(mode, minisycl::QueueOrder::in_order) {}
 
   [[nodiscard]] minisycl::queue& queue() { return queue_; }
 

@@ -99,7 +99,7 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
   faultsim::Injector* inj = faultsim::Injector::current();
   const std::int64_t sites = problem.sites();
   minisycl::queue util_q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order,
-                         runner_.machine(), runner_.calibration());
+                         runner_.machine());
 
   // Silent-corruption surface: the kernels' output field (bit flips into
   // *inputs* would need checkpoint/re-upload machinery to recover from — out
@@ -162,8 +162,7 @@ RecoveryReport ResilientRunner::run(DslashProblem& problem, const RunRequest& re
       ++rep.attempts;
       const std::size_t mark = inj != nullptr ? inj->log().size() : 0;
       problem.c().zero();
-      minisycl::queue q(minisycl::ExecMode::profiled, vi.queue_order, runner_.machine(),
-                        runner_.calibration());
+      minisycl::queue q(minisycl::ExecMode::profiled, vi.queue_order, runner_.machine());
 
       RunResult rr;
       bool launch_ok = true;

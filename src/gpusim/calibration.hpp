@@ -4,9 +4,12 @@
 // Two kinds of constants live here:
 //  1. *Architectural* constants that are hard to derive from first
 //     principles (latency-hiding saturation points, DRAM row-miss penalty,
-//     atomic service cost, synchronisation drain).  These are set once so
-//     that the simulated A100 lands in the regime the paper measures; they
-//     are shared by every kernel and never tuned per strategy.
+//     atomic service cost, synchronisation drain).  They are set once so
+//     that the simulated A100 lands in the regime the paper measures, shared
+//     by every kernel and never tuned per strategy: the one constexpr table
+//     kCalibration below.  Occupancy, timing and the DRAM model read it
+//     inside gpusim; outside, only minisycl's queue reads its two launch
+//     overheads.
 //  2. *Codegen* coefficients that stand in for real-compiler effects the
 //     paper measures but an architectural simulator cannot produce
 //     (register allocation quality, the SYCLomatic derived-index expression,
@@ -80,7 +83,8 @@ struct Calibration {
   double occupancy_ramp_factor = 0.982;
 };
 
-[[nodiscard]] inline Calibration default_calibration() { return Calibration{}; }
+/// The model's coefficients: one table, fixed at compile time.
+inline constexpr Calibration kCalibration{};
 
 /// The saturating latency-hiding curve described above.
 [[nodiscard]] inline double latency_hiding(double occ, double half_sat) {

@@ -4,12 +4,11 @@
 
 namespace gpusim {
 
-DramModel::DramModel(const MachineModel& m, const Calibration& cal)
+DramModel::DramModel(const MachineModel& m)
     : interleave_shift_(exact_log2(m.dram_interleave_bytes, "DramModel: dram_interleave_bytes")),
       row_shift_(exact_log2(m.dram_row_bytes, "DramModel: dram_row_bytes")),
       channel_shift_(exact_log2(m.dram_channels, "DramModel: dram_channels")),
       bank_shift_(exact_log2(m.dram_banks_per_channel, "DramModel: dram_banks_per_channel")),
-      penalty_(cal.dram_row_miss_penalty),
       open_row_(std::size_t{1} << (channel_shift_ + bank_shift_), ~0ull) {}
 
 bool DramModel::access(std::uint64_t byte_addr) {

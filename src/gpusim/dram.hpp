@@ -22,7 +22,7 @@ class DramModel {
   /// The machine's dram_interleave_bytes, dram_row_bytes, dram_channels and
   /// dram_banks_per_channel must be powers of two; throws
   /// std::invalid_argument naming the offending field otherwise.
-  DramModel(const MachineModel& m, const Calibration& cal);
+  explicit DramModel(const MachineModel& m);
 
   /// Service one 32 B sector (fill or write-back).  Returns true on row hit.
   bool access(std::uint64_t byte_addr);
@@ -38,7 +38,7 @@ class DramModel {
   /// Total service cost in row-hit-equivalent units.
   [[nodiscard]] double cost_units() const {
     return static_cast<double>(row_hits_) +
-           penalty_ * static_cast<double>(sectors_ - row_hits_);
+           kCalibration.dram_row_miss_penalty * static_cast<double>(sectors_ - row_hits_);
   }
 
   /// Burst efficiency in (0, 1]: 1.0 when every sector hits an open row.
@@ -54,7 +54,6 @@ class DramModel {
   int row_shift_;
   int channel_shift_;
   int bank_shift_;
-  double penalty_;
   std::vector<std::uint64_t> open_row_;
   std::uint64_t sectors_ = 0;
   std::uint64_t row_hits_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "gpusim/calibration.hpp"
+
 namespace gpusim {
 
 namespace {
@@ -13,8 +15,7 @@ int round_up(int v, int granularity) {
 
 }  // namespace
 
-OccupancyInfo compute_occupancy(const MachineModel& m, const Calibration& cal,
-                                const LaunchConfig& cfg) {
+OccupancyInfo compute_occupancy(const MachineModel& m, const LaunchConfig& cfg) {
   if (cfg.local_size <= 0 || cfg.local_size > m.max_group_size) {
     throw std::invalid_argument("occupancy: invalid work-group size");
   }
@@ -72,7 +73,7 @@ OccupancyInfo compute_occupancy(const MachineModel& m, const Calibration& cal,
   if (info.waves == 0) return info;
   const double fill = static_cast<double>(groups) /
                       (static_cast<double>(info.waves) * static_cast<double>(wave_capacity));
-  info.achieved = info.theoretical * fill * cal.occupancy_ramp_factor;
+  info.achieved = info.theoretical * fill * kCalibration.occupancy_ramp_factor;
   return info;
 }
 

@@ -7,7 +7,6 @@
 // 2048 threads → 75% theoretical, ~72–74% achieved).
 #pragma once
 
-#include "gpusim/calibration.hpp"
 #include "gpusim/machine.hpp"
 #include "gpusim/stats.hpp"
 
@@ -16,7 +15,6 @@ namespace gpusim {
 /// Compute residency and occupancy for a launch.  Throws std::invalid_argument
 /// if the launch cannot fit at all (e.g. shared memory per group exceeds the
 /// SM carve-out).
-[[nodiscard]] OccupancyInfo compute_occupancy(const MachineModel& m, const Calibration& cal,
-                                              const LaunchConfig& cfg);
+[[nodiscard]] OccupancyInfo compute_occupancy(const MachineModel& m, const LaunchConfig& cfg);
 
 }  // namespace gpusim

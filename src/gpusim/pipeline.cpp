@@ -96,8 +96,8 @@ void L1FrontEnd::reset() {
   requests_.clear();
 }
 
-PerfPipeline::PerfPipeline(const MachineModel& m, const Calibration& cal)
-    : l2_(m.l2_bytes, m.line_bytes, checked_sector_bytes(m), m.l2_ways), dram_(m, cal) {}
+PerfPipeline::PerfPipeline(const MachineModel& m)
+    : l2_(m.l2_bytes, m.line_bytes, checked_sector_bytes(m), m.l2_ways), dram_(m) {}
 
 void PerfPipeline::l2_fill_path(std::uint64_t sector_addr, bool write, bool count_dram_fill) {
   ++ctr_.l2_sector_requests;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "gpusim/cache.hpp"
-#include "gpusim/calibration.hpp"
 #include "gpusim/coalescer.hpp"
 #include "gpusim/dram.hpp"
 #include "gpusim/machine.hpp"
@@ -79,7 +78,7 @@ class L1FrontEnd {
 class PerfPipeline {
  public:
   /// Throws std::invalid_argument for a sector below 4 B.
-  PerfPipeline(const MachineModel& m, const Calibration& cal);
+  explicit PerfPipeline(const MachineModel& m);
 
   /// Run L1FrontEnd requests through L2 and DRAM, in order.
   void replay_l2(std::span<const L2Request> requests);

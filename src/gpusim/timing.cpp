@@ -5,9 +5,9 @@
 
 namespace gpusim {
 
-TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
-                               const OccupancyInfo& occ, const TraceCounters& ctr,
-                               double dram_cost_units, double codegen_slowdown) {
+TimingBreakdown compute_timing(const MachineModel& m, const OccupancyInfo& occ,
+                               const TraceCounters& ctr, double dram_cost_units,
+                               double codegen_slowdown) {
   TimingBreakdown t;
   if (occ.achieved <= 0.0) return t;  // no group resident: an empty launch takes no time
   const double clock = m.clock_hz();
@@ -17,8 +17,8 @@ TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
   // -- DRAM: row-hit-equivalent sectors over derated peak bandwidth ----------
   {
     const double bytes_equiv = dram_cost_units * static_cast<double>(m.sector_bytes);
-    const double bw = m.dram_peak_gbs * 1e9 * cal.dram_base_efficiency *
-                      latency_hiding(occ_a, cal.occ_half_sat_dram);
+    const double bw = m.dram_peak_gbs * 1e9 * kCalibration.dram_base_efficiency *
+                      latency_hiding(occ_a, kCalibration.occ_half_sat_dram);
     t.dram_s = bw > 0.0 ? bytes_equiv / bw : 0.0;
   }
 
@@ -30,21 +30,21 @@ TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
     const double mem_ops = static_cast<double>(ctr.global_load_ops + ctr.global_store_ops +
                                                ctr.atomic_ops + ctr.shared_ops);
     const double cycles = std::max(sectors / m.l1_sectors_per_cycle, mem_ops);
-    t.l1_s = cycles / (sms * clock * latency_hiding(occ_a, cal.occ_half_sat_l1));
+    t.l1_s = cycles / (sms * clock * latency_hiding(occ_a, kCalibration.occ_half_sat_l1));
   }
 
   // -- Memory-latency pressure (MSHR/LSU slot occupancy per sector) ----------
   {
     const double sectors = static_cast<double>(ctr.l1_tag_requests_global);
-    t.latency_s = sectors * cal.latency_cycles_per_sector /
-                  (sms * clock * latency_hiding(occ_a, cal.occ_half_sat_latency));
+    t.latency_s = sectors * kCalibration.latency_cycles_per_sector /
+                  (sms * clock * latency_hiding(occ_a, kCalibration.occ_half_sat_latency));
   }
 
   // -- Shared memory: one wavefront per cycle per SM --------------------------
   {
     const double cycles =
         static_cast<double>(ctr.shared_wavefronts) / m.smem_wavefronts_per_cycle;
-    t.shared_s = cycles / (sms * clock * latency_hiding(occ_a, cal.occ_half_sat_l1));
+    t.shared_s = cycles / (sms * clock * latency_hiding(occ_a, kCalibration.occ_half_sat_l1));
   }
 
   // -- Issue: warp instruction slots over the schedulers; FP64 warp FMAs are
@@ -55,22 +55,23 @@ TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
     const double fp64_cycles = static_cast<double>(ctr.fp64_warp_slots) /
                                (m.fp64_lanes_per_cycle / static_cast<double>(m.warp_size));
     const double cycles = std::max(slot_cycles, fp64_cycles);
-    t.issue_s = cycles / (sms * clock * latency_hiding(occ_a, cal.occ_half_sat_issue));
+    t.issue_s = cycles / (sms * clock * latency_hiding(occ_a, kCalibration.occ_half_sat_issue));
   }
 
   // -- Atomic serialisation (additive) ----------------------------------------
   {
     // Every lane update is a serialised visit to an L2 atomic unit; distinct
     // addresses spread over `atomic_parallel_units` concurrent units.
-    t.atomic_s = static_cast<double>(ctr.atomic_lane_updates) * cal.atomic_serial_cycles /
-                 (sms * clock * cal.atomic_parallel_units);
+    t.atomic_s = static_cast<double>(ctr.atomic_lane_updates) *
+                 kCalibration.atomic_serial_cycles /
+                 (sms * clock * kCalibration.atomic_parallel_units);
   }
 
   // -- Barrier drain (additive): overlapped across resident warps -------------
   {
     const double warps_hiding = std::max(1.0, static_cast<double>(occ.warps_per_sm));
-    t.barrier_s = static_cast<double>(ctr.barrier_warp_events) * cal.barrier_drain_cycles /
-                  (sms * clock * warps_hiding);
+    t.barrier_s = static_cast<double>(ctr.barrier_warp_events) *
+                  kCalibration.barrier_drain_cycles / (sms * clock * warps_hiding);
   }
 
   // Combine: the memory system is bound by the larger of bandwidth and
@@ -92,22 +93,21 @@ TimingBreakdown compute_timing(const MachineModel& m, const Calibration& cal,
   }
   double extra = 0.0;
   if (bound == mem) {
-    extra = cal.overlap_fraction * (t.issue_s + t.shared_s);
+    extra = kCalibration.overlap_fraction * (t.issue_s + t.shared_s);
   }
   t.total_s = (bound + extra + t.atomic_s + t.barrier_s) * codegen_slowdown;
   return t;
 }
 
-KernelStats make_stats(const MachineModel& m, const Calibration& cal, std::string name,
-                       const LaunchConfig& cfg, const OccupancyInfo& occ,
-                       const TraceCounters& ctr, double dram_cost_units,
-                       double codegen_slowdown) {
+KernelStats make_stats(const MachineModel& m, std::string name, const LaunchConfig& cfg,
+                       const OccupancyInfo& occ, const TraceCounters& ctr,
+                       double dram_cost_units, double codegen_slowdown) {
   KernelStats st;
   st.name = std::move(name);
   st.launch = cfg;
   st.occupancy = occ;
   st.counters = ctr;
-  st.timing = compute_timing(m, cal, occ, ctr, dram_cost_units, codegen_slowdown);
+  st.timing = compute_timing(m, occ, ctr, dram_cost_units, codegen_slowdown);
 
   const double dur_s = st.timing.total_s;
   st.duration_us = dur_s * 1e6;
@@ -138,8 +138,15 @@ KernelStats make_stats(const MachineModel& m, const Calibration& cal, std::strin
   st.shared_kb_per_group = static_cast<double>(cfg.shared_bytes_per_group) / 1000.0;  // decimal KB, as Nsight/Table I report
   st.avg_divergent_branches = static_cast<double>(ctr.divergent_branches) /
                               static_cast<double>(m.num_sms * m.schedulers_per_sm);
-  (void)cal;
   return st;
+}
+
+std::uint64_t control_issue_slots(std::uint64_t mem_ops) {
+  // One running double sum: its addends are all equal, so adding them in a
+  // loop gives that sum exactly (mem_ops * control_slots_per_mem_op would not).
+  double slots = 0.0;
+  for (std::uint64_t i = 0; i < mem_ops; ++i) slots += kCalibration.control_slots_per_mem_op;
+  return static_cast<std::uint64_t>(slots);
 }
 
 }  // namespace gpusim

@@ -427,8 +427,8 @@ inline constexpr std::size_t kRingSteps = 64;
 /// every output is independent of `worker_count`.
 template <PhasedKernel Kernel>
 gpusim::KernelStats execute_profiled(int worker_count, const gpusim::MachineModel& m,
-                                     const gpusim::Calibration& cal, const LaunchSpec& spec,
-                                     const Kernel& kernel, std::string stats_name) {
+                                     const LaunchSpec& spec, const Kernel& kernel,
+                                     std::string stats_name) {
   check_launch(spec);
   gpusim::LaunchConfig cfg;
   cfg.global_size = spec.global_size;
@@ -437,7 +437,7 @@ gpusim::KernelStats execute_profiled(int worker_count, const gpusim::MachineMode
   cfg.regs_per_thread = spec.traits.regs_per_thread;
   cfg.num_phases = spec.num_phases;
 
-  const gpusim::OccupancyInfo occ = gpusim::compute_occupancy(m, cal, cfg);
+  const gpusim::OccupancyInfo occ = gpusim::compute_occupancy(m, cfg);
 
   // The serial schedule: waves of groups_per_sm x num_sms groups, group gi
   // of a wave on SM gi % num_sms; within a wave, round r runs warp
@@ -463,7 +463,7 @@ gpusim::KernelStats execute_profiled(int worker_count, const gpusim::MachineMode
   // next launch then finds the L2's block (5 MB on the A100) whole, where
   // freed in the other order it let fig6-sweep's heap grow by as much again
   // over a few passes.
-  gpusim::PerfPipeline pipe(m, cal);
+  gpusim::PerfPipeline pipe(m);
 
   auto run_worker = [&](Worker& wk) {
     std::int64_t wave_first_step = 0;
@@ -545,24 +545,18 @@ gpusim::KernelStats execute_profiled(int worker_count, const gpusim::MachineMode
     mem_paths += wk.mem_paths;
   }
   pipe.finalize();
-  // control_slots_per_mem_op is added once per memory instruction, as one
-  // running double sum; its addends are all equal, so adding them in a loop
-  // gives that sum exactly (mem_paths * control_slots_per_mem_op would not).
-  double control_slots = 0.0;
-  for (std::uint64_t i = 0; i < mem_paths; ++i) control_slots += cal.control_slots_per_mem_op;
-  ctr.warp_issue_slots += static_cast<std::uint64_t>(control_slots);
-  return gpusim::make_stats(m, cal, std::move(stats_name), cfg, occ, ctr,
-                            pipe.dram().cost_units(), spec.traits.codegen_slowdown);
+  ctr.warp_issue_slots += gpusim::control_issue_slots(mem_paths);
+  return gpusim::make_stats(m, std::move(stats_name), cfg, occ, ctr, pipe.dram().cost_units(),
+                            spec.traits.codegen_slowdown);
 }
 
 }  // namespace detail
 
 /// Profiled execution: returns the full Nsight-style statistics record.
 template <PhasedKernel Kernel>
-gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
-                                     const gpusim::Calibration& cal, const LaunchSpec& spec,
+gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m, const LaunchSpec& spec,
                                      const Kernel& kernel, std::string stats_name) {
-  return detail::execute_profiled(detail::host_workers(), m, cal, spec, kernel,
+  return detail::execute_profiled(detail::host_workers(), m, spec, kernel,
                                   std::move(stats_name));
 }
 

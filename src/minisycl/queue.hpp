@@ -41,11 +41,8 @@ class queue {
  public:
   explicit queue(ExecMode mode = ExecMode::functional,
                  QueueOrder order = QueueOrder::out_of_order,
-                 gpusim::MachineModel machine = gpusim::a100(),
-                 gpusim::Calibration cal = gpusim::default_calibration(),
-                 async_handler handler = {})
-      : mode_(mode), order_(order), machine_(machine), cal_(cal),
-        handler_(std::move(handler)) {}
+                 gpusim::MachineModel machine = gpusim::a100(), async_handler handler = {})
+      : mode_(mode), order_(order), machine_(machine), handler_(std::move(handler)) {}
 
   ~queue() {
     if (!teardown_hook_) return;
@@ -63,7 +60,6 @@ class queue {
   [[nodiscard]] ExecMode mode() const { return mode_; }
   [[nodiscard]] QueueOrder order() const { return order_; }
   [[nodiscard]] const gpusim::MachineModel& machine() const { return machine_; }
-  [[nodiscard]] const gpusim::Calibration& calibration() const { return cal_; }
 
   void set_async_handler(async_handler handler) { handler_ = std::move(handler); }
   [[nodiscard]] bool has_async_handler() const { return static_cast<bool>(handler_); }
@@ -86,8 +82,8 @@ class queue {
   /// Per-submission launch overhead in microseconds on the simulated
   /// timeline (the in-order advantage).
   [[nodiscard]] double launch_overhead_us() const {
-    return order_ == QueueOrder::in_order ? cal_.launch_overhead_in_order_us
-                                          : cal_.launch_overhead_out_of_order_us;
+    return order_ == QueueOrder::in_order ? gpusim::kCalibration.launch_overhead_in_order_us
+                                          : gpusim::kCalibration.launch_overhead_out_of_order_us;
   }
 
   /// Submit one kernel.  In functional mode the stats carry zero timing; in
@@ -108,7 +104,7 @@ class queue {
 
     gpusim::KernelStats stats;
     if (mode_ == ExecMode::profiled) {
-      stats = execute_profiled(machine_, cal_, spec, kernel, std::move(name));
+      stats = execute_profiled(machine_, spec, kernel, std::move(name));
     } else {
       execute_functional(spec, kernel);
       stats.name = std::move(name);
@@ -243,7 +239,6 @@ class queue {
   ExecMode mode_;
   QueueOrder order_;
   gpusim::MachineModel machine_;
-  gpusim::Calibration cal_;
   async_handler handler_;
   std::function<void(const std::string&, const gpusim::KernelStats&)> kernel_hook_;
   std::function<void(queue&)> teardown_hook_;

@@ -364,7 +364,7 @@ gpusim::NodeTopology effective_topology(const gpusim::NodeTopology& topo, int de
 tune::TuneKey MultiDeviceRunner::tune_key(const DslashProblem& problem,
                                           const MultiDevRequest& mreq) const {
   tune::TuneKey key;
-  key.arch = tune::arch_fingerprint(machine_);
+  key.arch = tune::arch_fingerprint(gpusim::a100());
   const LatticeGeom& g = problem.geom();
   key.geom = tune::geom_signature(g.extent(0), g.extent(1), g.extent(2), g.extent(3),
                                   problem.target_parity() == Parity::Even);
@@ -543,8 +543,7 @@ struct Slab {
 class HaloPass {
  public:
   HaloPass(DslashProblem& problem, const MultiDevRequest& mreq, const ShardLayout& layout,
-           MultiDevResult& res, const gpusim::MachineModel& machine,
-           const gpusim::Calibration& cal);
+           MultiDevResult& res);
 
   /// Every device packs its outbound faces (pack_us).
   std::string pack_faces();
@@ -586,8 +585,7 @@ class HaloPass {
 };
 
 HaloPass::HaloPass(DslashProblem& problem, const MultiDevRequest& mreq,
-                   const ShardLayout& layout, MultiDevResult& res,
-                   const gpusim::MachineModel& machine, const gpusim::Calibration& cal)
+                   const ShardLayout& layout, MultiDevResult& res)
     : problem_(problem),
       mreq_(mreq),
       layout_(layout),
@@ -602,8 +600,7 @@ HaloPass::HaloPass(DslashProblem& problem, const MultiDevRequest& mreq,
   for (const Shard& sh : shards_) fields_.push_back(build_fields(problem_, sh));
   const VariantInfo& vi = variant_info(mreq_.req.variant);
   for (int d = 0; d < ndev_; ++d) {
-    queues_.push_back(
-        std::make_unique<minisycl::queue>(mreq_.mode, vi.queue_order, machine, cal));
+    queues_.push_back(std::make_unique<minisycl::queue>(mreq_.mode, vi.queue_order));
   }
   const std::string grid = layout_.part.grid().label();
   if (rec_ != nullptr) {
@@ -1111,7 +1108,7 @@ std::string MultiDeviceRunner::run_pipeline(DslashProblem& problem,
                                             const MultiDevRequest& mreq,
                                             const ShardLayout& layout,
                                             MultiDevResult& res) const {
-  HaloPass pass(problem, mreq, layout, res, machine_, cal_);
+  HaloPass pass(problem, mreq, layout, res);
   std::string reason = pass.pack_faces();
   // Interior compute runs while the exchange's messages fly.
   if (reason.empty()) reason = pass.dslash_range(/*boundary=*/false);

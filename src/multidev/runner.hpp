@@ -255,14 +255,9 @@ struct MultiDevTunedResult {
   int candidates_tried = 0;   ///< 1 on a hit; the sweep size on a miss
 };
 
+/// Every device of the cluster is the simulated A100 (gpusim::a100()).
 class MultiDeviceRunner {
  public:
-  explicit MultiDeviceRunner(gpusim::MachineModel machine = gpusim::a100(),
-                             gpusim::Calibration cal = gpusim::default_calibration())
-      : machine_(machine), cal_(cal) {}
-
-  [[nodiscard]] const gpusim::MachineModel& machine() const { return machine_; }
-
   /// Run the halo pipeline in mreq.mode, hardened and failing over when a
   /// fault plan is installed.  The kernels execute for real (the output
   /// field is gathered into problem.c()); a profiled run prices the overlap
@@ -340,9 +335,6 @@ class MultiDeviceRunner {
   /// Returns the empty string, or why a fault exhausted its recovery budget.
   std::string run_pipeline(DslashProblem& problem, const MultiDevRequest& mreq,
                            const ShardLayout& layout, MultiDevResult& res) const;
-
-  gpusim::MachineModel machine_;
-  gpusim::Calibration cal_;
 };
 
 /// The next-smaller partition grid for failover: the lowest-index split

@@ -9,11 +9,8 @@
 
 namespace milc::qudaref {
 
-StaggeredDslashTest::StaggeredDslashTest(DslashProblem& problem, gpusim::MachineModel machine,
-                                         gpusim::Calibration cal)
+StaggeredDslashTest::StaggeredDslashTest(DslashProblem& problem)
     : problem_(problem),
-      machine_(machine),
-      cal_(cal),
       b_soa_(problem.b()),
       c_soa_(problem.geom(), problem.target_parity()) {}
 
@@ -57,7 +54,7 @@ std::vector<int> StaggeredDslashTest::tuning_candidates() const {
 
 tune::TuneKey StaggeredDslashTest::tune_key(Reconstruct scheme) const {
   tune::TuneKey key;
-  key.arch = tune::arch_fingerprint(machine_);
+  key.arch = tune::arch_fingerprint(gpusim::a100());
   const LatticeGeom& g = problem_.geom();
   key.geom = tune::geom_signature(g.extent(0), g.extent(1), g.extent(2), g.extent(3),
                                   problem_.target_parity() == Parity::Even);
@@ -69,8 +66,7 @@ tune::TuneKey StaggeredDslashTest::tune_key(Reconstruct scheme) const {
 
 StaggeredResult StaggeredDslashTest::run_at(Reconstruct scheme, int local_size) {
   QudaStaggeredKernel kernel{make_args(scheme)};
-  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine_,
-                    cal_);
+  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order);
 
   StaggeredResult res;
   res.scheme = scheme;
@@ -116,18 +112,16 @@ StaggeredResult StaggeredDslashTest::run(Reconstruct scheme) {
   return priced.at(out.entry.local_size);
 }
 
-ksan::SanitizerReport StaggeredDslashTest::sanitize(Reconstruct scheme, int local_size,
-                                                    ksan::SanitizeConfig cfg) {
+ksan::SanitizerReport StaggeredDslashTest::sanitize(Reconstruct scheme, int local_size) {
   QudaStaggeredKernel kernel{make_args(scheme)};
-  return ksan::sanitize_launch(quda_spec(kernel.args, local_size), kernel, cfg,
+  return ksan::sanitize_launch(quda_spec(kernel.args, local_size), kernel, {},
                                std::string("staggered_dslash_test ") + to_string(scheme) +
                                    " /" + std::to_string(local_size));
 }
 
 void StaggeredDslashTest::run_functional(Reconstruct scheme) {
   QudaStaggeredKernel kernel{make_args(scheme)};
-  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
-                    cal_);
+  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order);
   q.submit(quda_spec(kernel.args, 128), kernel);
   problem_.c() = c_soa_.to_aos(problem_.geom(), problem_.target_parity());
 }

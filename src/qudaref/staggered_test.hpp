@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "core/problem.hpp"
-#include "gpusim/calibration.hpp"
-#include "gpusim/machine.hpp"
 #include "gpusim/stats.hpp"
 #include "ksan/sanitizer.hpp"
 #include "qudaref/quda_dslash.hpp"
@@ -38,9 +36,7 @@ struct StaggeredResult {
 
 class StaggeredDslashTest {
  public:
-  explicit StaggeredDslashTest(DslashProblem& problem,
-                               gpusim::MachineModel machine = gpusim::a100(),
-                               gpusim::Calibration cal = gpusim::default_calibration());
+  explicit StaggeredDslashTest(DslashProblem& problem);
 
   /// Profiled, autotuned run for one reconstruction scheme.  With a
   /// tune::TuneSession installed the sweep consults the cache under
@@ -65,15 +61,12 @@ class StaggeredDslashTest {
 
   /// Replay the kernel under ksan; the launch declares the SoA field
   /// extents.
-  [[nodiscard]] ksan::SanitizerReport sanitize(Reconstruct scheme, int local_size = 128,
-                                               ksan::SanitizeConfig cfg = {});
+  [[nodiscard]] ksan::SanitizerReport sanitize(Reconstruct scheme, int local_size = 128);
 
  private:
   QudaArgs make_args(Reconstruct scheme);
 
   DslashProblem& problem_;
-  gpusim::MachineModel machine_;
-  gpusim::Calibration cal_;
   std::optional<SoAGauge> gauge_;  ///< cached per scheme
   SoAColor b_soa_;
   SoAColor c_soa_;

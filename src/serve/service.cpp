@@ -106,7 +106,7 @@ void SolverService::price_catalog() {
       tune::TuneKey key;
       const tune::TuneEntry* hit = nullptr;
       if (sess != nullptr) {
-        key.arch = tune::arch_fingerprint(runner.machine());
+        key.arch = tune::arch_fingerprint(gpusim::a100());
         key.geom = tune::geom_signature(sp.dims[0], sp.dims[1], sp.dims[2], sp.dims[3],
                                         /*even_target=*/true);
         key.kernel = "placement";

@@ -163,19 +163,17 @@ void WilsonDslash::apply(const WilsonField& in, WilsonField& out, int local_size
 }
 
 gpusim::KernelStats WilsonDslash::profile(const WilsonField& in, WilsonField& out,
-                                          int local_size, gpusim::MachineModel machine,
-                                          gpusim::Calibration cal) const {
+                                          int local_size) const {
   WilsonDslashKernel kernel{make_args(in, out)};
-  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order, machine,
-                    cal);
+  minisycl::queue q(minisycl::ExecMode::profiled, minisycl::QueueOrder::in_order);
   return q.submit(wilson_spec(kernel.args, local_size), kernel,
                   "wilson /" + std::to_string(local_size));
 }
 
 ksan::SanitizerReport WilsonDslash::sanitize(const WilsonField& in, WilsonField& out,
-                                             int local_size, ksan::SanitizeConfig cfg) const {
+                                             int local_size) const {
   WilsonDslashKernel kernel{make_args(in, out)};
-  return ksan::sanitize_launch(wilson_spec(kernel.args, local_size), kernel, cfg,
+  return ksan::sanitize_launch(wilson_spec(kernel.args, local_size), kernel, {},
                                "wilson /" + std::to_string(local_size));
 }
 

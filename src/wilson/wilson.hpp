@@ -128,15 +128,11 @@ class WilsonDslash {
 
   void apply(const WilsonField& in, WilsonField& out, int local_size = 128) const;
   [[nodiscard]] gpusim::KernelStats profile(const WilsonField& in, WilsonField& out,
-                                            int local_size,
-                                            gpusim::MachineModel machine = gpusim::a100(),
-                                            gpusim::Calibration cal =
-                                                gpusim::default_calibration()) const;
+                                            int local_size) const;
   /// Replay the kernel under ksan; the launch declares the gauge/spinor
   /// extents.
   [[nodiscard]] ksan::SanitizerReport sanitize(const WilsonField& in, WilsonField& out,
-                                               int local_size = 128,
-                                               ksan::SanitizeConfig cfg = {}) const;
+                                               int local_size = 128) const;
   [[nodiscard]] std::int64_t sites() const { return gauge_->sites(); }
 
  private:

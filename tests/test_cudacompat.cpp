@@ -42,7 +42,7 @@ TEST(CudaCompat, StreamsAreInOrder) {
   Stream stream(minisycl::ExecMode::functional);
   EXPECT_EQ(stream.queue().order(), minisycl::QueueOrder::in_order);
   EXPECT_LT(stream.queue().launch_overhead_us(),
-            gpusim::default_calibration().launch_overhead_out_of_order_us);
+            gpusim::kCalibration.launch_overhead_out_of_order_us);
 }
 
 TEST(CudaCompat, MallocFreeRoundTrip) {

@@ -81,7 +81,6 @@ template <typename Kernel>
 void expect_worker_invariant(const std::string& what, const LaunchSpec& spec,
                              const Kernel& kernel, std::span<std::byte> out) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal = gpusim::default_calibration();
   std::ranges::fill(out, std::byte{0});
   minisycl::execute_functional(spec, kernel);
   const std::vector<std::byte> functional(out.begin(), out.end());
@@ -92,7 +91,7 @@ void expect_worker_invariant(const std::string& what, const LaunchSpec& spec,
   for (const int w : kWorkers) {
     std::ranges::fill(out, std::byte{0});
     const gpusim::KernelStats st =
-        minisycl::detail::execute_profiled(w, m, cal, spec, kernel, what);
+        minisycl::detail::execute_profiled(w, m, spec, kernel, what);
     const std::string at = what + " at " + std::to_string(w) + " worker(s)";
     EXPECT_TRUE(std::ranges::equal(out, functional)) << at << ": output differs";
     if (w == 1) {
@@ -358,7 +357,7 @@ TEST(WorkerInvariance, SeveralWaves) {
   expect_worker_invariant("300 groups of 1024", spec, Mixed{x.data(), out.data(), kN},
                           bytes_of(out.data(), out.size()));
   const auto occ = gpusim::compute_occupancy(
-      gpusim::a100(), gpusim::default_calibration(),
+      gpusim::a100(),
       gpusim::LaunchConfig{kN, kLocal, kLocal * static_cast<int>(sizeof(double)), 40, 2});
   EXPECT_GE(occ.waves, 2);
 }
@@ -399,8 +398,8 @@ TEST(ProfiledExecutorFailure, KernelThrowIsRethrownAtEveryWorkerCount) {
   for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{217}, kGroups - 1}) {
     for (const int w : kWorkers) {
       try {
-        (void)minisycl::detail::execute_profiled(w, gpusim::a100(), gpusim::default_calibration(),
-                                                 spec, ThrowsInOneGroup{bad, out.data()}, "throws");
+        (void)minisycl::detail::execute_profiled(w, gpusim::a100(), spec,
+                                                 ThrowsInOneGroup{bad, out.data()}, "throws");
         ADD_FAILURE() << "group " << bad << " at " << w << " worker(s): no exception";
       } catch (const std::runtime_error& e) {
         EXPECT_EQ(std::string(e.what()), "kernel fault in group " + std::to_string(bad))
@@ -411,8 +410,7 @@ TEST(ProfiledExecutorFailure, KernelThrowIsRethrownAtEveryWorkerCount) {
   // The executor is usable afterwards.
   const LaunchSpec ok{kLocal, kLocal, 0, 2, {}, {}};
   EXPECT_NO_THROW((void)minisycl::detail::execute_profiled(
-      3, gpusim::a100(), gpusim::default_calibration(), ok, ThrowsInOneGroup{-1, out.data()},
-      "ok"));
+      3, gpusim::a100(), ok, ThrowsInOneGroup{-1, out.data()}, "ok"));
 }
 
 TEST(ProfiledExecutorFailure, BadMachineModelInTheFrontEndIsRethrown) {
@@ -425,8 +423,7 @@ TEST(ProfiledExecutorFailure, BadMachineModelInTheFrontEndIsRethrown) {
   const LaunchSpec spec{kN, kLocal, 2 * kLocal * static_cast<int>(sizeof(double)), 5, {}, {}};
   for (const int w : kWorkers) {
     EXPECT_THROW((void)minisycl::detail::execute_profiled(
-                     w, m, gpusim::default_calibration(), spec,
-                     SharedRotation{x.data(), out.data(), kN}, "bad banks"),
+                     w, m, spec, SharedRotation{x.data(), out.data(), kN}, "bad banks"),
                  std::invalid_argument)
         << w << " worker(s)";
   }
@@ -442,17 +439,16 @@ TEST(L1FrontEnd, RejectsSectorsBelowFourBytes) {
   m.line_bytes = 64;
   gpusim::TraceCounters ctr;
   EXPECT_THROW(gpusim::L1FrontEnd(m, ctr), std::invalid_argument);
-  EXPECT_THROW(gpusim::PerfPipeline(m, gpusim::default_calibration()), std::invalid_argument);
+  EXPECT_THROW((void)gpusim::PerfPipeline(m), std::invalid_argument);
 }
 
 /// Two front ends owning alternate SMs, their requests replayed in issue
 /// order, count exactly what one front end owning every SM counts.
 TEST(L1FrontEnd, SplitReplayMatchesOneCallPipeline) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal = gpusim::default_calibration();
-  gpusim::PerfPipeline whole(m, cal);
+  gpusim::PerfPipeline whole(m);
   gpusim::L1FrontEnd all(m, whole.counters());
-  gpusim::PerfPipeline back(m, cal);
+  gpusim::PerfPipeline back(m);
   std::array<gpusim::TraceCounters, 2> ctr{};
   gpusim::L1FrontEnd even(m, ctr[0], 0, 2);
   gpusim::L1FrontEnd odd(m, ctr[1], 1, 2);

@@ -42,8 +42,7 @@ TEST(ExecutorStress, NestedDivergenceValuesAndCounters) {
   std::vector<double> out(kN, -1.0);
   LaunchSpec spec{kN, 64, 0, 1, {}};
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
-  const auto st = execute_profiled(m, cal, spec, NestedDivergence{out.data()}, "nested");
+  const auto st = execute_profiled(m, spec, NestedDivergence{out.data()}, "nested");
   for (int i = 0; i < kN; ++i) {
     const int path = i % 4;
     const double expect = path % 2 == 0 ? (path + 1) * 2.0 : path + 1.0;
@@ -133,8 +132,7 @@ TEST(ExecutorStress, ProfiledEqualsFunctionalBitForBit) {
   LaunchSpec spec{kN, 208, 0, 1, {}};  // local size not a power of two
   execute_functional(spec, SaxpyKernel{x.data(), y1.data()});
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
-  (void)execute_profiled(m, cal, spec, SaxpyKernel{x.data(), y2.data()}, "saxpy");
+  (void)execute_profiled(m, spec, SaxpyKernel{x.data(), y2.data()}, "saxpy");
   EXPECT_EQ(y1, y2);
 }
 
@@ -145,8 +143,7 @@ TEST(ExecutorStress, FullSizeGroupAndManyWaves) {
   std::vector<double> x(kLocal * kGroups, 1.0), y(kLocal * kGroups, 2.0);
   LaunchSpec spec{kLocal * kGroups, kLocal, 0, 1, {}};
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
-  const auto st = execute_profiled(m, cal, spec, SaxpyKernel{x.data(), y.data()}, "waves");
+  const auto st = execute_profiled(m, spec, SaxpyKernel{x.data(), y.data()}, "waves");
   EXPECT_GT(st.occupancy.waves, 1);
   EXPECT_EQ(st.counters.work_items, static_cast<std::uint64_t>(kLocal) * kGroups);
   EXPECT_DOUBLE_EQ(y[123], 4.0);
@@ -155,11 +152,10 @@ TEST(ExecutorStress, FullSizeGroupAndManyWaves) {
 TEST(ExecutorStress, CountersScaleLinearlyWithGrid) {
   std::vector<double> x(8192, 1.0), y(8192, 0.0);
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
   LaunchSpec small{2048, 128, 0, 1, {}};
   LaunchSpec big{8192, 128, 0, 1, {}};
-  const auto s1 = execute_profiled(m, cal, small, SaxpyKernel{x.data(), y.data()}, "s");
-  const auto s2 = execute_profiled(m, cal, big, SaxpyKernel{x.data(), y.data()}, "b");
+  const auto s1 = execute_profiled(m, small, SaxpyKernel{x.data(), y.data()}, "s");
+  const auto s2 = execute_profiled(m, big, SaxpyKernel{x.data(), y.data()}, "b");
   EXPECT_EQ(4 * s1.counters.warps, s2.counters.warps);
   EXPECT_EQ(4 * s1.counters.global_store_ops, s2.counters.global_store_ops);
   EXPECT_EQ(4 * s1.counters.flops, s2.counters.flops);

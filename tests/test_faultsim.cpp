@@ -161,8 +161,7 @@ TEST(FaultSim, StickyFaultClearsAfterBurst) {
   ScopedFaultInjection fi(plan);
 
   std::vector<double> buf(1024, 0.0);
-  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(),
-          gpusim::default_calibration(), [](exception_list) {});
+  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(), [](exception_list) {});
   const auto a = submit_once(q, buf, "sticky");
   const auto b = submit_once(q, buf, "sticky");
   const auto c = submit_once(q, buf, "sticky");
@@ -296,8 +295,7 @@ TEST(FaultSim, ScheduleSiteFilterSelectsTheKernel) {
   ScopedFaultInjection fi(plan);
 
   std::vector<double> buf(1024, 0.0);
-  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(),
-          gpusim::default_calibration(), [](exception_list) {});
+  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(), [](exception_list) {});
   const auto a = submit_once(q, buf, "3LP-1 k-major");
   const auto b = submit_once(q, buf, "1LP");
   EXPECT_EQ(a.fault, "launch-fail");
@@ -314,7 +312,7 @@ TEST(FaultSim, AsyncHandlerReceivesTheWholeBatchInSubmissionOrder) {
 
     std::vector<double> buf(1024, 0.0);
     std::vector<std::string> seen;
-    queue q(ExecMode::functional, order, gpusim::a100(), gpusim::default_calibration(),
+    queue q(ExecMode::functional, order, gpusim::a100(),
             [&seen](exception_list errors) {
               for (const std::exception_ptr& ep : errors) {
                 try {
@@ -341,8 +339,7 @@ TEST(FaultSim, LogSinceReturnsOnlyNewEvents) {
   ScopedFaultInjection fi(plan);
 
   std::vector<double> buf(1024, 0.0);
-  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(),
-          gpusim::default_calibration(), [](exception_list) {});
+  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(), [](exception_list) {});
   (void)submit_once(q, buf, "k");
   const std::size_t mark = fi.injector().log().size();
   (void)submit_once(q, buf, "k");
@@ -363,8 +360,7 @@ TEST(FaultSim, ScheduledStickyHonoursItsRepeatCount) {
   ScopedFaultInjection fi(plan);
 
   std::vector<double> buf(1024, 0.0);
-  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(),
-          gpusim::default_calibration(), [](exception_list) {});
+  queue q(ExecMode::functional, QueueOrder::in_order, gpusim::a100(), [](exception_list) {});
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(submit_once(q, buf, "scheduled-sticky").fault, "sticky-fault") << i;
   }

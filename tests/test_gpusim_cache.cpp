@@ -259,25 +259,23 @@ TEST(SectoredCache, MatchesReferenceLruOnTiny) { expect_matches_reference(1024, 
 // -------------------------------------------------------------------- DRAM --
 
 TEST(DramModel, RejectsNonPowerOfTwoGeometry) {
-  const Calibration cal;
   MachineModel m = a100();
   m.dram_interleave_bytes = 384;
-  expect_rejected([&] { (void)DramModel(m, cal); }, "dram_interleave_bytes");
+  expect_rejected([&] { (void)DramModel(m); }, "dram_interleave_bytes");
   m = a100();
   m.dram_row_bytes = 6000;
-  expect_rejected([&] { (void)DramModel(m, cal); }, "dram_row_bytes");
+  expect_rejected([&] { (void)DramModel(m); }, "dram_row_bytes");
   m = a100();
   m.dram_channels = 24;
-  expect_rejected([&] { (void)DramModel(m, cal); }, "dram_channels");
+  expect_rejected([&] { (void)DramModel(m); }, "dram_channels");
   m = a100();
   m.dram_banks_per_channel = 0;
-  expect_rejected([&] { (void)DramModel(m, cal); }, "dram_banks_per_channel");
+  expect_rejected([&] { (void)DramModel(m); }, "dram_banks_per_channel");
 }
 
 TEST(DramModel, StreamingHitsOpenRows) {
   MachineModel m = a100();
-  Calibration cal;
-  DramModel d(m, cal);
+  DramModel d(m);
   // A long consecutive-sector stream: within each 256 B channel interleave
   // chunk, 7 of 8 sectors hit the open row.
   for (std::uint64_t a = 0; a < 1 << 20; a += 32) d.access(a);
@@ -286,8 +284,7 @@ TEST(DramModel, StreamingHitsOpenRows) {
 
 TEST(DramModel, ScatteredMissesRows) {
   MachineModel m = a100();
-  Calibration cal;
-  DramModel d(m, cal);
+  DramModel d(m);
   // Jump by a prime number of rows every access: almost every access misses.
   std::uint64_t a = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -299,8 +296,7 @@ TEST(DramModel, ScatteredMissesRows) {
 
 TEST(DramModel, OpaqueWritebacksArePessimistic) {
   MachineModel m = a100();
-  Calibration cal;
-  DramModel d(m, cal);
+  DramModel d(m);
   d.access_opaque(10);
   EXPECT_EQ(d.sectors(), 10u);
   EXPECT_EQ(d.row_hits(), 0u);
@@ -308,13 +304,11 @@ TEST(DramModel, OpaqueWritebacksArePessimistic) {
 
 TEST(DramModel, CostUnitsCombineHitsAndMisses) {
   MachineModel m = a100();
-  Calibration cal;
-  cal.dram_row_miss_penalty = 3.0;
-  DramModel d(m, cal);
+  DramModel d(m);
   d.access(0);      // row miss
   d.access(32);     // row hit
-  EXPECT_DOUBLE_EQ(d.cost_units(), 3.0 + 1.0);
-  EXPECT_DOUBLE_EQ(d.burst_efficiency(), 2.0 / 4.0);
+  EXPECT_DOUBLE_EQ(d.cost_units(), kCalibration.dram_row_miss_penalty + 1.0);
+  EXPECT_DOUBLE_EQ(d.burst_efficiency(), 2.0 / (kCalibration.dram_row_miss_penalty + 1.0));
 }
 
 }  // namespace

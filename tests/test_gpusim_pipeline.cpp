@@ -22,7 +22,7 @@ std::vector<LaneAccess> warp(std::uint64_t base, std::uint64_t stride, std::uint
 /// counters, and the pipeline that replays its L2 requests.
 struct Hierarchy {
   explicit Hierarchy(const MachineModel& m = a100())
-      : pipe(m, Calibration{}), front(m, pipe.counters()) {}
+      : pipe(m), front(m, pipe.counters()) {}
 
   /// Hand the L2 requests issued so far to L2 and DRAM, in order.
   void replay() {

@@ -107,15 +107,14 @@ struct StridedLoadKernel {
 
 TEST(ProfiledExecutor, CoalescedVsStridedTagRequests) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
   constexpr int kGlobal = 4096;
   std::vector<double> src(kGlobal * 16, 1.0), dst(kGlobal, 0.0);
 
   LaunchSpec spec{kGlobal, 128, 0, 1, {}};
-  const auto coalesced = execute_profiled(
-      m, cal, spec, StridedLoadKernel{src.data(), dst.data(), 1}, "coalesced");
-  const auto strided = execute_profiled(
-      m, cal, spec, StridedLoadKernel{src.data(), dst.data(), 16}, "strided");
+  const auto coalesced =
+      execute_profiled(m, spec, StridedLoadKernel{src.data(), dst.data(), 1}, "coalesced");
+  const auto strided =
+      execute_profiled(m, spec, StridedLoadKernel{src.data(), dst.data(), 16}, "strided");
 
   // Unit stride: 32 lanes x 8 B = 8 sectors/warp.  Stride 16 (128 B): one
   // sector per lane = 32 sectors/warp.
@@ -143,10 +142,9 @@ struct DivergentKernel {
 
 TEST(ProfiledExecutor, DivergenceCountedAndSlotsMultiplied) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
   std::vector<double> dst(1024, 0.0);
   LaunchSpec spec{1024, 128, 0, 1, {}};
-  const auto st = execute_profiled(m, cal, spec, DivergentKernel{dst.data()}, "div");
+  const auto st = execute_profiled(m, spec, DivergentKernel{dst.data()}, "div");
   EXPECT_EQ(st.counters.branch_events, 1024u / 32u);
   EXPECT_EQ(st.counters.divergent_branches, 1024u / 32u);  // every warp diverges 4 ways
   // The store executes once per path: 4 store instructions per warp.
@@ -169,13 +167,12 @@ struct SharedConflictKernel {
 
 TEST(ProfiledExecutor, SharedBankConflictsMeasured) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
   std::vector<double> dst(128, 0.0);
   LaunchSpec conflict_free{128, 128, 128 * 4 * 32, 1, {}};
-  const auto free_st = execute_profiled(m, cal, conflict_free,
-                                        SharedConflictKernel{dst.data(), 1}, "free");
-  const auto conflict_st = execute_profiled(m, cal, conflict_free,
-                                            SharedConflictKernel{dst.data(), 32}, "conflict");
+  const auto free_st =
+      execute_profiled(m, conflict_free, SharedConflictKernel{dst.data(), 1}, "free");
+  const auto conflict_st =
+      execute_profiled(m, conflict_free, SharedConflictKernel{dst.data(), 32}, "conflict");
   EXPECT_EQ(free_st.counters.shared_wavefronts, free_st.counters.shared_wavefronts_ideal);
   EXPECT_GT(conflict_st.counters.shared_wavefronts,
             conflict_st.counters.shared_wavefronts_ideal * 10);
@@ -193,10 +190,9 @@ struct AtomicConflictKernel {
 
 TEST(ProfiledExecutor, AtomicSerializationCounted) {
   const gpusim::MachineModel m = gpusim::a100();
-  const gpusim::Calibration cal;
   double sink = 0.0;
   LaunchSpec spec{256, 64, 0, 1, {}};
-  const auto st = execute_profiled(m, cal, spec, AtomicConflictKernel{&sink}, "atomic");
+  const auto st = execute_profiled(m, spec, AtomicConflictKernel{&sink}, "atomic");
   EXPECT_DOUBLE_EQ(sink, 256.0);
   EXPECT_EQ(st.counters.atomic_lane_updates, 256u);
   EXPECT_EQ(st.counters.atomic_serial_replays, 256u - 8u);  // 31 replays per warp
@@ -211,8 +207,7 @@ TEST(Executor, FunctionalRejectsPartialGroup) {
   LaunchSpec spec{100, 64, 0, 1, {}};
   EXPECT_THROW(execute_functional(spec, AtomicSumKernel{&sum}), std::invalid_argument);
   EXPECT_EQ(sum, 0.0);
-  EXPECT_THROW((void)execute_profiled(gpusim::a100(), gpusim::Calibration{}, spec,
-                                      AtomicSumKernel{&sum}, "partial"),
+  EXPECT_THROW((void)execute_profiled(gpusim::a100(), spec, AtomicSumKernel{&sum}, "partial"),
                std::invalid_argument);
 }
 
@@ -233,8 +228,7 @@ TEST(Executor, FunctionalRejectsZeroLocalSize) {
 TEST(ProfiledExecutor, EmptyRangeIsFiniteAndFree) {
   double sum = 0.0;
   const LaunchSpec spec{0, 64, 0, 1, {}};
-  const auto st =
-      execute_profiled(gpusim::a100(), gpusim::Calibration{}, spec, AtomicSumKernel{&sum}, "empty");
+  const auto st = execute_profiled(gpusim::a100(), spec, AtomicSumKernel{&sum}, "empty");
   EXPECT_EQ(sum, 0.0);
   EXPECT_EQ(st.occupancy.waves, 0);
   EXPECT_EQ(st.occupancy.achieved, 0.0);

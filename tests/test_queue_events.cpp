@@ -111,7 +111,7 @@ TEST(QueueAsyncErrors, HandlerSeesSubmissionOrderOnBothQueueOrders) {
     faultsim::ScopedFaultInjection fi(reject_first(2));
     std::vector<double> buf(1024, 0.0);
     std::vector<std::string> seen;
-    queue q(ExecMode::profiled, order, gpusim::a100(), gpusim::default_calibration(),
+    queue q(ExecMode::profiled, order, gpusim::a100(),
             [&seen](exception_list errors) {
               for (const std::exception_ptr& ep : errors) {
                 try {

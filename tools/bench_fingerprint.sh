@@ -5,9 +5,11 @@
 # report, and the stdout of the single-device benches at L=8
 # (bench_fig6 clean and under seeded faults, bench_quda_recon,
 # bench_precision, bench_compressed_3lp, bench_wilson, bench_roofline,
-# bench_arch_sweep).  bench_arch_sweep is the one document whose machines
-# include an L2 with a set count that is not a power of two (2 560 sets)
-# and a 216-SM device.
+# bench_arch_sweep, bench_mixed_solver).  bench_arch_sweep is the one
+# document whose machines include an L2 with a set count that is not a power
+# of two (2 560 sets) and a 216-SM device, and bench_mixed_solver pairs the
+# float 3LP-1 kernel's profiled time with the real iteration counts of a
+# double and a mixed-precision CG.
 # Every one of them depends only on its seeds, so two runs of one build must
 # print identical lines (ARCHITECTURE.md invariant 3), and a refactor that
 # claims "same behaviour" must print the lines of its parent.  A profiled
@@ -16,8 +18,9 @@
 # every document with one worker and must print the lines of an unpinned run.
 #
 # Usage: tools/bench_fingerprint.sh <build-dir>
-# Prints one "<sha256>  <document>" line per document; exits non-zero when a
-# bench fails.  Takes a few minutes (the two bench_serve runs dominate).
+# Prints 19 "<sha256>  <document>" lines, one per document; exits non-zero
+# when a bench fails.  Takes a few minutes (the two bench_serve runs
+# dominate).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -26,7 +29,8 @@ if [[ $# -ne 1 ]]; then
 fi
 bench_dir="$(cd "$1" && pwd)/bench"
 for exe in bench_scaling bench_serve bench_fig6 bench_quda_recon bench_precision \
-           bench_compressed_3lp bench_wilson bench_roofline bench_arch_sweep; do
+           bench_compressed_3lp bench_wilson bench_roofline bench_arch_sweep \
+           bench_mixed_solver; do
   if [[ ! -x "$bench_dir/$exe" ]]; then
     echo "$0: $bench_dir/$exe not built" >&2
     exit 2
@@ -60,6 +64,7 @@ scaling scaling-wire-fp16r9 --nodes 2 --wire fp16+r9
 "$bench_dir/bench_wilson" --L 8 >"$out/wilson.txt"
 "$bench_dir/bench_roofline" --L 8 >"$out/roofline.txt"
 "$bench_dir/bench_arch_sweep" --L 8 >"$out/arch-sweep.txt"
+"$bench_dir/bench_mixed_solver" --L 8 >"$out/mixed-solver.txt"
 
 cd "$out"
 sha256sum -- *.json *.txt
