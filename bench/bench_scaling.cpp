@@ -1020,7 +1020,7 @@ int main(int argc, char** argv) {
   DslashProblem p0(opt.L, opt.seed);
   print_header("Multi-device scaling — 3LP-1 k-major /768 with halo exchange", opt,
                p0.sites());
-  std::printf("fabric: DGX-A100 link model (NVLink 300 GB/s, 1.9 us; PCIe fallback)\n");
+  std::printf("fabric: DGX-A100 node (NVLink 300 GB/s, 1.9 us between every device pair)\n");
 
   JsonSink json(opt.json_path, "scaling");
   std::FILE* csv = nullptr;

@@ -11,6 +11,117 @@
 
 namespace gpusim {
 
+namespace {
+
+std::string halo_site(const LinkMessage& msg) {
+  return msg.site.empty() ? "halo-exchange r" + std::to_string(msg.src) + "->r" +
+                                std::to_string(msg.dst)
+                          : msg.site;
+}
+
+std::string fabric_site(const NodeTopology& topo, const AggregatedMessage& agg) {
+  return "fabric-exchange r" + std::to_string(agg.src) + "->r" + std::to_string(agg.dst) +
+         " n" + std::to_string(topo.node_of(agg.src)) + "->n" +
+         std::to_string(topo.node_of(agg.dst));
+}
+
+/// The NVLink tier of one exchange: msgs[intra[k]] over per-device egress
+/// and ingress ports.  Consults the injector per message in index order
+/// first (the verdict shapes the schedule; the *caller* handles dropped and
+/// corrupted payloads), then schedules greedily and fills rep's intra
+/// fields, fault counts and arrival horizons.
+void schedule_nvlink(std::span<LinkMessage> msgs, const std::vector<std::size_t>& intra,
+                     int ndev, FabricExchangeReport& rep) {
+  std::vector<double> extra_lat(intra.size(), 0.0);
+  std::vector<double> bw_factor(intra.size(), 1.0);
+  if (faultsim::Injector* inj = faultsim::Injector::current()) {
+    for (std::size_t k = 0; k < intra.size(); ++k) {
+      LinkMessage& msg = msgs[intra[k]];
+      const faultsim::LinkVerdict v =
+          inj->on_message(halo_site(msg), static_cast<std::uint64_t>(msg.bytes));
+      msg.dropped = v.dropped;
+      msg.corrupted = v.corrupted;
+      msg.delayed = v.delayed;
+      msg.corrupt_key = v.corrupt_key;
+      extra_lat[k] = v.extra_latency_us;
+      bw_factor[k] = v.bw_factor;
+      rep.dropped += v.dropped ? 1 : 0;
+      rep.corrupted += v.corrupted ? 1 : 0;
+      rep.delayed += v.delayed ? 1 : 0;
+    }
+  }
+
+  std::vector<double> egress_free(static_cast<std::size_t>(ndev), 0.0);
+  std::vector<double> ingress_free(static_cast<std::size_t>(ndev), 0.0);
+  std::vector<bool> done(intra.size(), false);
+
+  // dsan schedule instrumentation: remember which schedule node last held
+  // each port, so every decision records the waits that gated its start.
+  dsan::Recorder* rec = dsan::Recorder::current();
+  std::vector<std::int64_t> egress_holder(static_cast<std::size_t>(ndev), -1);
+  std::vector<std::int64_t> ingress_holder(static_cast<std::size_t>(ndev), -1);
+
+  for (std::size_t round = 0; round < intra.size(); ++round) {
+    // Greedy: the pending message with the earliest ready time goes next.
+    std::size_t pick = intra.size();
+    double pick_ready = 0.0;
+    for (std::size_t k = 0; k < intra.size(); ++k) {
+      if (done[k]) continue;
+      const LinkMessage& msg = msgs[intra[k]];
+      const double ready =
+          std::max({msg.depart_us, egress_free[static_cast<std::size_t>(msg.src)],
+                    ingress_free[static_cast<std::size_t>(msg.dst)]});
+      const bool better =
+          pick == intra.size() || ready < pick_ready ||
+          (ready == pick_ready &&
+           std::make_tuple(msg.src, msg.dst, k) <
+               std::make_tuple(msgs[intra[pick]].src, msgs[intra[pick]].dst, pick));
+      if (better) {
+        pick = k;
+        pick_ready = ready;
+      }
+    }
+
+    LinkMessage& msg = msgs[intra[pick]];
+    double wire = nvlink_wire_time_us(msg.bytes);
+    if (msg.delayed) {
+      // Congestion spike: extra latency plus a bandwidth divided by the
+      // plan's factor (bw_factor - 1 extra transfer times on top of one).
+      wire += extra_lat[pick] + (bw_factor[pick] - 1.0) * static_cast<double>(msg.bytes) /
+                                    (kInterconnect.nvlink_bw_gbs * 1e3);
+    }
+    msg.start_us = pick_ready;
+    msg.done_us = pick_ready + wire;
+    const auto src = static_cast<std::size_t>(msg.src);
+    const auto dst = static_cast<std::size_t>(msg.dst);
+    if (rec != nullptr) {
+      std::vector<std::int64_t> waits;
+      if (egress_holder[src] >= 0) waits.push_back(egress_holder[src]);
+      if (ingress_holder[dst] >= 0 && ingress_holder[dst] != egress_holder[src]) {
+        waits.push_back(ingress_holder[dst]);
+      }
+      const std::int64_t id = rec->wire_sched(halo_site(msg), msg.src, msg.dst, msg.start_us,
+                                              msg.done_us, std::move(waits));
+      egress_holder[src] = id;
+      ingress_holder[dst] = id;
+    }
+    egress_free[src] = msg.done_us;
+    ingress_free[dst] = msg.done_us;
+    if (!msg.dropped) {
+      // A dropped message occupies the ports (it transmitted) but is never
+      // delivered, so it does not advance the receiver's arrival horizon.
+      rep.arrival_us[dst] = std::max(rep.arrival_us[dst], msg.done_us);
+      rep.intra_finish_us = std::max(rep.intra_finish_us, msg.done_us);
+    }
+    rep.intra_bytes += msg.bytes;
+    done[pick] = true;
+  }
+  for (const std::size_t i : intra) rep.intra_wire_us += msgs[i].done_us - msgs[i].start_us;
+  rep.intra_messages = static_cast<int>(intra.size());
+}
+
+}  // namespace
+
 NodeTopology cluster(int nodes, int devices_per_node) {
   if (nodes < 1) throw std::invalid_argument("cluster: nodes must be >= 1");
   if (devices_per_node < 1) {
@@ -19,16 +130,7 @@ NodeTopology cluster(int nodes, int devices_per_node) {
   NodeTopology topo;
   topo.nodes = nodes;
   topo.devices_per_node = devices_per_node;
-  topo.intra = dgx_a100_links();
-  topo.intra.nvlink_devices = devices_per_node;
-  topo.fabric = hdr_fabric();
   return topo;
-}
-
-double fabric_wire_time_us(const FabricModel& f, std::int64_t bytes) {
-  // GB/s == bytes/us * 1e-3, so us = bytes / (bw * 1e3).
-  return f.nic_latency_us + 2.0 * f.switch_latency_us +
-         static_cast<double>(bytes) / (f.nic_bw_gbs * 1e3);
 }
 
 std::vector<AggregatedMessage> aggregate_fabric_messages(
@@ -79,36 +181,12 @@ FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
     }
   }
 
-  // --- Intra-node tier: extract the same-node subset and run it through the
-  // per-device-port NVLink schedule.  Global ranks inside one node group are
-  // NVLink peers by construction, so the island is widened to cover every
-  // rank; node grouping (not rank position) decided membership above.
-  std::vector<std::size_t> intra_index;
-  std::vector<LinkMessage> intra_msgs;
+  // --- Intra-node tier: every same-node pair is NVLink.
+  std::vector<std::size_t> intra;
   for (std::size_t i = 0; i < msgs.size(); ++i) {
-    if (topo.same_node(msgs[i].src, msgs[i].dst)) {
-      intra_index.push_back(i);
-      intra_msgs.push_back(msgs[i]);
-    }
+    if (topo.same_node(msgs[i].src, msgs[i].dst)) intra.push_back(i);
   }
-  LinkModel island = topo.intra;
-  island.nvlink_devices = ndev;
-  const ExchangeReport intra_rep =
-      simulate_exchange(island, std::span<LinkMessage>(intra_msgs), ndev);
-  for (std::size_t k = 0; k < intra_index.size(); ++k) {
-    msgs[intra_index[k]] = intra_msgs[k];
-    rep.intra_wire_us += intra_msgs[k].done_us - intra_msgs[k].start_us;
-  }
-  rep.intra_bytes = intra_rep.total_bytes;
-  rep.intra_messages = static_cast<int>(intra_msgs.size());
-  rep.intra_finish_us = intra_rep.finish_us;
-  rep.dropped += intra_rep.dropped;
-  rep.corrupted += intra_rep.corrupted;
-  rep.delayed += intra_rep.delayed;
-  for (int d = 0; d < ndev; ++d) {
-    rep.arrival_us[static_cast<std::size_t>(d)] =
-        intra_rep.arrival_us[static_cast<std::size_t>(d)];
-  }
+  schedule_nvlink(msgs, intra, ndev, rep);
 
   // --- Inter-node tier: coalesce per device pair, then consult the injector
   // once per aggregate (a wire message is the fabric's unit of loss).
@@ -125,12 +203,8 @@ FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
   if (faultsim::Injector* inj = faultsim::Injector::current()) {
     for (std::size_t a = 0; a < aggs.size(); ++a) {
       const AggregatedMessage& agg = aggs[a];
-      const std::string site = "fabric-exchange r" + std::to_string(agg.src) + "->r" +
-                               std::to_string(agg.dst) + " n" +
-                               std::to_string(topo.node_of(agg.src)) + "->n" +
-                               std::to_string(topo.node_of(agg.dst));
       const faultsim::LinkVerdict v = inj->on_message(
-          site, static_cast<std::uint64_t>(agg.wire_bytes(topo.fabric)));
+          fabric_site(topo, agg), static_cast<std::uint64_t>(agg.wire_bytes()));
       verdicts[a] = AggVerdict{v.dropped,     v.corrupted,         v.delayed,
                                v.corrupt_key, v.extra_latency_us,  v.bw_factor};
     }
@@ -138,7 +212,6 @@ FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
 
   // Greedy deterministic schedule over one NIC per node (egress busy for the
   // injection time, ingress until delivery) plus the shared switch crossbar.
-  const FabricModel& f = topo.fabric;
   std::vector<double> nic_egress_free(static_cast<std::size_t>(topo.nodes), 0.0);
   std::vector<double> nic_ingress_free(static_cast<std::size_t>(topo.nodes), 0.0);
   double switch_free = 0.0;
@@ -174,13 +247,13 @@ FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
 
     AggregatedMessage& agg = aggs[pick];
     const AggVerdict& v = verdicts[pick];
-    const std::int64_t wire_bytes = agg.wire_bytes(f);
-    double wire = fabric_wire_time_us(f, wire_bytes);
+    const std::int64_t wire_bytes = agg.wire_bytes();
+    double wire = fabric_wire_time_us(wire_bytes);
     if (v.delayed) {
-      // Congestion spike, same convention as link.cpp: extra latency plus
+      // Congestion spike, same convention as NVLink's: extra latency plus
       // bw_factor - 1 extra transfer times on top of the nominal one.
-      wire += v.extra_latency_us +
-              (v.bw_factor - 1.0) * static_cast<double>(wire_bytes) / (f.nic_bw_gbs * 1e3);
+      wire += v.extra_latency_us + (v.bw_factor - 1.0) * static_cast<double>(wire_bytes) /
+                                       (kInterconnect.nic_bw_gbs * 1e3);
     }
     const double start = pick_ready;
     const double done = start + wire;
@@ -192,20 +265,17 @@ FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
         if (h < 0) continue;
         if (std::find(waits.begin(), waits.end(), h) == waits.end()) waits.push_back(h);
       }
-      const std::string site = "fabric-exchange r" + std::to_string(agg.src) + "->r" +
-                               std::to_string(agg.dst) + " n" + std::to_string(topo.node_of(agg.src)) +
-                               "->n" + std::to_string(topo.node_of(agg.dst));
       const std::int64_t id =
-          rec->wire_sched(site, agg.src, agg.dst, start, done, std::move(waits),
+          rec->wire_sched(fabric_site(topo, agg), agg.src, agg.dst, start, done, std::move(waits),
                           std::to_string(agg.frames.size()) + " frames aggregated");
       egress_holder[sn] = id;
       ingress_holder[dn] = id;
       switch_holder = id;
     }
     nic_egress_free[sn] =
-        start + static_cast<double>(wire_bytes) / (f.injection_rate_gbs * 1e3);
+        start + static_cast<double>(wire_bytes) / (kInterconnect.injection_rate_gbs * 1e3);
     nic_ingress_free[dn] = done;
-    switch_free = start + static_cast<double>(wire_bytes) / (f.switch_bw_gbs * 1e3);
+    switch_free = start + static_cast<double>(wire_bytes) / (kInterconnect.switch_bw_gbs * 1e3);
     sent[pick] = true;
 
     rep.inter_bytes += wire_bytes;

@@ -1,29 +1,28 @@
-// fabric.hpp — the inter-node fabric tier above the NVLink island.
+// fabric.hpp — the node topology and the one exchange over it.
 //
-// link.hpp models one node: an NVSwitch island with per-device egress and
-// ingress ports.  Production MILC runs span *clusters* of such nodes
-// (DeTar et al., arXiv:1712.00143; Gottlieb, hep-lat/0112038), where the
-// dominant cost is the InfiniBand-class fabric between them — an order of
-// magnitude less bandwidth and several times the latency of NVLink.  This
-// header adds that second interconnect level with the same character as the
-// rest of gpusim: a small set of audited latency/bandwidth constants plus
-// structural contention rules, so multi-node exchange time is simulated
-// with the same rigor as kernel and NVLink time.
+// A node is an NVSwitch island: every device pair inside it is NVLink, and
+// each device owns one egress and one ingress port.  Production MILC runs
+// span *clusters* of such nodes (DeTar et al., arXiv:1712.00143; Gottlieb,
+// hep-lat/0112038), where the dominant cost is the InfiniBand-class fabric
+// between them — an order of magnitude less bandwidth and several times the
+// latency of NVLink.  `NodeTopology` composes node groups over that fabric;
+// a single node is the one-node topology, so every grid, one device to a
+// cluster, is priced by the same simulate_topology_exchange.  Global device
+// ranks are grouped contiguously — devices [k*devices_per_node,
+// (k+1)*devices_per_node) form node k — so a message is intra-node (NVLink)
+// exactly when both endpoints share a node group.  The coefficients are
+// link.hpp's kInterconnect.
 //
-// Topology: `NodeTopology` composes node groups of NVLink-connected devices
-// over a `FabricModel`.  Global device ranks are grouped contiguously —
-// devices [k*devices_per_node, (k+1)*devices_per_node) form node k — so a
-// message is intra-node (NVLink, priced by the LinkModel) exactly when both
-// endpoints share a node group.
-//
+// NVLink contention: messages sharing a device port serialise (NVLink is
+// full-duplex, so egress and ingress do not contend with each other).
 // Fabric contention has three structural rules, each distinct from NVLink's
 // per-device ports:
 //  * one NIC per node: inter-node messages sharing a source node serialise
 //    on its NIC egress, messages sharing a destination node on its ingress;
 //  * the injection-rate limit: the egress port stays busy for
-//    bytes / injection_rate_gbs per message — when the injection rate is
-//    below the NIC line rate (several GPUs feeding one HCA over PCIe), a
-//    node cannot fill the pipe back-to-back even though each message still
+//    bytes / injection_rate_gbs per message — were the injection rate below
+//    the NIC line rate (several GPUs feeding one HCA over PCIe), a node
+//    could not fill the pipe back-to-back even though each message still
 //    travels at line rate;
 //  * switch contention: every message also occupies the shared switch
 //    crossbar for bytes / switch_bw_gbs — invisible at small node counts,
@@ -36,12 +35,17 @@
 // one per (dimension, side) slab.  Framing is explicit (`FabricFrame`) so
 // the receiver can split the payload without tags or matching logic.
 //
-// Fault injection: inter-node messages are consulted per *aggregate* at
-// site "fabric-exchange r<src>->r<dst> n<srcnode>->n<dstnode>".  A dropped
-// aggregate loses every frame; a corrupted aggregate corrupts exactly one
-// deterministically-picked frame; a delayed aggregate pays the latency
-// spike once.  Intra-node messages keep link.hpp's per-message consult and
-// site grammar, so single-node fault plans replay unchanged.
+// Fault injection: when a faultsim::Injector is installed, every NVLink
+// message is consulted (`Injector::on_message`) before scheduling at its
+// own site ("halo-exchange r<src>->r<dst>" by default) — it may be dropped
+// (transmits, occupies ports, never delivered), corrupted (delivered with a
+// flipped payload bit; the *caller* owns the payload and applies
+// `faultsim::flip_bit(corrupt_key)` on receipt), or delayed (extra latency +
+// degraded bandwidth).  Inter-node messages are consulted per *aggregate*
+// at site "fabric-exchange r<src>->r<dst> n<srcnode>->n<dstnode>": a
+// dropped aggregate loses every frame; a corrupted aggregate corrupts
+// exactly one deterministically-picked frame; a delayed aggregate pays the
+// latency spike once.  With no injector installed the schedule is untouched.
 #pragma once
 
 #include <cstdint>
@@ -51,23 +55,6 @@
 #include "gpusim/link.hpp"
 
 namespace gpusim {
-
-/// Latency–bandwidth description of an InfiniBand-class inter-node fabric.
-/// Constants are HDR-generation (200 Gb/s): ~24 GB/s effective line rate
-/// after protocol overhead, ~5 us end-to-end MPI-level latency, ~0.3 us per
-/// switch hop (two hops through one leaf/spine crossing), and a shared
-/// switch crossbar sized at 8 HDR ports.
-struct FabricModel {
-  double nic_bw_gbs = 24.0;         ///< per-NIC line rate, GB/s unidirectional
-  double nic_latency_us = 5.0;      ///< end-to-end software latency per message
-  double injection_rate_gbs = 24.0; ///< per-node injection cap (PCIe-fed HCA)
-  double switch_bw_gbs = 192.0;     ///< shared crossbar capacity, all pairs
-  double switch_latency_us = 0.3;   ///< per-hop latency (charged twice)
-  std::int64_t frame_header_bytes = 32;  ///< wire overhead per aggregated frame
-};
-
-/// One HDR InfiniBand fabric (the DGX-A100 SuperPOD class).
-[[nodiscard]] inline FabricModel hdr_fabric() { return FabricModel{}; }
 
 /// Hot-spare capacity held in reserve alongside the active devices: idle
 /// devices inside each node (warm spares on the same NVLink island) and
@@ -85,12 +72,11 @@ struct SpareInventory {
 
 /// Two-level interconnect: `nodes` groups of `devices_per_node` devices,
 /// NVLink inside a group, the fabric between groups.  Device ranks are
-/// grouped contiguously: node_of(r) = r / devices_per_node.
+/// grouped contiguously: node_of(r) = r / devices_per_node.  The default is
+/// one DGX-A100 node: 8 devices on one NVSwitch.
 struct NodeTopology {
   int nodes = 1;
   int devices_per_node = 8;
-  LinkModel intra = dgx_a100_links();
-  FabricModel fabric{};
   SpareInventory spares{};  ///< hot-spare pool for re-replication failover
 
   [[nodiscard]] int total_devices() const { return nodes * devices_per_node; }
@@ -99,13 +85,8 @@ struct NodeTopology {
   [[nodiscard]] bool multi_node() const { return nodes > 1; }
 };
 
-/// A cluster of `nodes` nodes with `devices_per_node` A100s each; the
-/// intra-node island is sized to the node so every same-node pair is NVLink.
+/// A cluster of `nodes` nodes with `devices_per_node` A100s each.
 [[nodiscard]] NodeTopology cluster(int nodes, int devices_per_node);
-
-/// Uncontended fabric transfer time of one wire message:
-/// NIC latency + two switch hops + bytes / NIC line rate.
-[[nodiscard]] double fabric_wire_time_us(const FabricModel& f, std::int64_t bytes);
 
 /// One constituent slab inside an aggregated fabric message: where the
 /// caller's msgs[msg_index] payload sits in the coalesced wire payload.
@@ -125,8 +106,9 @@ struct AggregatedMessage {
   std::int64_t payload_bytes = 0;
 
   /// Bytes on the wire: payload plus one frame header per slab.
-  [[nodiscard]] std::int64_t wire_bytes(const FabricModel& f) const {
-    return payload_bytes + static_cast<std::int64_t>(frames.size()) * f.frame_header_bytes;
+  [[nodiscard]] std::int64_t wire_bytes() const {
+    return payload_bytes +
+           static_cast<std::int64_t>(frames.size()) * kInterconnect.frame_header_bytes;
   }
 };
 
@@ -136,7 +118,7 @@ struct AggregatedMessage {
 [[nodiscard]] std::vector<AggregatedMessage> aggregate_fabric_messages(
     const NodeTopology& topo, std::span<const LinkMessage> msgs);
 
-/// Result of simulating one exchange over the two-level topology.
+/// Result of simulating one exchange over the topology.
 struct FabricExchangeReport {
   double finish_us = 0.0;            ///< last delivery over either network
   std::vector<double> arrival_us;    ///< per device: last inbound delivery
@@ -153,18 +135,24 @@ struct FabricExchangeReport {
   int delayed = 0;
 };
 
-/// Event-driven simulation of one message set over the two-level topology.
-/// Intra-node messages run through link.hpp's per-device-port schedule (all
-/// same-node pairs are NVLink); inter-node messages are aggregated per
-/// device pair and scheduled greedily over NIC egress (busy for
-/// bytes / injection_rate), NIC ingress (busy until delivery) and the
-/// shared switch (busy for bytes / switch_bw) — pick the pending aggregate
-/// with the earliest ready time, ties by (src, dst).  The two networks are
-/// disjoint resources, so fabric aggregates fill the pipe while NVLink
-/// traffic drains — the two-phase overlap the multidev runner schedules.
-/// Per-message outputs (start/done/fault flags) are written back into
-/// `msgs`; an aggregate's constituents share its timing and fault verdict
-/// (one frame is picked for corruption).
+/// Event-driven simulation of one message set over the topology, the one
+/// exchange every grid runs.  Scheduling is greedy and deterministic on both
+/// tiers.  Intra-node messages: repeatedly start the pending message with
+/// the earliest ready time max(depart, egress_free[src], ingress_free[dst]),
+/// ties broken by (src, dst, position); ports stay busy for the full wire
+/// time, which serialises same-port messages — the per-pair contention the
+/// all-to-neighbour exchange of a 4-D decomposition produces.  Inter-node
+/// messages are aggregated per device pair and scheduled over NIC egress
+/// (busy for bytes / injection_rate), NIC ingress (busy until delivery) and
+/// the shared switch (busy for bytes / switch_bw) — pick the pending
+/// aggregate with the earliest ready time, ties by (src, dst).  The two
+/// networks are disjoint resources, so fabric aggregates fill the pipe
+/// while NVLink traffic drains — the two-phase overlap the multidev runner
+/// schedules.  Per-message outputs (start/done/fault flags) are written
+/// back into `msgs`; an aggregate's constituents share its timing and fault
+/// verdict (one frame is picked for corruption).  Throws
+/// std::invalid_argument on an endpoint outside the topology, a
+/// self-message or a negative byte count.
 FabricExchangeReport simulate_topology_exchange(const NodeTopology& topo,
                                                 std::span<LinkMessage> msgs);
 

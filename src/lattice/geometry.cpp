@@ -1,5 +1,6 @@
 #include "lattice/geometry.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -7,6 +8,7 @@ namespace milc {
 
 LatticeGeom::LatticeGeom(const Coords& dims) : dims_(dims) {
   volume_ = 1;
+  bool overflow = false;
   for (int d = 0; d < kNdim; ++d) {
     const int e = dims_[static_cast<std::size_t>(d)];
     if (e < 2 || e % 2 != 0) {
@@ -14,7 +16,14 @@ LatticeGeom::LatticeGeom(const Coords& dims) : dims_(dims) {
                                   std::to_string(d) + " has extent " + std::to_string(e));
     }
     stride_[static_cast<std::size_t>(d)] = volume_;
-    volume_ *= dims_[static_cast<std::size_t>(d)];
+    overflow = overflow || __builtin_mul_overflow(volume_, e, &volume_);
+  }
+  // NeighborTable and the kernels hold checkerboard indices as int32.
+  if (overflow || half_volume() > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument(
+        "LatticeGeom: extents " + std::to_string(dims_[0]) + "x" + std::to_string(dims_[1]) +
+        "x" + std::to_string(dims_[2]) + "x" + std::to_string(dims_[3]) +
+        " hold more sites of one parity than an int32 index can address");
   }
 }
 

@@ -35,7 +35,9 @@ class LatticeGeom {
   /// Hypercubic L^4 lattice.
   explicit LatticeGeom(int L) : LatticeGeom(Coords{L, L, L, L}) {}
 
-  /// General (even-extent) lattice.
+  /// General (even-extent) lattice.  Throws std::invalid_argument on an odd
+  /// or sub-2 extent, or when one parity holds more sites than INT32_MAX
+  /// (the range of NeighborTable's checkerboard indices).
   explicit LatticeGeom(const Coords& dims);
 
   [[nodiscard]] const Coords& dims() const { return dims_; }

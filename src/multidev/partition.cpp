@@ -322,14 +322,7 @@ GridScore score_grid(const LatticeGeom& geom, const PartitionGrid& grid,
 
   const int nranks = grid.total();
   std::vector<double> dev_egress_us(static_cast<std::size_t>(nranks), 0.0);
-  // Fabric aggregates keyed by directed (src, dst) device pair.
-  struct Agg {
-    int src = 0;
-    int dst = 0;
-    std::int64_t payload = 0;
-    int frames = 0;
-  };
-  std::vector<Agg> aggs;
+  std::vector<gpusim::LinkMessage> fabric_slabs;
 
   for (int r = 0; r < nranks; ++r) {
     const Coords rc = grid.coords_of(r);
@@ -344,38 +337,24 @@ GridScore score_grid(const LatticeGeom& geom, const PartitionGrid& grid,
         const int peer = grid.rank_of(prc);
         if (topo.same_node(r, peer)) {
           sc.intra_bytes += bytes;
-          dev_egress_us[static_cast<std::size_t>(r)] +=
-              topo.intra.nvlink_latency_us +
-              static_cast<double>(bytes) / (topo.intra.nvlink_bw_gbs * 1e3);
+          dev_egress_us[static_cast<std::size_t>(r)] += gpusim::nvlink_wire_time_us(bytes);
         } else {
           sc.inter_bytes += bytes;
-          Agg* agg = nullptr;
-          for (Agg& a : aggs) {
-            if (a.src == r && a.dst == peer) {
-              agg = &a;
-              break;
-            }
-          }
-          if (agg == nullptr) {
-            aggs.push_back(Agg{r, peer, 0, 0});
-            agg = &aggs.back();
-          }
-          agg->payload += bytes;
-          agg->frames += 1;
+          fabric_slabs.push_back({.src = r, .dst = peer, .bytes = bytes});
         }
       }
     }
   }
 
+  // The exchange's own aggregation: one framed wire message per directed
+  // (src, dst) pair, in first-appearance order.
+  const std::vector<gpusim::AggregatedMessage> aggs =
+      gpusim::aggregate_fabric_messages(topo, fabric_slabs);
   sc.inter_pairs = static_cast<int>(aggs.size());
   std::vector<double> node_egress_us(static_cast<std::size_t>(topo.nodes), 0.0);
-  const gpusim::FabricModel& f = topo.fabric;
-  const double eff_bw = std::min(f.nic_bw_gbs, f.injection_rate_gbs);
-  for (const Agg& a : aggs) {
-    const std::int64_t wire = a.payload + a.frames * f.frame_header_bytes;
+  for (const gpusim::AggregatedMessage& a : aggs) {
     node_egress_us[static_cast<std::size_t>(topo.node_of(a.src))] +=
-        f.nic_latency_us + 2.0 * f.switch_latency_us +
-        static_cast<double>(wire) / (eff_bw * 1e3);
+        gpusim::fabric_wire_time_us(a.wire_bytes());
   }
 
   double worst_dev = 0.0;
@@ -408,7 +387,7 @@ std::vector<PartitionGrid> enumerate_grids(const LatticeGeom& geom, int devices)
 tune::TuneKey grid_tune_key(const LatticeGeom& geom, const gpusim::NodeTopology& topo,
                             const WireFormat& wire) {
   tune::TuneKey key;
-  key.arch = tune::wire_fingerprint(topo);
+  key.arch = tune::arch_fingerprint(gpusim::a100());
   // Grid cost counts face bytes, which are parity-independent; "/even" is
   // the conventional signature for parity-free decisions.
   key.geom = tune::geom_signature(geom.extent(0), geom.extent(1), geom.extent(2),

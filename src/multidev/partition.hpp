@@ -180,8 +180,8 @@ struct GridScore {
   std::int64_t inter_bytes = 0;  ///< slab payload bytes crossing the fabric
   int inter_pairs = 0;           ///< aggregated fabric wire messages per exchange
   /// Analytic exchange-time bound: the busiest device's NVLink egress plus
-  /// the busiest node's NIC egress (latency + bytes / bandwidth per
-  /// message, aggregates priced at min(line rate, injection rate)).
+  /// the busiest node's NIC egress (gpusim's uncontended wire time per
+  /// slab and per aggregate).
   double cost_us = 0.0;
 };
 
@@ -198,9 +198,9 @@ struct GridScore {
 [[nodiscard]] std::vector<PartitionGrid> enumerate_grids(const LatticeGeom& geom,
                                                          int devices);
 
-/// The tuning-cache key choose_grid consults: kernel "grid", the topology's
-/// wire-rate fingerprint in the arch field (grid cost is pure wire
-/// arithmetic — SM coefficients never enter).
+/// The tuning-cache key choose_grid consults: kernel "grid", the cluster's
+/// A100 in the arch field, the topology in the dev<N> and topo fields (grid
+/// cost is pure arithmetic over gpusim's fixed wire constants).
 [[nodiscard]] tune::TuneKey grid_tune_key(const LatticeGeom& geom,
                                           const gpusim::NodeTopology& topo,
                                           const WireFormat& wire = {});

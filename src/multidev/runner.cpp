@@ -445,15 +445,14 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
                                            const std::string& site, std::int64_t bytes,
                                            MultiDevResult& res) {
   dsan::Recorder* rec = dsan::Recorder::current();
-  const bool cross = topo.multi_node() && !topo.same_node(src, dst);
+  const bool cross = !topo.same_node(src, dst);
   double spent = 0.0;
   std::optional<std::uint64_t> verified;
   for (int round = 1; round <= kMaxRounds; ++round) {
     const faultsim::LinkVerdict v =
         inj->on_message(site, static_cast<std::uint64_t>(bytes));
-    double wire = cross ? gpusim::fabric_wire_time_us(topo.fabric, bytes)
-                        : gpusim::wire_time_us(topo.intra, src % topo.devices_per_node,
-                                               dst % topo.devices_per_node, bytes);
+    double wire =
+        cross ? gpusim::fabric_wire_time_us(bytes) : gpusim::nvlink_wire_time_us(bytes);
     if (v.delayed) wire = wire * v.bw_factor + v.extra_latency_us;
     spent += wire;
     res.rereplicated_bytes += bytes;
@@ -461,8 +460,7 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
     if (rec != nullptr) {
       uid = rec->send(src, dst, site, round,
                       dsan::MemSpan{0, static_cast<std::uint64_t>(bytes)}, v.dropped, cross,
-                      topo.multi_node() ? topo.node_of(src) : 0,
-                      topo.multi_node() ? topo.node_of(dst) : 0);
+                      topo.node_of(src), topo.node_of(dst));
       if (!v.dropped) {
         rec->recv(uid, /*delivered=*/!v.corrupted);
         rec->checksum(uid, !v.corrupted);
@@ -563,10 +561,7 @@ class HaloPass {
   template <typename Launch>
   bool submit_shard(int rank, const std::string& name, std::span<const RunRequest> rungs,
                     const Launch& launch, double& us_acc);
-  [[nodiscard]] bool crosses_fabric(int a, int b) const {
-    return topo_.multi_node() && !topo_.same_node(a, b);
-  }
-  [[nodiscard]] int node_of(int r) const { return topo_.multi_node() ? topo_.node_of(r) : 0; }
+  [[nodiscard]] bool crosses_fabric(int a, int b) const { return !topo_.same_node(a, b); }
   DeviceTimeline& timeline(int rank) { return res_.per_device[static_cast<std::size_t>(rank)]; }
 
   DslashProblem& problem_;
@@ -786,23 +781,17 @@ std::string HaloPass::exchange_rounds() {
                       .depart_us = std::max(s->depart_us, wire_clock),
                       .site = exchange_site(s->msg->peer, s->dst)});
     }
-    // Over a multi-node topology the round's messages ride the two-level
-    // exchange: intra-node ones keep their per-message fault sites, inter-
-    // node ones are aggregated per neighbour and consulted per aggregate.
-    // Retransmissions re-enter here round after round, so a pending frame
-    // joins the next round's (smaller) aggregate — retransmit-over-fabric.
-    if (topo_.multi_node()) {
-      const gpusim::FabricExchangeReport frep =
-          gpusim::simulate_topology_exchange(topo_, msgs);
-      res_.intra_node_bytes += frep.intra_bytes;
-      res_.inter_node_bytes += frep.inter_bytes;
-      res_.fabric_messages += frep.inter_messages;
-      res_.intra_wire_us += frep.intra_wire_us;
-      res_.inter_wire_us += frep.inter_wire_us;
-    } else {
-      res_.intra_node_bytes +=
-          simulate_exchange(gpusim::dgx_a100_links(), msgs, ndev_).total_bytes;
-    }
+    // The round's messages ride the topology's exchange: intra-node ones
+    // keep their per-message fault sites, inter-node ones are aggregated per
+    // neighbour and consulted per aggregate.  Retransmissions re-enter here
+    // round after round, so a pending frame joins the next round's (smaller)
+    // aggregate — retransmit-over-fabric.
+    const gpusim::FabricExchangeReport frep = gpusim::simulate_topology_exchange(topo_, msgs);
+    res_.intra_node_bytes += frep.intra_bytes;
+    res_.inter_node_bytes += frep.inter_bytes;
+    res_.fabric_messages += frep.inter_messages;
+    res_.intra_wire_us += frep.intra_wire_us;
+    res_.inter_wire_us += frep.inter_wire_us;
 
     // Transmissions enter the trace after the wire simulation so the drop
     // verdict rides the Send event (a retransmit round records fresh uids).
@@ -813,8 +802,8 @@ std::string HaloPass::exchange_rounds() {
         const std::vector<std::byte>& wire = pend[j]->wire;
         round_tx[j] = rec_->send(lm.src, lm.dst, lm.site, round,
                                  dsan::span_of(wire.data(), wire.size()), lm.dropped,
-                                 crosses_fabric(lm.src, lm.dst), node_of(lm.src),
-                                 node_of(lm.dst));
+                                 crosses_fabric(lm.src, lm.dst), topo_.node_of(lm.src),
+                                 topo_.node_of(lm.dst));
       }
     }
 

@@ -52,7 +52,6 @@
 #include "core/runner.hpp"
 #include "faultsim/faultsim.hpp"
 #include "gpusim/fabric.hpp"
-#include "gpusim/link.hpp"
 #include "ksan/sanitizer.hpp"
 #include "minisycl/queue.hpp"
 #include "multidev/elastic.hpp"
@@ -73,14 +72,12 @@ struct RejoinTarget {
 struct MultiDevRequest {
   PartitionGrid grid{};
   RunRequest req{};  ///< strategy / order / preferred local size / variant
-  /// Two-level interconnect.  With `topo.nodes == 1` (the default) the run
-  /// is single-node: gpusim::dgx_a100_links() prices the exchange and
-  /// nothing else changes.  With `topo.nodes > 1`, `topo` prices it
-  /// (`topo.intra` is the island model): grid ranks are grouped into node
-  /// groups of `topo.devices_per_node` devices, fabric-bound slabs are
-  /// packed first and aggregated per neighbour, and the exchange is priced
-  /// by simulate_topology_exchange.  The *output field* is identical either
-  /// way — placement changes time, never values.
+  /// Two-level interconnect; gpusim::simulate_topology_exchange prices every
+  /// exchange over it.  The default is one node, an NVLink island.  With
+  /// `topo.nodes > 1`, grid ranks are grouped into node groups of
+  /// `topo.devices_per_node` devices, and fabric-bound slabs are packed
+  /// first and aggregated per neighbour.  The *output field* is identical
+  /// either way — placement changes time, never values.
   gpusim::NodeTopology topo{};
   /// Halo wire format (docs/WIRE.md).  The fp64/recon-18 default is the
   /// exact wire: output, timeline and checksums are bit-for-bit the
@@ -129,7 +126,8 @@ struct ExchangeEvent {
 };
 
 /// Structured per-exchange account of the hardened path (this is the
-/// multidev-level report; gpusim::ExchangeReport is the raw wire schedule).
+/// multidev-level report; gpusim::FabricExchangeReport is the raw wire
+/// schedule).
 /// Cumulative across failover attempts within one run.
 struct ExchangeReport {
   int rounds = 0;           ///< delivery rounds used (1 per message set when clean)

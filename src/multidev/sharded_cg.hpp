@@ -46,11 +46,10 @@ struct ShardedCgConfig {
   Strategy strategy = Strategy::LP3_1;
   IndexOrder order = IndexOrder::kMajor;
   int local_size = 768;
-  /// Two-level interconnect; nodes == 1 (default) keeps the single-node
-  /// path on the DGX-A100 NVLink model.  Multi-node solves exchange halos
-  /// over the fabric tier and recover from node loss exactly like device
-  /// loss (the hardened runner shrinks the grid below the survivor count in
-  /// one failover).
+  /// Two-level interconnect; the default is one node, an NVLink island.
+  /// Multi-node solves exchange halos over the fabric tier too and recover
+  /// from node loss exactly like device loss (the hardened runner shrinks
+  /// the grid below the survivor count in one failover).
   gpusim::NodeTopology topo{};
 
   /// Halo wire format of the *inner* CG applies (docs/WIRE.md).  The exact

@@ -19,7 +19,6 @@ void CircuitBreaker::transition(double now, BreakerState to, const std::string& 
   state_ = to;
   // Every transition starts a fresh probe cycle: an in-flight probe's
   // outcome, however late it lands, must not resolve against the new one.
-  half_open_successes_ = 0;
   probe_outstanding_ = false;
   live_probe_token_ = 0;
 }
@@ -32,9 +31,9 @@ void CircuitBreaker::poll(double now) {
 
 void CircuitBreaker::reopen(double now, const std::string& why) {
   ++trips_;
-  const double cooloff = std::min(
-      cfg_.max_cooloff_us,
-      cfg_.cooloff_us * std::pow(cfg_.cooloff_factor, static_cast<double>(trips_ - 1)));
+  const double cooloff =
+      std::min(kMaxCooloffUs,
+               kCooloffUs * std::pow(kCooloffFactor, static_cast<double>(trips_ - 1)));
   open_until_ = now + cooloff;
   transition(now, BreakerState::open, why);
 }
@@ -43,12 +42,8 @@ void CircuitBreaker::on_probe_success(double now, int token) {
   if (state_ != BreakerState::half_open || token == 0 || token != live_probe_token_) {
     return;  // stale probe: the breaker moved on since this probe departed
   }
-  probe_outstanding_ = false;
-  live_probe_token_ = 0;
-  if (++half_open_successes_ >= cfg_.successes_to_close) {
-    transition(now, BreakerState::closed, "probe recovered");
-    consecutive_failures_ = 0;
-  }
+  transition(now, BreakerState::closed, "probe recovered");
+  consecutive_failures_ = 0;
 }
 
 void CircuitBreaker::on_probe_failure(double now, const std::string& why, int token) {
@@ -74,7 +69,7 @@ void CircuitBreaker::on_failure(double now, const std::string& why) {
     return;
   }
   if (state_ == BreakerState::open) return;  // already routed around
-  if (++consecutive_failures_ >= cfg_.failure_threshold) {
+  if (++consecutive_failures_ >= kFailureThreshold) {
     reopen(now, std::to_string(consecutive_failures_) + " consecutive failures: " + why);
     consecutive_failures_ = 0;
   }

@@ -5,12 +5,12 @@
 // classic three-state machine, driven entirely by the service's simulated
 // clock so chaos runs replay bit-for-bit:
 //
-//   closed ──failure_threshold consecutive failures──> open
-//     ^                                                  │ cooloff_us
+//   closed ──kFailureThreshold consecutive failures──> open
+//     ^                                                  │ kCooloffUs
 //     │                                                  v   (grows per trip)
-//     └──── probe success(es) ──────────────────── half-open
+//     └──── probe success ─────────────────────── half-open
 //                        │ probe failure
-//                        └──> open (cooloff × cooloff_factor, capped)
+//                        └──> open (cooloff × kCooloffFactor, capped)
 //
 // The breaker never consults the injector itself — the service reports
 // outcomes (solve results, `serve/probe` consults) into it.  Transitions are
@@ -31,13 +31,13 @@ enum class BreakerState { closed, open, half_open };
 
 [[nodiscard]] const char* to_string(BreakerState s);
 
-struct BreakerConfig {
-  int failure_threshold = 3;      ///< consecutive failures that trip a closed breaker
-  double cooloff_us = 2'000.0;    ///< open duration before the first half-open
-  double cooloff_factor = 2.0;    ///< cooloff growth per successive trip
-  double max_cooloff_us = 60'000.0;
-  int successes_to_close = 1;     ///< half-open probe successes needed to close
-};
+/// Every breaker's coefficients, on the simulated clock.  The cooloff of
+/// trip k is kCooloffUs * kCooloffFactor^(k-1), capped at kMaxCooloffUs
+/// (reached on the sixth trip).
+inline constexpr int kFailureThreshold = 3;  ///< consecutive failures that trip a closed breaker
+inline constexpr double kCooloffUs = 2'000.0;  ///< open duration before the first half-open
+inline constexpr double kCooloffFactor = 2.0;  ///< cooloff growth per successive trip
+inline constexpr double kMaxCooloffUs = 60'000.0;
 
 /// One state transition, timestamped on the simulated clock.
 struct BreakerEvent {
@@ -50,8 +50,7 @@ struct BreakerEvent {
 
 class CircuitBreaker {
  public:
-  CircuitBreaker(std::string resource, BreakerConfig cfg)
-      : resource_(std::move(resource)), cfg_(cfg) {}
+  explicit CircuitBreaker(std::string resource) : resource_(std::move(resource)) {}
 
   [[nodiscard]] const std::string& resource() const { return resource_; }
   [[nodiscard]] BreakerState state() const { return state_; }
@@ -86,8 +85,8 @@ class CircuitBreaker {
 
   /// Resolve the probe identified by `token`.  Stale tokens (the breaker
   /// left half-open since the probe departed, or a newer probe replaced it)
-  /// are ignored.  Success counts toward successes_to_close; failure reopens
-  /// with a grown cooloff.
+  /// are ignored.  Success closes the breaker; failure reopens it with a
+  /// grown cooloff.
   void on_probe_success(double now, int token);
   void on_probe_failure(double now, const std::string& why, int token);
 
@@ -110,11 +109,9 @@ class CircuitBreaker {
   void reopen(double now, const std::string& why);
 
   std::string resource_;
-  BreakerConfig cfg_;
   BreakerState state_ = BreakerState::closed;
   double open_until_ = 0.0;
   int consecutive_failures_ = 0;
-  int half_open_successes_ = 0;
   int trips_ = 0;
   bool probe_outstanding_ = false;
   int next_probe_token_ = 0;  ///< monotonic probe identity source

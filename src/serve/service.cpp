@@ -110,8 +110,7 @@ void SolverService::price_catalog() {
         key.geom = tune::geom_signature(sp.dims[0], sp.dims[1], sp.dims[2], sp.dims[3],
                                         /*even_target=*/true);
         key.kernel = "placement";
-        key.config = "seed" + std::to_string(sp.gauge_seed) + " " +
-                     tune::wire_fingerprint(etopo);
+        key.config = "seed" + std::to_string(sp.gauge_seed);
         key.devices = k;
         key.topo = tune::topo_signature(etopo.nodes, etopo.devices_per_node);
         hit = sess->lookup(key);
@@ -170,9 +169,9 @@ void SolverService::reset_runtime_state() {
   inflight_.clear();
   tenant_busy_us_.clear();
   for (int k = 0; k < cfg_.cluster.total(); ++k)
-    resources_.push_back({CircuitBreaker("d" + std::to_string(k), BreakerConfig{})});
+    resources_.push_back({CircuitBreaker("d" + std::to_string(k))});
   for (int j = 0; j < cfg_.cluster.nodes; ++j)
-    resources_.push_back({CircuitBreaker("n" + std::to_string(j), BreakerConfig{})});
+    resources_.push_back({CircuitBreaker("n" + std::to_string(j))});
 }
 
 int SolverService::alive_devices() const {

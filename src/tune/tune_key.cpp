@@ -71,19 +71,6 @@ std::string arch_fingerprint(const gpusim::MachineModel& m) {
   return buf;
 }
 
-std::string wire_fingerprint(const gpusim::NodeTopology& topo) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "wire-nv%d:%.4g@%.4g-pcie%.4g@%.4g-nic%.4g@%.4g-inj%.4g-sw%.4g@%.4g-hdr%lld",
-                topo.intra.nvlink_devices, topo.intra.nvlink_bw_gbs,
-                topo.intra.nvlink_latency_us, topo.intra.pcie_bw_gbs,
-                topo.intra.pcie_latency_us, topo.fabric.nic_bw_gbs,
-                topo.fabric.nic_latency_us, topo.fabric.injection_rate_gbs,
-                topo.fabric.switch_bw_gbs, topo.fabric.switch_latency_us,
-                static_cast<long long>(topo.fabric.frame_header_bytes));
-  return buf;
-}
-
 std::string geom_signature(int x, int y, int z, int t, bool even_target) {
   return std::to_string(x) + "x" + std::to_string(y) + "x" + std::to_string(z) + "x" +
          std::to_string(t) + (even_target ? "/even" : "/odd");

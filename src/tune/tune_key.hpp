@@ -14,7 +14,7 @@
 //   prec      arithmetic precision of the kernel fields,
 //   recon     gauge reconstruction scheme ("r18"/"r12"/"r9", "-" if n/a),
 //   devices   simulated device count,
-//   topo      node-topology signature (nodes x devices-per-node, wire rates).
+//   topo      node-topology signature (nodes x devices-per-node).
 //
 // The canonical form joins the fields with '|'; no field may contain '|'
 // (enforced).  Entries are compared, stored and persisted by this string —
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <string>
 
-#include "gpusim/fabric.hpp"
 #include "gpusim/machine.hpp"
 
 namespace milc::tune {
@@ -57,17 +56,11 @@ struct TuneKey {
 /// exercises exactly this).
 [[nodiscard]] std::string arch_fingerprint(const gpusim::MachineModel& m);
 
-/// Wire-rate fingerprint of a node topology: NVLink, PCIe, NIC, switch and
-/// framing coefficients.  The arch field of grid-selection keys, whose cost
-/// model is pure wire arithmetic — no SM coefficients involved.
-[[nodiscard]] std::string wire_fingerprint(const gpusim::NodeTopology& topo);
-
 /// "XxYxZxT/even"-style geometry signature.
 [[nodiscard]] std::string geom_signature(int x, int y, int z, int t, bool even_target);
 
 /// "NxD"-style topology signature: `nodes` node groups of `devices_per_node`
-/// devices.  Callers with non-default wire models append their own rate
-/// suffix (see partition.cpp's grid keys).
+/// devices.
 [[nodiscard]] std::string topo_signature(int nodes, int devices_per_node);
 
 }  // namespace milc::tune

@@ -11,7 +11,7 @@
 #include "gpusim/fabric.hpp"
 
 // LinkMessage is an aggregate whose trailing members (site, fault flags,
-// start/done times) are outputs of the exchange simulators; tests
+// start/done times) are outputs of the exchange simulator; tests
 // designated-initialise only the inputs.
 #if defined(__GNUC__)
 #pragma GCC diagnostic ignored "-Wmissing-field-initializers"
@@ -21,18 +21,16 @@ namespace gpusim {
 namespace {
 
 TEST(FabricModel, WireTimeIsLatencyPlusHopsPlusBytesOverBandwidth) {
-  const FabricModel f = hdr_fabric();
+  const Interconnect& f = kInterconnect;
   // 24 GB/s = 24e3 bytes/us: 240 kB takes 10 us on the wire, plus the NIC
   // latency and two switch hops.
-  EXPECT_DOUBLE_EQ(fabric_wire_time_us(f, 240'000),
+  EXPECT_DOUBLE_EQ(fabric_wire_time_us(240'000),
                    f.nic_latency_us + 2.0 * f.switch_latency_us + 10.0);
   // Zero payload still pays the full latency stack.
-  EXPECT_DOUBLE_EQ(fabric_wire_time_us(f, 0),
-                   f.nic_latency_us + 2.0 * f.switch_latency_us);
+  EXPECT_DOUBLE_EQ(fabric_wire_time_us(0), f.nic_latency_us + 2.0 * f.switch_latency_us);
   // The fabric is an order of magnitude slower than NVLink for the same
   // message — the asymmetry the topology-aware partitioner exists for.
-  const LinkModel nv = dgx_a100_links();
-  EXPECT_GT(fabric_wire_time_us(f, 1'000'000), wire_time_us(nv, 0, 1, 1'000'000));
+  EXPECT_GT(fabric_wire_time_us(1'000'000), nvlink_wire_time_us(1'000'000));
 }
 
 TEST(NodeTopology, ClusterComposesContiguousNodeGroups) {
@@ -45,8 +43,6 @@ TEST(NodeTopology, ClusterComposesContiguousNodeGroups) {
   EXPECT_EQ(topo.node_of(7), 1);
   EXPECT_TRUE(topo.same_node(0, 3));
   EXPECT_FALSE(topo.same_node(3, 4));
-  // The island is sized to the node group so every same-node pair is NVLink.
-  EXPECT_EQ(topo.intra.nvlink_devices, 4);
 
   EXPECT_FALSE(cluster(1, 8).multi_node());
   EXPECT_THROW((void)cluster(0, 4), std::invalid_argument);
@@ -80,8 +76,7 @@ TEST(Aggregation, CoalescesPerPairInFirstAppearanceOrder) {
   // The aggregate departs when its latest constituent is packed.
   EXPECT_DOUBLE_EQ(aggs[0].depart_us, 2.0);
   // Wire bytes add one frame header per slab.
-  EXPECT_EQ(aggs[0].wire_bytes(topo.fabric),
-            400 + 2 * topo.fabric.frame_header_bytes);
+  EXPECT_EQ(aggs[0].wire_bytes(), 400 + 2 * kInterconnect.frame_header_bytes);
 
   EXPECT_EQ(aggs[1].src, 1);
   EXPECT_EQ(aggs[1].dst, 3);
@@ -100,6 +95,8 @@ TEST(Aggregation, IntraNodeTrafficYieldsNoAggregates) {
   EXPECT_TRUE(aggregate_fabric_messages(topo, msgs).empty());
 }
 
+// The intra-node messages of a 2x2 cluster are scheduled exactly as on one
+// node of four devices.
 TEST(TopologyExchange, IntraSubsetMatchesTheLinkSchedule) {
   const NodeTopology topo = cluster(2, 2);
   std::vector<LinkMessage> msgs = {
@@ -110,9 +107,7 @@ TEST(TopologyExchange, IntraSubsetMatchesTheLinkSchedule) {
   std::vector<LinkMessage> plain = msgs;
   const FabricExchangeReport rep = simulate_topology_exchange(topo, msgs);
 
-  LinkModel island = topo.intra;
-  island.nvlink_devices = topo.total_devices();
-  const ExchangeReport link_rep = simulate_exchange(island, plain, topo.total_devices());
+  const FabricExchangeReport link_rep = simulate_topology_exchange(cluster(1, 4), plain);
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     EXPECT_DOUBLE_EQ(msgs[i].start_us, plain[i].start_us);
     EXPECT_DOUBLE_EQ(msgs[i].done_us, plain[i].done_us);
@@ -131,9 +126,9 @@ TEST(TopologyExchange, FabricAndNvlinkAreDisjointAndOverlap) {
       {.src = 0, .dst = 2, .bytes = 1'000'000},  // fabric
   };
   const FabricExchangeReport rep = simulate_topology_exchange(topo, msgs);
-  const double nv = topo.intra.nvlink_latency_us + 1'000'000 / (topo.intra.nvlink_bw_gbs * 1e3);
-  const double fab =
-      fabric_wire_time_us(topo.fabric, 1'000'000 + topo.fabric.frame_header_bytes);
+  const double nv =
+      kInterconnect.nvlink_latency_us + 1'000'000 / (kInterconnect.nvlink_bw_gbs * 1e3);
+  const double fab = fabric_wire_time_us(1'000'000 + kInterconnect.frame_header_bytes);
   // Different networks: both start at t = 0 even from the same device.
   EXPECT_DOUBLE_EQ(msgs[0].start_us, 0.0);
   EXPECT_DOUBLE_EQ(msgs[1].start_us, 0.0);
@@ -145,34 +140,22 @@ TEST(TopologyExchange, FabricAndNvlinkAreDisjointAndOverlap) {
   EXPECT_DOUBLE_EQ(rep.inter_finish_us, fab);
   EXPECT_DOUBLE_EQ(rep.finish_us, std::max(nv, fab));
   EXPECT_EQ(rep.intra_bytes, 1'000'000);
-  EXPECT_EQ(rep.inter_bytes, 1'000'000 + topo.fabric.frame_header_bytes);
+  EXPECT_EQ(rep.inter_bytes, 1'000'000 + kInterconnect.frame_header_bytes);
 }
 
 TEST(TopologyExchange, NicEgressHonoursTheInjectionRate) {
-  NodeTopology topo = cluster(3, 1);
+  const NodeTopology topo = cluster(3, 1);
   std::vector<LinkMessage> msgs = {
       {.src = 0, .dst = 1, .bytes = 240'000},
       {.src = 0, .dst = 2, .bytes = 240'000},
   };
-  const std::int64_t wire_bytes = 240'000 + topo.fabric.frame_header_bytes;
+  const std::int64_t wire_bytes = 240'000 + kInterconnect.frame_header_bytes;
   simulate_topology_exchange(topo, msgs);
   // One NIC on node 0: the second aggregate waits out the injection period
   // (not the full delivery — the pipe can be refilled while the first
   // message is still in flight).
   EXPECT_DOUBLE_EQ(msgs[0].start_us, 0.0);
-  EXPECT_DOUBLE_EQ(msgs[1].start_us, wire_bytes / (topo.fabric.injection_rate_gbs * 1e3));
-
-  // Halving the injection rate doubles the gap while each message still
-  // travels at line rate.
-  topo.fabric.injection_rate_gbs = 12.0;
-  std::vector<LinkMessage> slow = {
-      {.src = 0, .dst = 1, .bytes = 240'000},
-      {.src = 0, .dst = 2, .bytes = 240'000},
-  };
-  simulate_topology_exchange(topo, slow);
-  EXPECT_DOUBLE_EQ(slow[1].start_us, wire_bytes / (12.0 * 1e3));
-  EXPECT_DOUBLE_EQ(slow[1].done_us,
-                   slow[1].start_us + fabric_wire_time_us(topo.fabric, wire_bytes));
+  EXPECT_DOUBLE_EQ(msgs[1].start_us, wire_bytes / (kInterconnect.injection_rate_gbs * 1e3));
 }
 
 TEST(TopologyExchange, NicIngressSerialisesConvergingAggregates) {
@@ -194,11 +177,11 @@ TEST(TopologyExchange, SwitchCrossbarCouplesDisjointPairs) {
       {.src = 2, .dst = 3, .bytes = 240'000},
   };
   simulate_topology_exchange(topo, msgs);
-  const std::int64_t wire_bytes = 240'000 + topo.fabric.frame_header_bytes;
+  const std::int64_t wire_bytes = 240'000 + kInterconnect.frame_header_bytes;
   // Distinct NICs on every endpoint, but one shared crossbar: the second
   // pair waits out the first's switch occupancy (ties broken by (src, dst)).
   EXPECT_DOUBLE_EQ(msgs[0].start_us, 0.0);
-  EXPECT_DOUBLE_EQ(msgs[1].start_us, wire_bytes / (topo.fabric.switch_bw_gbs * 1e3));
+  EXPECT_DOUBLE_EQ(msgs[1].start_us, wire_bytes / (kInterconnect.switch_bw_gbs * 1e3));
 }
 
 TEST(TopologyExchange, DroppedAggregateLosesEveryFrame) {
@@ -248,8 +231,8 @@ TEST(TopologyExchange, CorruptedAggregateDamagesExactlyOneFrame) {
   EXPECT_NE(hit.corrupt_key, 0u);
   EXPECT_EQ(clean.corrupt_key, 0u);
   // Corruption is a payload event, not a timing event.
-  const std::int64_t wire_bytes = 300 + 2 * topo.fabric.frame_header_bytes;
-  EXPECT_DOUBLE_EQ(hit.done_us, fabric_wire_time_us(topo.fabric, wire_bytes));
+  const std::int64_t wire_bytes = 300 + 2 * kInterconnect.frame_header_bytes;
+  EXPECT_DOUBLE_EQ(hit.done_us, fabric_wire_time_us(wire_bytes));
   EXPECT_DOUBLE_EQ(rep.arrival_us[2], hit.done_us);
 }
 
@@ -269,10 +252,10 @@ TEST(TopologyExchange, DelayedAggregatePaysTheSpikeOnce) {
   const FabricExchangeReport rep = simulate_topology_exchange(topo, msgs);
   EXPECT_EQ(rep.delayed, 1);
   EXPECT_TRUE(msgs[0].delayed);
-  const std::int64_t wire_bytes = 240'000 + 2 * topo.fabric.frame_header_bytes;
-  const double clean = fabric_wire_time_us(topo.fabric, wire_bytes);
+  const std::int64_t wire_bytes = 240'000 + 2 * kInterconnect.frame_header_bytes;
+  const double clean = fabric_wire_time_us(wire_bytes);
   // The spike hits the coalesced wire message once — not once per slab.
-  const double extra = 25.0 + wire_bytes / (topo.fabric.nic_bw_gbs * 1e3);
+  const double extra = 25.0 + wire_bytes / (kInterconnect.nic_bw_gbs * 1e3);
   EXPECT_NEAR(msgs[0].done_us, clean + extra, 1e-9);
   EXPECT_DOUBLE_EQ(msgs[1].done_us, msgs[0].done_us);
 }

@@ -1,16 +1,16 @@
-// test_gpusim_link.cpp — the inter-device link model: wire-time arithmetic,
-// NVLink/PCIe island selection, and the port-serialised exchange schedule.
+// test_gpusim_link.cpp — the NVLink tier: wire-time arithmetic and the
+// port-serialised exchange schedule of a one-node topology.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
 #include "faultsim/faultsim.hpp"
-#include "gpusim/link.hpp"
+#include "gpusim/fabric.hpp"
 
 // LinkMessage is an aggregate whose trailing members (site, fault flags,
-// start/done times) are outputs of simulate_exchange; tests designated-
-// initialise only the inputs.
+// start/done times) are outputs of simulate_topology_exchange; tests
+// designated-initialise only the inputs.
 #if defined(__GNUC__)
 #pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 #endif
@@ -19,51 +19,34 @@ namespace gpusim {
 namespace {
 
 TEST(LinkModel, WireTimeIsLatencyPlusBytesOverBandwidth) {
-  const LinkModel m = dgx_a100_links();
+  const Interconnect& m = kInterconnect;
   // 300 GB/s = 300e3 bytes/us: 3 MB takes 10 us on the wire plus latency.
-  EXPECT_DOUBLE_EQ(wire_time_us(m, 0, 1, 3'000'000),
+  EXPECT_DOUBLE_EQ(nvlink_wire_time_us(3'000'000),
                    m.nvlink_latency_us + 3'000'000 / (m.nvlink_bw_gbs * 1e3));
   // Zero payload still pays the latency.
-  EXPECT_DOUBLE_EQ(wire_time_us(m, 0, 1, 0), m.nvlink_latency_us);
-}
-
-TEST(LinkModel, NvlinkIslandSelectsFabric) {
-  LinkModel m = dgx_a100_links();
-  m.nvlink_devices = 4;  // devices 0..3 share the NVLink island
-  EXPECT_TRUE(is_nvlink(m, 0, 3));
-  EXPECT_FALSE(is_nvlink(m, 0, 4));
-  EXPECT_FALSE(is_nvlink(m, 4, 5));  // both outside: PCIe
-
-  const std::int64_t bytes = 1'000'000;
-  const double nv = wire_time_us(m, 0, 3, bytes);
-  const double pcie = wire_time_us(m, 0, 4, bytes);
-  EXPECT_DOUBLE_EQ(nv, m.nvlink_latency_us + bytes / (m.nvlink_bw_gbs * 1e3));
-  EXPECT_DOUBLE_EQ(pcie, m.pcie_latency_us + bytes / (m.pcie_bw_gbs * 1e3));
-  EXPECT_GT(pcie, nv);
+  EXPECT_DOUBLE_EQ(nvlink_wire_time_us(0), m.nvlink_latency_us);
 }
 
 TEST(SimulateExchange, DistinctPairsOverlapPerfectly) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {
       {.src = 0, .dst = 1, .bytes = 1'000'000},
       {.src = 2, .dst = 3, .bytes = 1'000'000},
   };
-  const ExchangeReport rep = simulate_exchange(m, msgs, 4);
-  const double one = wire_time_us(m, 0, 1, 1'000'000);
+  const FabricExchangeReport rep = simulate_topology_exchange(cluster(1, 4), msgs);
+  const double one = nvlink_wire_time_us(1'000'000);
   EXPECT_DOUBLE_EQ(msgs[0].done_us, one);
   EXPECT_DOUBLE_EQ(msgs[1].done_us, one);  // no shared port: fully parallel
   EXPECT_DOUBLE_EQ(rep.finish_us, one);
-  EXPECT_EQ(rep.total_bytes, 2'000'000);
+  EXPECT_EQ(rep.intra_bytes, 2'000'000);
 }
 
 TEST(SimulateExchange, SharedEgressPortSerialises) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {
       {.src = 0, .dst = 1, .bytes = 1'000'000},
       {.src = 0, .dst = 2, .bytes = 1'000'000},
   };
-  simulate_exchange(m, msgs, 4);
-  const double one = wire_time_us(m, 0, 1, 1'000'000);
+  simulate_topology_exchange(cluster(1, 4), msgs);
+  const double one = nvlink_wire_time_us(1'000'000);
   // Device 0 owns one egress port: the second message starts when the
   // first clears it (start = done of the first, not t = 0).
   EXPECT_DOUBLE_EQ(msgs[0].start_us, 0.0);
@@ -72,28 +55,25 @@ TEST(SimulateExchange, SharedEgressPortSerialises) {
 }
 
 TEST(SimulateExchange, SharedIngressPortSerialises) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {
       {.src = 1, .dst = 0, .bytes = 1'000'000},
       {.src = 2, .dst = 0, .bytes = 1'000'000},
   };
-  const ExchangeReport rep = simulate_exchange(m, msgs, 4);
-  const double one = wire_time_us(m, 1, 0, 1'000'000);
+  const FabricExchangeReport rep = simulate_topology_exchange(cluster(1, 4), msgs);
+  const double one = nvlink_wire_time_us(1'000'000);
   EXPECT_DOUBLE_EQ(rep.arrival_us[0], 2 * one);
 }
 
 TEST(SimulateExchange, DepartureTimesAreHonoured) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {
       {.src = 0, .dst = 1, .bytes = 1'000'000, .depart_us = 50.0},
   };
-  const ExchangeReport rep = simulate_exchange(m, msgs, 2);
+  const FabricExchangeReport rep = simulate_topology_exchange(cluster(1, 2), msgs);
   EXPECT_DOUBLE_EQ(msgs[0].start_us, 50.0);
-  EXPECT_DOUBLE_EQ(rep.finish_us, 50.0 + wire_time_us(m, 0, 1, 1'000'000));
+  EXPECT_DOUBLE_EQ(rep.finish_us, 50.0 + nvlink_wire_time_us(1'000'000));
 }
 
 TEST(SimulateExchange, ScheduleIsDeterministic) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> a = {
       {.src = 0, .dst = 1, .bytes = 500'000},
       {.src = 0, .dst = 2, .bytes = 400'000},
@@ -101,8 +81,8 @@ TEST(SimulateExchange, ScheduleIsDeterministic) {
       {.src = 2, .dst = 1, .bytes = 200'000, .depart_us = 1.0},
   };
   std::vector<LinkMessage> b = a;
-  simulate_exchange(m, a, 3);
-  simulate_exchange(m, b, 3);
+  simulate_topology_exchange(cluster(1, 3), a);
+  simulate_topology_exchange(cluster(1, 3), b);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].start_us, b[i].start_us);
     EXPECT_DOUBLE_EQ(a[i].done_us, b[i].done_us);
@@ -115,13 +95,12 @@ TEST(SimulateExchange, DroppedMessageOccupiesPortsButNeverArrives) {
       faultsim::ScheduledFault{faultsim::FaultKind::msg_drop, 0, 1, "r0->r1"});
   faultsim::ScopedFaultInjection fi(plan);
 
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {
       {.src = 0, .dst = 1, .bytes = 1'000'000},
       {.src = 0, .dst = 2, .bytes = 1'000'000},
   };
-  const ExchangeReport rep = simulate_exchange(m, msgs, 4);
-  const double one = wire_time_us(m, 0, 1, 1'000'000);
+  const FabricExchangeReport rep = simulate_topology_exchange(cluster(1, 4), msgs);
+  const double one = nvlink_wire_time_us(1'000'000);
 
   EXPECT_TRUE(msgs[0].dropped);
   EXPECT_FALSE(msgs[1].dropped);
@@ -141,15 +120,14 @@ TEST(SimulateExchange, DelayedMessagePaysLatencyAndBandwidthPenalty) {
       faultsim::ScheduledFault{faultsim::FaultKind::msg_delay, 0, 1, "r0->r1"});
   faultsim::ScopedFaultInjection fi(plan);
 
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {{.src = 0, .dst = 1, .bytes = 1'000'000}};
-  simulate_exchange(m, msgs, 2);
+  simulate_topology_exchange(cluster(1, 2), msgs);
 
   EXPECT_TRUE(msgs[0].delayed);
-  const double clean = wire_time_us(m, 0, 1, 1'000'000);
+  const double clean = nvlink_wire_time_us(1'000'000);
   // A bw_factor of 2 doubles the transfer term: one extra bytes/bw on top
   // of the clean wire time, plus the latency spike.
-  const double extra = 25.0 + 1'000'000 / (m.nvlink_bw_gbs * 1e3);
+  const double extra = 25.0 + 1'000'000 / (kInterconnect.nvlink_bw_gbs * 1e3);
   EXPECT_NEAR(msgs[0].done_us, clean + extra, 1e-9);
 }
 
@@ -160,15 +138,14 @@ TEST(SimulateExchange, CorruptedMessageArrivesWithAKey) {
       faultsim::ScheduledFault{faultsim::FaultKind::msg_corrupt, 0, 1, "r0->r1"});
   faultsim::ScopedFaultInjection fi(plan);
 
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> msgs = {{.src = 0, .dst = 1, .bytes = 1'000'000}};
-  const ExchangeReport rep = simulate_exchange(m, msgs, 2);
+  const FabricExchangeReport rep = simulate_topology_exchange(cluster(1, 2), msgs);
 
   EXPECT_TRUE(msgs[0].corrupted);
   EXPECT_NE(msgs[0].corrupt_key, 0u);
   EXPECT_EQ(rep.corrupted, 1);
   // Corruption is a payload event, not a timing event.
-  EXPECT_DOUBLE_EQ(msgs[0].done_us, wire_time_us(m, 0, 1, 1'000'000));
+  EXPECT_DOUBLE_EQ(msgs[0].done_us, nvlink_wire_time_us(1'000'000));
   EXPECT_DOUBLE_EQ(rep.arrival_us[1], msgs[0].done_us);
 }
 
@@ -179,14 +156,13 @@ TEST(SimulateExchange, FaultedScheduleIsDeterministic) {
     plan.p_msg_drop = 0.3;
     plan.p_msg_delay = 0.3;
     faultsim::ScopedFaultInjection fi(plan);
-    const LinkModel m = dgx_a100_links();
     std::vector<LinkMessage> msgs;
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < 4; ++j) {
         if (i != j) msgs.push_back({.src = i, .dst = j, .bytes = 250'000});
       }
     }
-    simulate_exchange(m, msgs, 4);
+    simulate_topology_exchange(cluster(1, 4), msgs);
     return msgs;
   };
   const auto a = run();
@@ -202,13 +178,12 @@ TEST(SimulateExchange, FaultedScheduleIsDeterministic) {
 }
 
 TEST(SimulateExchange, RejectsMalformedMessages) {
-  const LinkModel m = dgx_a100_links();
   std::vector<LinkMessage> self = {{.src = 1, .dst = 1, .bytes = 8}};
-  EXPECT_THROW(simulate_exchange(m, self, 2), std::invalid_argument);
+  EXPECT_THROW(simulate_topology_exchange(cluster(1, 2), self), std::invalid_argument);
   std::vector<LinkMessage> range = {{.src = 0, .dst = 5, .bytes = 8}};
-  EXPECT_THROW(simulate_exchange(m, range, 2), std::invalid_argument);
+  EXPECT_THROW(simulate_topology_exchange(cluster(1, 2), range), std::invalid_argument);
   std::vector<LinkMessage> negative = {{.src = 0, .dst = 1, .bytes = -1}};
-  EXPECT_THROW(simulate_exchange(m, negative, 2), std::invalid_argument);
+  EXPECT_THROW(simulate_topology_exchange(cluster(1, 2), negative), std::invalid_argument);
 }
 
 }  // namespace

@@ -23,6 +23,17 @@ TEST(Geometry, RejectsOddOrTinyExtents) {
   EXPECT_THROW(LatticeGeom(Coords{4, 4, 0, 4}), std::invalid_argument);
 }
 
+// LatticeGeom allocates nothing, so extents at the edge of the index range
+// are cheap to construct.
+TEST(Geometry, RejectsVolumesBeyondTheIndexRange) {
+  // 256^4 = 2^32 sites: 2^31 of one parity, one past INT32_MAX.
+  EXPECT_THROW(LatticeGeom(256), std::invalid_argument);
+  // 254^4: 2 081 157 128 sites of one parity fit.
+  EXPECT_EQ(LatticeGeom(254).half_volume(), 2'081'157'128);
+  // 100000^4 overflows int64 itself.
+  EXPECT_THROW(LatticeGeom(100000), std::invalid_argument);
+}
+
 TEST(Geometry, IndexCoordsRoundTrip) {
   LatticeGeom g(Coords{4, 6, 8, 4});
   for (std::int64_t f = 0; f < g.volume(); ++f) {

@@ -307,6 +307,22 @@ TEST(Topology, TwoNodeRunMatchesSingleNodeAndSingleDeviceBitForBit) {
   EXPECT_GT(fabric.inter_wire_us, fabric.intra_wire_us);
 }
 
+// A single node is the one-node topology, priced by the same exchange: its
+// run reports the NVLink wire time of every slab and no fabric traffic.
+TEST(Topology, SingleNodeRunReportsItsNvlinkWireTime) {
+  DslashProblem problem(Coords{4, 4, 4, 12}, /*seed=*/7);
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid::along(3, 2);
+  const MultiDevResult res = MultiDeviceRunner{}.run(problem, mreq);
+  EXPECT_EQ(res.nodes, 1);
+  EXPECT_GT(res.halo_bytes, 0);
+  EXPECT_EQ(res.intra_node_bytes, res.halo_bytes);
+  EXPECT_GT(res.intra_wire_us, 0.0);
+  EXPECT_EQ(res.inter_node_bytes, 0);
+  EXPECT_EQ(res.fabric_messages, 0);
+  EXPECT_EQ(res.inter_wire_us, 0.0);
+}
+
 TEST(Topology, EffectiveTopologyTracksFailover) {
   const gpusim::NodeTopology topo = gpusim::cluster(2, 2);
   EXPECT_EQ(effective_topology(topo, 4).nodes, 2);

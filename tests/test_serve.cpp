@@ -131,7 +131,8 @@ TEST(AdmissionQueue, SweepExpiredAndDrainOrderById) {
 // --- CircuitBreaker ---------------------------------------------------------
 
 TEST(CircuitBreaker, TripsOnConsecutiveFailuresOnly) {
-  CircuitBreaker b("d0", BreakerConfig{});
+  static_assert(kFailureThreshold == 3);
+  CircuitBreaker b("d0");
   b.on_failure(1.0, "x");
   b.on_failure(2.0, "x");
   b.on_success(3.0);  // resets the consecutive count
@@ -145,32 +146,33 @@ TEST(CircuitBreaker, TripsOnConsecutiveFailuresOnly) {
   EXPECT_EQ(b.trips(), 1);
 }
 
+// Trip one opens a closed breaker at the threshold; every later trip is a
+// failure while half-open.
+void trip_closed(CircuitBreaker& b, double now) {
+  for (int i = 0; i < kFailureThreshold; ++i) b.on_failure(now, "x");
+}
+
 TEST(CircuitBreaker, CooloffGrowsPerTripAndIsCapped) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.cooloff_us = 1000.0;
-  cfg.cooloff_factor = 2.0;
-  cfg.max_cooloff_us = 3000.0;
-  CircuitBreaker b("d0", cfg);
-  b.on_failure(0.0, "x");
-  EXPECT_EQ(b.open_until(), 1000.0);
-  b.poll(1000.0);
-  ASSERT_EQ(b.state(), BreakerState::half_open);
-  b.on_failure(1000.0, "probe failed");  // second trip: cooloff doubles
-  EXPECT_EQ(b.open_until(), 3000.0);
-  b.poll(3000.0);
-  b.on_failure(3000.0, "probe failed");  // third trip: 4000 us capped to 3000
-  EXPECT_EQ(b.open_until(), 6000.0);
-  EXPECT_EQ(b.trips(), 3);
+  CircuitBreaker b("d0");
+  trip_closed(b, 0.0);
+  EXPECT_EQ(b.open_until(), 2'000.0);
+  // Trip k stays open 2000 * 2^(k-1) us, capped at 60000: the sixth trip's
+  // 64000 us is the first the cap cuts.
+  for (const double until : {6'000.0, 14'000.0, 30'000.0, 62'000.0, 122'000.0}) {
+    const double now = b.open_until();
+    b.poll(now);
+    ASSERT_EQ(b.state(), BreakerState::half_open);
+    b.on_failure(now, "probe failed");
+    EXPECT_EQ(b.open_until(), until);
+  }
+  EXPECT_EQ(b.trips(), 6);
 }
 
 TEST(CircuitBreaker, HalfOpenProbeRaceGuardAndRecovery) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  CircuitBreaker b("d1", cfg);
-  b.on_failure(0.0, "x");
+  CircuitBreaker b("d1");
+  trip_closed(b, 0.0);
   EXPECT_FALSE(b.probe_allowed());  // still open
-  b.poll(cfg.cooloff_us);
+  b.poll(kCooloffUs);
   ASSERT_EQ(b.state(), BreakerState::half_open);
   EXPECT_FALSE(b.allow());  // half-open never takes ordinary work
   ASSERT_TRUE(b.probe_allowed());
@@ -179,10 +181,10 @@ TEST(CircuitBreaker, HalfOpenProbeRaceGuardAndRecovery) {
   EXPECT_FALSE(b.probe_allowed());
   // A *work* success landing while half-open (a solve dispatched before the
   // trip) must never close the breaker in place of the probe.
-  b.on_success(cfg.cooloff_us + 1.0);
+  b.on_success(kCooloffUs + 1.0);
   EXPECT_EQ(b.state(), BreakerState::half_open);
   // Only the probe's own outcome closes it.
-  b.on_probe_success(cfg.cooloff_us + 2.0, token);
+  b.on_probe_success(kCooloffUs + 2.0, token);
   EXPECT_EQ(b.state(), BreakerState::closed);
   EXPECT_TRUE(b.allow());
   // The full trajectory is enumerated.
@@ -196,24 +198,21 @@ TEST(CircuitBreaker, HalfOpenProbeRaceGuardAndRecovery) {
 // the breaker carries a stale token and must be ignored — previously it could
 // close a breaker that had just re-tripped, closing it out of order.
 TEST(CircuitBreaker, StaleProbeSuccessAfterConcurrentFailureIsIgnored) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.cooloff_us = 100.0;
-  CircuitBreaker b("d2", cfg);
-  b.on_failure(0.0, "x");
-  b.poll(100.0);
+  CircuitBreaker b("d2");
+  trip_closed(b, 0.0);
+  b.poll(kCooloffUs);
   ASSERT_EQ(b.state(), BreakerState::half_open);
   const int token = b.probe_started();
   // A concurrent in-flight solve fails while the probe is out: reopen.
-  b.on_failure(101.0, "late solve failure");
+  b.on_failure(kCooloffUs + 1.0, "late solve failure");
   ASSERT_EQ(b.state(), BreakerState::open);
   EXPECT_EQ(b.trips(), 2);
   // The probe's success now arrives — stale, must NOT close the breaker.
-  b.on_probe_success(102.0, token);
+  b.on_probe_success(kCooloffUs + 2.0, token);
   EXPECT_EQ(b.state(), BreakerState::open);
   EXPECT_FALSE(b.allow());
   // Same for a stale probe failure: no double trip.
-  b.on_probe_failure(103.0, "stale", token);
+  b.on_probe_failure(kCooloffUs + 3.0, "stale", token);
   EXPECT_EQ(b.trips(), 2);
   // The next half-open cycle issues a fresh token that does resolve.
   b.poll(b.open_until());
@@ -228,24 +227,20 @@ TEST(CircuitBreaker, StaleProbeSuccessAfterConcurrentFailureIsIgnored) {
 // probation (half-open) regardless of prior state so capacity returns only
 // through a successful probe.
 TEST(CircuitBreaker, ProbeFailureReopensAndProbationForcesHalfOpen) {
-  BreakerConfig cfg;
-  cfg.failure_threshold = 1;
-  cfg.cooloff_us = 100.0;
-  cfg.cooloff_factor = 2.0;
-  CircuitBreaker b("d3", cfg);
-  b.on_failure(0.0, "x");
-  b.poll(100.0);
+  CircuitBreaker b("d3");
+  trip_closed(b, 0.0);
+  b.poll(kCooloffUs);
   const int token = b.probe_started();
-  b.on_probe_failure(100.0, "still broken", token);
+  b.on_probe_failure(kCooloffUs, "still broken", token);
   EXPECT_EQ(b.state(), BreakerState::open);
-  EXPECT_EQ(b.open_until(), 300.0);  // 100 + 100 * 2^1
+  EXPECT_EQ(b.open_until(), 6'000.0);  // 2000 + 2000 * 2^1
   // Elastic rejoin: force probation from open.
-  b.begin_probation(150.0, "healed; rejoining");
+  b.begin_probation(3'000.0, "healed; rejoining");
   EXPECT_EQ(b.state(), BreakerState::half_open);
   EXPECT_FALSE(b.allow());  // no traffic before a probe passes
   ASSERT_TRUE(b.probe_allowed());
   const int token2 = b.probe_started();
-  b.on_probe_success(151.0, token2);
+  b.on_probe_success(3'001.0, token2);
   EXPECT_EQ(b.state(), BreakerState::closed);
   EXPECT_TRUE(b.allow());
 }

@@ -2,14 +2,17 @@
 # bench_fingerprint.sh — sha256 fingerprints of the deterministic bench
 # documents: bench_scaling JSON under seven flag sets, the bench_serve
 # SloReport JSON (clean and seeded chaos), the bench_scaling --sanitize
-# report, and the stdout of the single-device benches at L=8
+# report, the stdout of a two-node seeded-fault bench_scaling --dsan run,
+# and the stdout of the single-device benches at L=8
 # (bench_fig6 clean and under seeded faults, bench_quda_recon,
 # bench_precision, bench_compressed_3lp, bench_wilson, bench_roofline,
 # bench_arch_sweep, bench_mixed_solver).  bench_arch_sweep is the one
 # document whose machines include an L2 with a set count that is not a power
 # of two (2 560 sets) and a 216-SM device, and bench_mixed_solver pairs the
 # float 3LP-1 kernel's profiled time with the real iteration counts of a
-# double and a mixed-precision CG.
+# double and a mixed-precision CG.  The --dsan run's per-checker counts
+# include one schedule event per port grant of every exchange, the part of
+# the interconnect model no other document shows.
 # Every one of them depends only on its seeds, so two runs of one build must
 # print identical lines (ARCHITECTURE.md invariant 3), and a refactor that
 # claims "same behaviour" must print the lines of its parent.  A profiled
@@ -18,7 +21,7 @@
 # every document with one worker and must print the lines of an unpinned run.
 #
 # Usage: tools/bench_fingerprint.sh <build-dir>
-# Prints 19 "<sha256>  <document>" lines, one per document; exits non-zero
+# Prints 20 "<sha256>  <document>" lines, one per document; exits non-zero
 # when a bench fails.  Takes a few minutes (the two bench_serve runs
 # dominate).
 set -euo pipefail
@@ -56,6 +59,8 @@ scaling scaling-wire-fp16r9 --nodes 2 --wire fp16+r9
 "$bench_dir/bench_serve" --json "$out/serve.json" >/dev/null
 "$bench_dir/bench_serve" --chaos 20260807 --json "$out/serve-chaos.json" >/dev/null
 "$bench_dir/bench_scaling" --sanitize --L 12 --max-devices 4 >"$out/scaling-sanitize.txt"
+"$bench_dir/bench_scaling" --dsan --L 12 --max-devices 4 --faults 2024 --nodes 2 \
+  >"$out/scaling-dsan.txt"
 "$bench_dir/bench_fig6" --L 8 >"$out/fig6.txt"
 "$bench_dir/bench_fig6" --faults 2024 --L 8 >"$out/fig6-faults.txt"
 "$bench_dir/bench_quda_recon" --L 8 >"$out/quda-recon.txt"
