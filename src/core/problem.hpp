@@ -10,19 +10,27 @@
 namespace milc {
 
 /// Owns everything one Dslash application needs: geometry, the gathered
-/// gauge field, neighbour table and the quark fields.  The random SU(3)
-/// configuration it gathers from lives only while the problem is built.
-/// Building it is the expensive part, so benches construct one problem per
-/// lattice size and reuse it across strategy/variant sweeps.
+/// gauge field, neighbour table and the quark fields.  The SU(3)
+/// configuration it gathers from is not kept.  Building it is the expensive
+/// part, so benches construct one problem per lattice size and reuse it
+/// across strategy/variant sweeps.
 class DslashProblem {
  public:
   /// Hypercubic L^4 lattice (paper: L = 32; benches default to 16 so the
   /// single-core simulation of millions of work-items stays tractable).
   explicit DslashProblem(int L, std::uint64_t seed = 2024, Parity target = Parity::Even);
 
-  /// General even-extent lattice (e.g. asymmetric 4 x 6 x 8 x 10).
+  /// General even-extent lattice (e.g. asymmetric 4 x 6 x 8 x 10).  The
+  /// gauge configuration is GaugeConfiguration::random(LatticeGeom(dims), seed).
   explicit DslashProblem(const Coords& dims, std::uint64_t seed = 2024,
                          Parity target = Parity::Even);
+
+  /// Gathers the given configuration of `dims` (throws std::invalid_argument
+  /// when its volume is another); `seed` draws b as the seed constructors
+  /// do.  Several problems over one configuration (both parities, say)
+  /// generate it once.
+  DslashProblem(const Coords& dims, const GaugeConfiguration& gauge, std::uint64_t seed = 2024,
+                Parity target = Parity::Even);
 
   [[nodiscard]] const LatticeGeom& geom() const { return geom_; }
   [[nodiscard]] const GaugeView& view() const { return view_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace milc {
 
@@ -61,8 +63,19 @@ void GaugeConfiguration::fill_random(std::uint64_t seed) {
   for (auto& m : lng_) m = random_su3(rng);
 }
 
+GaugeConfiguration GaugeConfiguration::random(const LatticeGeom& geom, std::uint64_t seed) {
+  GaugeConfiguration cfg(geom);
+  cfg.fill_random(seed);
+  return cfg;
+}
+
 GaugeView::GaugeView(const LatticeGeom& geom, const GaugeConfiguration& cfg, Parity target)
     : target_(target), sites_(geom.half_volume()) {
+  if (cfg.volume() != geom.volume()) {
+    throw std::invalid_argument("GaugeView: a configuration of " +
+                                std::to_string(cfg.volume()) + " sites on a lattice of " +
+                                std::to_string(geom.volume()));
+  }
   for (auto& fam : data_) fam.resize(static_cast<std::size_t>(sites_ * kNdim * kColors * kColors));
   for (std::int64_t s = 0; s < sites_; ++s) {
     const std::int64_t f = geom.full_index_of(target, s);

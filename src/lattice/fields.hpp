@@ -76,6 +76,13 @@ class GaugeConfiguration {
 
   /// Fill both families with independent random SU(3) matrices.
   void fill_random(std::uint64_t seed);
+  /// A configuration of `geom` filled by fill_random(seed).
+  [[nodiscard]] static GaugeConfiguration random(const LatticeGeom& geom, std::uint64_t seed);
+
+  /// Sites of the full lattice the configuration covers.
+  [[nodiscard]] std::int64_t volume() const {
+    return static_cast<std::int64_t>(fat_.size()) / kNdim;
+  }
 
   [[nodiscard]] const SU3Matrix<dcomplex>& fat(std::int64_t full_site, int k) const {
     return fat_[static_cast<std::size_t>(full_site * kNdim + k)];
@@ -108,6 +115,7 @@ class GaugeConfiguration {
 class GaugeView {
  public:
   GaugeView() = default;
+  /// Throws std::invalid_argument when `cfg` covers another volume than `geom`.
   GaugeView(const LatticeGeom& geom, const GaugeConfiguration& cfg, Parity target);
 
   [[nodiscard]] Parity target_parity() const { return target_; }

@@ -75,6 +75,33 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t basis) {
   return h;
 }
 
+std::uint64_t checksum64(const void* data, std::size_t bytes) {
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  const auto* p = static_cast<const unsigned char*>(data);
+  const std::size_t words = bytes / 8;
+  // Unaligned loads go through memcpy, which compiles to one plain load.
+  const auto word = [p](std::size_t i) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i * 8, sizeof w);
+    return w;
+  };
+  std::uint64_t lane[4] = {kBasis, kBasis, kBasis, kBasis};
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) lane[k] = (lane[k] ^ word(i + k)) * kPrime;
+  }
+  for (; i < words; ++i) lane[i % 4] = (lane[i % 4] ^ word(i)) * kPrime;
+  if (const std::size_t tail = bytes % 8; tail != 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + words * 8, tail);
+    lane[words % 4] = (lane[words % 4] ^ w) * kPrime;
+  }
+  std::uint64_t h = kBasis;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kPrime;
+  return (h ^ bytes) * kPrime;
+}
+
 void save_gauge(const std::string& path, const LatticeGeom& geom,
                 const GaugeConfiguration& cfg) {
   // Payload: fat then long links, full lattice, [site][k] row-major matrices.

@@ -23,9 +23,20 @@ enum class FieldKind : std::uint32_t {
 };
 
 /// FNV-1a over a byte range (the checksum used by the format), from the
-/// standard offset basis unless the caller names another.
+/// standard offset basis unless the caller names another.  Its values are
+/// outputs (file headers, published fingerprints), so it stays byte-wise.
 [[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t bytes,
                                   std::uint64_t basis = 0xcbf29ce484222325ull);
+
+/// The in-process integrity checksum (halo payloads, CG snapshots): FNV-1a's
+/// xor-multiply step over 64-bit words in four independent lanes, the byte
+/// tail zero-padded into one more word, the lanes and the length folded
+/// together.  Every step is a bijection of the word it takes and of the lane
+/// it updates, so two payloads of one length that differ only inside one
+/// 8-byte word (or only in the tail) always checksum differently: every
+/// single-bit flip is caught.  The value depends on the host's byte order
+/// and never leaves the process.
+[[nodiscard]] std::uint64_t checksum64(const void* data, std::size_t bytes);
 
 void save_gauge(const std::string& path, const LatticeGeom& geom,
                 const GaugeConfiguration& cfg);

@@ -688,9 +688,11 @@ std::string HaloPass::pack_faces() {
                         dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
                        {dsan::span_of(s.wire.data(), s.wire.size())});
       }
-      // FNV-1a is not cryptographic: it only has to catch the injector's bit
-      // flips, and one flipped bit always perturbs the multiply-xor chain.
-      if (hardened_) s.checksum = io::fnv1a(s.wire.data(), s.wire.size());
+      // The word-lane checksum is not cryptographic: it only has to catch
+      // the injector's bit flips, and a change inside one 8-byte word always
+      // changes it (io::checksum64).  fnv1a stays for values that leave the
+      // process: file headers and published fingerprints.
+      if (hardened_) s.checksum = io::checksum64(s.wire.data(), s.wire.size());
     }
     if (pass == 0) {
       for (int d = 0; d < ndev_; ++d) {
@@ -833,7 +835,7 @@ std::string HaloPass::exchange_rounds() {
             // (also over encoded bytes) catches it before any decode runs.
             faultsim::flip_bit(s.rx.data(), s.rx.size(), lm.corrupt_key);
           }
-          ev.checksum_ok = io::fnv1a(s.rx.data(), s.rx.size()) == s.checksum;
+          ev.checksum_ok = io::checksum64(s.rx.data(), s.rx.size()) == s.checksum;
           rx_span.push_back(dsan::span_of(s.rx.data(), s.rx.size()));
         }
         if (rec_ != nullptr) {

@@ -14,9 +14,9 @@ namespace milc::multidev {
 
 namespace {
 
-/// Snapshot integrity checksum: FNV-1a over the field bytes, the hash the
-/// halo payload checksums use too.
-std::uint64_t field_sum(const ColorField& f) { return io::fnv1a(f.data(), f.bytes()); }
+/// Snapshot integrity checksum: the word-lane checksum over the field bytes,
+/// the one the halo payload checksums use too.
+std::uint64_t field_sum(const ColorField& f) { return io::checksum64(f.data(), f.bytes()); }
 
 /// A consistent solver state: everything needed to replay the CG recursion
 /// from iteration `iter`.  Snapshots live in host memory that is *not*
@@ -81,13 +81,15 @@ std::string ShardedCgResult::summary() const {
   return buf;
 }
 
-ShardedCgSolver::ShardedCgSolver(const Coords& dims, std::uint64_t gauge_seed, double mass,
-                                 PartitionGrid grid, ShardedCgConfig cfg)
+ShardedCgSolver::ShardedCgSolver(const Coords& dims, const GaugeConfiguration& gauge,
+                                 double mass, PartitionGrid grid, ShardedCgConfig cfg)
     : mass_(mass),
       grid_(grid),
       cfg_(std::move(cfg)),
-      problem_o_(dims, gauge_seed, Parity::Odd),
-      problem_e_(dims, gauge_seed, Parity::Even) {
+      // Every apply overwrites the problems' b before reading it, so the
+      // seed that draws it is immaterial.
+      problem_o_(dims, gauge, /*seed=*/2024, Parity::Odd),
+      problem_e_(dims, gauge, /*seed=*/2024, Parity::Even) {
   // Warm-start adoption (lookup-only; see the header).  The key matches
   // what MultiDeviceRunner::run_tuned records for the even-parity problem.
   if (tune::TuneSession* sess = tune::TuneSession::current(); sess != nullptr) {
@@ -102,6 +104,11 @@ ShardedCgSolver::ShardedCgSolver(const Coords& dims, std::uint64_t gauge_seed, d
     if (hit != nullptr && hit->local_size > 0) cfg_.local_size = hit->local_size;
   }
 }
+
+ShardedCgSolver::ShardedCgSolver(const Coords& dims, std::uint64_t gauge_seed, double mass,
+                                 PartitionGrid grid, ShardedCgConfig cfg)
+    : ShardedCgSolver(dims, GaugeConfiguration::random(LatticeGeom(dims), gauge_seed), mass,
+                      grid, std::move(cfg)) {}
 
 ShardedCgSolver::ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass,
                                  PartitionGrid grid, ShardedCgConfig cfg)

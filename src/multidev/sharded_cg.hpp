@@ -145,6 +145,14 @@ class ShardedCgSolver {
   /// perturbs fault draw streams — and the adoption changes timing only,
   /// never solution values (local size is functionally inert; the
   /// bit-for-bit identity tests hold under any adopted size).
+  ///
+  /// Both parities' problems gather the one configuration `gauge` of
+  /// `dims`; a caller solving on one configuration many times generates it
+  /// once and builds every solver from it.
+  ShardedCgSolver(const Coords& dims, const GaugeConfiguration& gauge, double mass,
+                  PartitionGrid grid, ShardedCgConfig cfg = {});
+  /// Generates the configuration, GaugeConfiguration::random(LatticeGeom(dims),
+  /// gauge_seed), and delegates.
   ShardedCgSolver(const Coords& dims, std::uint64_t gauge_seed, double mass,
                   PartitionGrid grid, ShardedCgConfig cfg = {});
   ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass, PartitionGrid grid,

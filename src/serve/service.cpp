@@ -77,6 +77,7 @@ SolverService::SolverService(std::vector<ProblemSpec> catalog, ServiceConfig cfg
     : catalog_(std::move(catalog)),
       cfg_(cfg),
       topo_(gpusim::cluster(cfg.cluster.nodes, cfg.cluster.devices_per_node)),
+      gauges_(catalog_.size()),
       queue_(cfg.queue) {
   // Hot-spare inventory rides on the topology: effective_topology() copies it
   // into every dispatched solve, so the hardened runner re-replicates lost
@@ -154,6 +155,15 @@ void SolverService::price_catalog() {
       ++pricing_.placements_priced;
     }
   }
+}
+
+const GaugeConfiguration& SolverService::gauge(int spec) {
+  std::optional<GaugeConfiguration>& g = gauges_[static_cast<std::size_t>(spec)];
+  if (!g) {
+    const ProblemSpec& sp = catalog_[static_cast<std::size_t>(spec)];
+    g = GaugeConfiguration::random(LatticeGeom(sp.dims), sp.gauge_seed);
+  }
+  return *g;
 }
 
 int SolverService::max_priced_devices(int spec) const {
@@ -585,7 +595,7 @@ void SolverService::execute(SloReport& rep, Inflight& f, const Placement& placem
       return applies_total + applies >= apply_budget;
     };
   }
-  ShardedCgSolver solver(sp.dims, sp.gauge_seed, sp.mass, placement.grid, scfg);
+  ShardedCgSolver solver(sp.dims, gauge(f.req.spec), sp.mass, placement.grid, scfg);
 
   f.outcome = RequestOutcome{};
   f.outcome.req = f.req;

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,9 @@ class SolverService {
 
   void reset_runtime_state();
   void price_catalog();
+  /// The gauge configuration of catalog spec `spec`, generated by the first
+  /// dispatch of the spec and kept for every later one.
+  [[nodiscard]] const GaugeConfiguration& gauge(int spec);
   [[nodiscard]] int max_priced_devices(int spec) const;
 
   [[nodiscard]] Resource& device(int k) { return resources_[static_cast<std::size_t>(k)]; }
@@ -193,6 +197,10 @@ class SolverService {
   gpusim::NodeTopology topo_;
   std::vector<std::vector<Placement>> placements_;
   PricingStats pricing_;
+  /// One configuration per catalog spec (1152 bytes per site), empty until
+  /// gauge() first needs it.  Construction leaves them empty: its pricing
+  /// launches already set the service's set-up time and peak memory.
+  std::vector<std::optional<GaugeConfiguration>> gauges_;
 
   // --- per-run state (reset by run()) --------------------------------------
   AdmissionQueue queue_;

@@ -3,6 +3,8 @@
 // (atomic variants change summation order).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/dslash_ref.hpp"
@@ -30,6 +32,37 @@ void poison(ColorField& c) {
   for (std::int64_t s = 0; s < c.size(); ++s) {
     for (int i = 0; i < kColors; ++i) c[s].c[i] = {1.2345e99, -9.8765e99};
   }
+}
+
+// A problem built from a configuration generated once is the problem the
+// seed constructor builds: the solver and the service rest on this.
+TEST(DslashProblem, SharedConfigurationMatchesSeedConstruction) {
+  const Coords dims{4, 4, 6, 8};
+  constexpr std::uint64_t kSeed = 19;
+  const GaugeConfiguration gauge = GaugeConfiguration::random(LatticeGeom(dims), kSeed);
+  for (const Parity target : {Parity::Even, Parity::Odd}) {
+    const DslashProblem seeded(dims, kSeed, target);
+    const DslashProblem shared(dims, gauge, kSeed, target);
+    ASSERT_EQ(shared.sites(), seeded.sites());
+    const std::size_t family_bytes =
+        static_cast<std::size_t>(seeded.sites()) * kNdim * kColors * kColors * sizeof(dcomplex);
+    for (int l = 0; l < 4; ++l) {
+      EXPECT_EQ(std::memcmp(shared.view().family(l), seeded.view().family(l), family_bytes), 0)
+          << "family " << l;
+    }
+    ASSERT_EQ(shared.neighbors().size(), seeded.neighbors().size());
+    EXPECT_EQ(std::memcmp(shared.neighbors().data(), seeded.neighbors().data(),
+                          seeded.neighbors().size() * sizeof(std::int32_t)),
+              0);
+    ASSERT_EQ(shared.b().bytes(), seeded.b().bytes());
+    EXPECT_EQ(std::memcmp(shared.b().data(), seeded.b().data(), seeded.b().bytes()), 0);
+  }
+}
+
+TEST(DslashProblem, RejectsAConfigurationOfAnotherVolume) {
+  const GaugeConfiguration gauge = GaugeConfiguration::random(LatticeGeom(4), 3);
+  EXPECT_THROW(DslashProblem(Coords{4, 4, 4, 6}, gauge), std::invalid_argument);
+  EXPECT_THROW(DslashProblem(Coords{4, 4, 4, 4}, GaugeConfiguration{}), std::invalid_argument);
 }
 
 TEST(DslashReference, GatheredViewMatchesDirectEquationOne) {

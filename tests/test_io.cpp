@@ -1,8 +1,12 @@
 // Field I/O: round-trips, validation and failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <set>
+#include <vector>
 
 #include "core/dslash_ref.hpp"
 #include "lattice/io.hpp"
@@ -19,6 +23,52 @@ TEST(Fnv1a, KnownValuesAndSensitivity) {
   const char a[] = "lattice";
   const char b[] = "lattica";
   EXPECT_NE(io::fnv1a(a, sizeof(a)), io::fnv1a(b, sizeof(b)));
+}
+
+std::vector<unsigned char> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> v(n);
+  for (unsigned char& b : v) b = static_cast<unsigned char>(rng());
+  return v;
+}
+
+// The halo and snapshot checksums must catch every bit flip the fault
+// injector can make: below one word, at one word, past it, at and around
+// the four-lane block, and a long payload with a tail.
+TEST(Checksum64, DetectsEverySingleBitFlip) {
+  for (const std::size_t n : {1, 7, 8, 9, 31, 32, 33, 257}) {
+    std::vector<unsigned char> p = seeded_bytes(n, 1000 + n);
+    const std::uint64_t clean = io::checksum64(p.data(), n);
+    for (std::size_t bit = 0; bit < n * 8; ++bit) {
+      const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+      p[bit / 8] ^= mask;
+      EXPECT_NE(io::checksum64(p.data(), n), clean) << n << " B, bit " << bit;
+      p[bit / 8] ^= mask;
+    }
+    EXPECT_EQ(io::checksum64(p.data(), n), clean) << n << " B";
+  }
+}
+
+// Word loads from any address: the same bytes at every offset within a
+// word give one value.
+TEST(Checksum64, IndependentOfAlignment) {
+  const std::vector<unsigned char> p = seeded_bytes(67, 5);
+  const std::uint64_t want = io::checksum64(p.data(), p.size());
+  std::vector<unsigned char> buf(p.size() + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    std::fill(buf.begin(), buf.end(), static_cast<unsigned char>(0xa5));
+    std::copy(p.begin(), p.end(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    EXPECT_EQ(io::checksum64(buf.data() + off, p.size()), want) << "offset " << off;
+  }
+}
+
+// The zero-padded tail word does not hide the length: zero payloads of
+// 0..24 bytes all differ.
+TEST(Checksum64, LengthIsPartOfTheValue) {
+  const std::vector<unsigned char> zeros(24, 0);
+  std::set<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= zeros.size(); ++n) seen.insert(io::checksum64(zeros.data(), n));
+  EXPECT_EQ(seen.size(), zeros.size() + 1);
 }
 
 TEST(IO, GaugeRoundTrip) {

@@ -347,6 +347,64 @@ TEST(ShardedCg, StormSolveReplaysBitForBitFromItsSeed) {
   }
 }
 
+TEST(ShardedCg, SharedConfigurationSolveIsBitForBitTheSeedSolve) {
+  // A solver over a configuration generated once (what the serving tier
+  // builds per dispatch) is the seed-built solver: under one link storm both
+  // follow one trajectory, and the halo checksums catch the same corruptions.
+  const GaugeConfiguration gauge = GaugeConfiguration::random(LatticeGeom(kDims), kGaugeSeed);
+  const PartitionGrid grid = PartitionGrid::along(3, 2);
+  FaultPlan plan;
+  plan.seed = 2024;
+  plan.p_msg_drop = 0.02;
+  plan.p_msg_corrupt = 0.05;
+  plan.p_msg_delay = 0.05;
+  const auto storm_solve = [&](ShardedCgSolver solver) {
+    const ColorField b = make_source(solver.geom());
+    ColorField x(solver.geom(), Parity::Even);
+    ScopedFaultInjection fi(plan);
+    ShardedCgResult res = solver.solve(b, x);
+    return std::make_pair(std::move(res), x);
+  };
+  const auto [r_seed, x_seed] =
+      storm_solve(ShardedCgSolver(kDims, kGaugeSeed, kMass, grid, quick_config()));
+  const auto [r_shared, x_shared] =
+      storm_solve(ShardedCgSolver(kDims, gauge, kMass, grid, quick_config()));
+  ASSERT_TRUE(r_seed.cg.converged) << r_seed.summary();
+  EXPECT_EQ(std::memcmp(x_shared.data(), x_seed.data(), x_seed.bytes()), 0);
+  EXPECT_EQ(r_shared.cg.iterations, r_seed.cg.iterations);
+  EXPECT_EQ(r_shared.applies, r_seed.applies);
+  EXPECT_EQ(r_shared.recovery_us, r_seed.recovery_us);
+  const auto corruptions = [](const ShardedCgResult& r) {
+    return std::count_if(r.faults.begin(), r.faults.end(), [](const faultsim::FaultEvent& e) {
+      return e.kind == FaultKind::msg_corrupt;
+    });
+  };
+  EXPECT_GT(corruptions(r_seed), 0) << "the storm must corrupt payloads";
+  EXPECT_EQ(corruptions(r_shared), corruptions(r_seed));
+
+  // The same storm on one hardened apply of each parity's problem, where the
+  // exchange report counts the checksum's verdicts.
+  for (const Parity target : {Parity::Odd, Parity::Even}) {
+    DslashProblem seeded(kDims, kGaugeSeed, target);
+    DslashProblem shared(kDims, gauge, kGaugeSeed, target);
+    const MultiDeviceRunner runner;
+    MultiDevRequest mreq;
+    mreq.grid = grid;
+    mreq.mode = minisycl::ExecMode::functional;
+    FaultPlan heavy = plan;
+    heavy.p_msg_corrupt = 0.5;
+    const auto storm_run = [&](DslashProblem& problem) {
+      ScopedFaultInjection fi(heavy);
+      return runner.run(problem, mreq);
+    };
+    const MultiDevResult a = storm_run(seeded);
+    const MultiDevResult c = storm_run(shared);
+    EXPECT_GT(a.exchange.checksum_failures, 0);
+    EXPECT_EQ(c.exchange.checksum_failures, a.exchange.checksum_failures);
+    EXPECT_EQ(std::memcmp(shared.c().data(), seeded.c().data(), seeded.c().bytes()), 0);
+  }
+}
+
 TEST(ShardedCg, RestartExhaustionReportsStructuredFailure) {
   // A fault the recovery ladder cannot outrun — every kernel launch sticks
   // forever, so retries, strategy fallbacks and failovers all fail on every

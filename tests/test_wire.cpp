@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "faultsim/faultsim.hpp"
+#include "lattice/io.hpp"
 #include "multidev/runner.hpp"
 #include "multidev/sharded_cg.hpp"
 #include "multidev/wire_format.hpp"
@@ -31,16 +32,6 @@
 
 namespace milc::multidev {
 namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // Grammar and byte tables
@@ -196,13 +187,14 @@ TEST(GaugeWire, ReducedFramesReconstructWithinRounding) {
 
 // The faultsim regression behind run_attempt's corruption handling: the bit
 // flip lands in the *encoded* wire bytes of a compressed recon-12 frame, the
-// checksum — also taken over encoded bytes — rejects the delivery, and the
-// retransmitted pristine frame decodes bit-for-bit to the clean answer.
+// runner's checksum (io::checksum64) — also taken over encoded bytes —
+// rejects the delivery, and the retransmitted pristine frame decodes
+// bit-for-bit to the clean answer.
 TEST(GaugeWire, CorruptRecon12FrameIsRejectedAndRetransmitBitExact) {
   const auto links = random_links(48, 17);
   std::vector<double> frame(links.size() * 12);
   pack_links(Reconstruct::k12, links, frame);
-  const std::uint64_t sum = fnv1a(frame.data(), frame.size() * sizeof(double));
+  const std::uint64_t sum = io::checksum64(frame.data(), frame.size() * sizeof(double));
 
   // Clean decode: the oracle the retransmission must reproduce.
   std::vector<SU3Matrix<dcomplex>> clean(links.size());
@@ -211,12 +203,12 @@ TEST(GaugeWire, CorruptRecon12FrameIsRejectedAndRetransmitBitExact) {
   // Delivery 1: one bit flipped somewhere in the compressed payload.
   std::vector<double> rx = frame;
   faultsim::flip_bit(rx.data(), rx.size() * sizeof(double), /*key=*/0xdecafbad);
-  EXPECT_NE(fnv1a(rx.data(), rx.size() * sizeof(double)), sum)
+  EXPECT_NE(io::checksum64(rx.data(), rx.size() * sizeof(double)), sum)
       << "the encoded-byte checksum must see the flip";
 
   // Delivery 2 (retransmission): pristine bytes, accepted, decoded.
   std::vector<double> rx2 = frame;
-  ASSERT_EQ(fnv1a(rx2.data(), rx2.size() * sizeof(double)), sum);
+  ASSERT_EQ(io::checksum64(rx2.data(), rx2.size() * sizeof(double)), sum);
   std::vector<SU3Matrix<dcomplex>> healed(links.size());
   unpack_links(Reconstruct::k12, rx2, healed);
   EXPECT_EQ(std::memcmp(clean.data(), healed.data(), clean.size() * sizeof(clean[0])), 0);
